@@ -32,17 +32,12 @@ from .errors import (
 )
 from .rings import (
     INTEGERS,
-    FieldDecomposition,
-    IntegerDecomposition,
     LinearSystem,
     LinearVerdict,
-    ModularDecomposition,
     RingHom,
     RingMatrix,
     RingSpec,
     linear_decomposition,
-    normal_form,
-    smith_normal_form,
     solve_linear_system,
 )
 from .scenario import (

@@ -20,7 +20,7 @@ from .errors import (
     SelfCheckError,
 )
 from .model import EmpiricalModel
-from .rings import RingHom, RingMatrix, RingSpec, linear_decomposition
+from .rings import Echelon, RingHom, RingMatrix, RingSpec, echelon, linear_decomposition
 from .scenario import Section, Simplex, build_nerve, connected_components
 
 # ---------------------------------------------------------------------------
@@ -247,11 +247,12 @@ class ObstructionSolver:
     one ring at a time.
 
     Vanishing of the class of a section s0 at context C0 is equivalent to the
-    existence of a family of combinations r_C over the supports, restricting
-    consistently on overlaps, with r_C0 the unit combination at s0. The
-    compatibility block is the degree-0 coboundary matrix and is shared by
-    every query; the fixing block depends only on C0, so one decomposition
-    per context serves all its sections.
+    existence of a compatible family: a 0-cochain r in K = ker(delta0),
+    restricting consistently on overlaps, whose component at C0 is the unit
+    combination at s0. K is computed once. Per context, the rows
+    (pi_C0(k) | k) over generators k of K are brought to echelon form on the
+    C0 columns: the unit vector e_s0 reduces to a zero head exactly when the
+    obstruction vanishes, and the negated tail is then the family.
     """
 
     def __init__(self, model: EmpiricalModel, ring: RingSpec):
@@ -261,36 +262,31 @@ class ObstructionSolver:
         self.nerve = build_nerve(model.scenario, 1)
         self.basis = cochain_basis(model, 0, self.nerve)
         self.compat = coboundary_matrix(model, 0, ring, self.nerve).rows()
-        self._decompositions: dict[int, object] = {}
+        self._kernel = linear_decomposition(ring, self.compat, len(self.basis)).kernel()
+        self._decompositions: dict[int, Echelon] = {}
 
     def _context_index(self, context: Iterable[str]) -> int:
         return self.model.scenario.context_index(context)
 
-    def _decomposition(self, ci: int):
-        dec = self._decompositions.get(ci)
-        if dec is None:
-            rows = [list(row) for row in self.compat]
-            width = len(self.basis)
-            for s in self.model.support(ci):
-                row = [0] * width
-                row[self.basis.index[(ci, s)]] = 1
-                rows.append(row)
-            dec = linear_decomposition(self.ring, rows, width)
-            self._decompositions[ci] = dec
-        return dec
-
-    def _rhs(self, ci: int, s0: Section) -> list[int]:
-        rhs = [0] * len(self.compat)
-        for s in self.model.support(ci):
-            rhs.append(1 if s == s0 else 0)
-        return rhs
+    def _decomposition(self, ci: int) -> Echelon:
+        form = self._decompositions.get(ci)
+        if form is None:
+            cols = [self.basis.index[(ci, s)] for s in self.model.support(ci)]
+            rows = [[k[j] for j in cols] + k for k in self._kernel]
+            form = self._decompositions[ci] = echelon(self.ring, rows, len(cols))
+        return form
 
     def _solve(self, ci: int, s0: Section) -> list[int] | None:
         if s0 not in self.model.support_set(ci):
             raise SectionNotSupportedError(
                 f"{s0} is not supported at context {self.model.scenario.contexts[ci]}"
             )
-        return self._decomposition(ci).solve(self._rhs(ci, s0))
+        support = self.model.support(ci)
+        unit = [1 if s == s0 else 0 for s in support]
+        rest = self._decomposition(ci).reduce(unit + [0] * len(self.basis))
+        if rest is None:
+            return None
+        return [self.ring.canon(-x) for x in rest[len(support) :]]
 
     def vanishes(self, context: Iterable[str], s0: Section) -> bool:
         return self._solve(self._context_index(context), s0) is not None

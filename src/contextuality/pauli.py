@@ -15,7 +15,7 @@ from itertools import product
 
 from .errors import PauliError
 from .model import EmpiricalModel
-from .rings import FieldDecomposition, RingSpec
+from .rings import RingSpec, echelon
 from .scenario import Scenario
 from .theory import LinearEquation, Theory, model_of_theory
 
@@ -117,7 +117,7 @@ def check_vector_rank(operators: list[PauliOperator] | tuple[PauliOperator, ...]
     rows = [list(op.check_vector()) for op in operators]
     if not rows:
         return 0
-    return FieldDecomposition(rows, 2).rank
+    return len(echelon(RingSpec(2), rows, len(rows[0])).rows)
 
 
 # ---------------------------------------------------------------------------

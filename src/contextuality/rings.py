@@ -1,15 +1,17 @@
 """Exact linear algebra over the integers and the modular rings Z_n.
 
-All arithmetic is arbitrary-precision integer arithmetic. Solvability over a
-composite modulus n is decided through a single audited kernel: the system
-A*x = b (mod n) is lifted to [A | n*I]*(x; y) = b over Z and decided by
-Hermite normal form. Prime moduli short-circuit to Gaussian elimination over
-the field.
+All arithmetic is arbitrary-precision integer arithmetic. One routine,
+`echelon`, brings a matrix to echelon form by extended-gcd row operations:
+Hermite form over Z, and over Z_n the Howell form, whose pivots divide n
+and which answers membership in the row module by plain reduction. Solving
+A*x = b, kernels, AvN certificates, affine spans and cohomology
+obstructions are all built on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import HomomorphismError, RingError, UnsupportedRingError
 
@@ -132,11 +134,6 @@ class RingHom:
         return self.target.canon(x)
 
 
-def ring_hom_apply(hom: RingHom, vector: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Apply a homomorphism entrywise. Commutes with matrix action (h(A.x) = h(A).h(x))."""
-    return tuple(hom.apply(x) for x in vector)
-
-
 @dataclass(frozen=True)
 class RingMatrix:
     """An immutable matrix with entries in canonical form for its ring."""
@@ -195,434 +192,174 @@ class LinearVerdict:
 
     solvable: bool
     solution: tuple[int, ...] | None = None
-    kernel: tuple[tuple[int, ...], ...] | None = None  # basis, fields only
+    kernel: tuple[tuple[int, ...], ...] | None = None  # generators of A*x = 0
 
 
 # ---------------------------------------------------------------------------
-# integer elimination
+# echelon form
 
 
-def _identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def _combine(n: int | None, a: int, u: list[int], b: int, v: list[int]) -> list[int]:
+    """a*u + b*v, reduced mod n unless n is None (over Z)."""
+    if n is None:
+        return [a * x + b * y for x, y in zip(u, v)]
+    return [(a * x + b * y) % n for x, y in zip(u, v)]
 
 
-def _add_multiple(row_dst: list[int], row_src: list[int], q: int) -> None:
-    for k in range(len(row_dst)):
-        row_dst[k] += q * row_src[k]
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
-def row_hermite(a: Matrix) -> tuple[Matrix, Matrix, list[tuple[int, int]]]:
-    """Row-style Hermite normal form.
+def _normalise(n: int | None, v: list[int], c: int) -> list[int]:
+    """v times a unit of the ring such that v[c] is positive over Z and
+    equal to gcd(v[c], n) over Z_n."""
+    x = v[c]
+    if n is None:
+        return v if x > 0 else [-y for y in v]
+    g = gcd(x, n)
+    if g == x:
+        return v
+    # u*x = g (mod n) for any u = (x/g)^-1 (mod n/g); pick one that is a unit mod n
+    u = pow(x // g, -1, n // g)
+    while gcd(u, n) != 1:
+        u += n // g
+    return [u * y % n for y in v]
 
-    Returns (H, U, pivots) with U unimodular, U*A = H, pivots a list of
-    (row, col) positions. H is in row echelon form with positive pivots and
-    entries above each pivot reduced into [0, pivot).
+
+class Echelon:
+    """A row module in echelon form on its first `head` columns.
+
+    `rows` maps each pivot column, in increasing order, to the row whose
+    first nonzero head entry sits there; nothing is reduced above a pivot.
+    Over Z the pivots are positive (Hermite form without back-reduction).
+    Over Z_n each pivot divides n and the form is a weak Howell form (a
+    Howell form without the reduction above pivots): every element of the
+    module that is zero on the columns before c is a combination of the
+    rows with pivots at c or later and of `kernel`, the nonzero rows whose
+    head reduced to zero. That makes `reduce` a membership test. With the
+    head covering every column, the sums of c_i*h_i with 0 <= c_i < n/p_i
+    over the rows h_i with pivots p_i list the module, each element once.
     """
-    m = len(a)
-    n = len(a[0]) if m else 0
-    h = [list(row) for row in a]
-    u = _identity(m)
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        # gcd-reduce column c on rows >= r until a single nonzero remains
-        while True:
-            nz = [i for i in range(r, m) if h[i][c] != 0]
-            if not nz:
-                break
-            i = min(nz, key=lambda k: abs(h[k][c]))
-            if i != r:
-                h[i], h[r] = h[r], h[i]
-                u[i], u[r] = u[r], u[i]
-            done = True
-            for j in range(r + 1, m):
-                if h[j][c] != 0:
-                    q = h[j][c] // h[r][c]
-                    _add_multiple(h[j], h[r], -q)
-                    _add_multiple(u[j], u[r], -q)
-                    if h[j][c] != 0:
-                        done = False
-            if done:
-                break
-        if r < m and h[r][c] != 0:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            piv = h[r][c]
-            for i in range(r):
-                q = h[i][c] // piv
-                if q:
-                    _add_multiple(h[i], h[r], -q)
-                    _add_multiple(u[i], u[r], -q)
-            pivots.append((r, c))
-            r += 1
-    return h, u, pivots
 
+    def __init__(
+        self,
+        ring: RingSpec,
+        head: int,
+        rows: dict[int, list[int]],
+        kernel: list[list[int]],
+    ):
+        self.ring = ring
+        self.head = head
+        self.rows = rows
+        self.kernel = kernel
 
-def _transpose(a: Matrix) -> Matrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-def column_hermite(a: Matrix, ncols: int) -> tuple[Matrix, Matrix, list[tuple[int, int]]]:
-    """Column-style HNF: returns (H, V, pivots) with A*V = H, V unimodular.
-
-    pivots lists (row, col) of first nonzero entries per pivot column, rows
-    strictly increasing with the column index.
-    """
-    at = _transpose(a) if a else [[] for _ in range(ncols)]
-    ht, ut, pivots_t = row_hermite(at)
-    h = _transpose(ht)
-    v = _transpose(ut)
-    pivots = [(c, r) for (r, c) in pivots_t]
-    pivots.sort(key=lambda rc: rc[1])
-    return h, v, pivots
-
-
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Smith normal form: (D, L, R) with L*A*R = D, L and R unimodular,
-    D diagonal with d_1 | d_2 | ... and non-negative entries."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    d = [list(row) for row in a]
-    left = _identity(m)
-    right = _identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):
-        _add_multiple(d[dst], d[src], q)
-        _add_multiple(left[dst], left[src], q)
-
-    def add_col(dst, src, q):
-        for row in d:
-            row[dst] += q * row[src]
-        for row in right:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < m and t < n:
-        # locate a nonzero entry in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < best):
-                    best = abs(d[i][j])
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        swap_rows(t, i)
-        swap_cols(t, j)
-        # clear row and column t; restart whenever a remainder shrinks the pivot
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
-                        dirty = True
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility d_t | d[i][j] on the trailing block
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            add_row(t, offender, 1)
-            continue
-        if d[t][t] < 0:
-            d[t] = [-x for x in d[t]]
-            left[t] = [-x for x in left[t]]
-        t += 1
-    return d, left, right
-
-
-class IntegerDecomposition:
-    """Column HNF of an integer matrix, reusable across right-hand sides."""
-
-    def __init__(self, a: Matrix, ncols: int):
-        self.nrows = len(a)
-        self.ncols = ncols
-        self.h, self.v, self.pivots = column_hermite(a, ncols)
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        res = list(b)
-        y = [0] * self.ncols
-        row_ptr = 0
-        for (r, c) in self.pivots:
-            for i in range(row_ptr, r):
-                if res[i] != 0:
+    def reduce(self, v: list[int] | tuple[int, ...]) -> list[int] | None:
+        """v minus a combination of the rows that is zero on the head, or
+        None when no combination of the module clears v's head."""
+        n = self.ring.modulus
+        w = [self.ring.canon(x) for x in v]
+        for c in range(self.head):
+            x = w[c]
+            if x:
+                h = self.rows.get(c)
+                if h is None or x % h[c]:
                     return None
-            piv = self.h[r][c]
-            q, rem = divmod(res[r], piv)
-            if rem:
-                return None
-            if q:
-                for i in range(r, self.nrows):
-                    res[i] -= q * self.h[i][c]
-            y[c] = q
-            row_ptr = r + 1
-        if any(res[i] != 0 for i in range(row_ptr, self.nrows)):
-            return None
-        # x = V*y over the pivot columns only (free columns carry y = 0)
-        x = [0] * self.ncols
-        for c in range(self.ncols):
-            yc = y[c]
-            if yc:
-                for i in range(self.ncols):
-                    x[i] += self.v[i][c] * yc
-        return x
-
-    def kernel_basis(self) -> list[list[int]]:
-        pivot_cols = {c for (_, c) in self.pivots}
-        basis = []
-        for c in range(self.ncols):
-            if c not in pivot_cols:
-                basis.append([self.v[i][c] for i in range(self.ncols)])
-        return basis
+                w = _combine(n, 1, w, -(x // h[c]), h)
+        return w
 
 
-class FieldDecomposition:
-    """Reduced row echelon form over Z_p, reusable across right-hand sides."""
+def echelon(ring: RingSpec, rows: Matrix, head: int) -> Echelon:
+    """Echelon form of the rows' span on its first `head` columns.
 
-    def __init__(self, a: Matrix, p: int):
-        self.p = p
-        self.nrows = len(a)
-        self.ncols = len(a[0]) if a else 0
-        e = [[x % p for x in row] for row in a]
-        t = _identity(self.nrows)
-        pivots: list[tuple[int, int]] = []
-        r = 0
-        for c in range(self.ncols):
-            if r == self.nrows:
-                break
-            sel = next((i for i in range(r, self.nrows) if e[i][c]), None)
-            if sel is None:
-                continue
-            e[sel], e[r] = e[r], e[sel]
-            t[sel], t[r] = t[r], t[sel]
-            inv = pow(e[r][c], p - 2, p)
-            e[r] = [(x * inv) % p for x in e[r]]
-            t[r] = [(x * inv) % p for x in t[r]]
-            for i in range(self.nrows):
-                if i != r and e[i][c]:
-                    f = e[i][c]
-                    e[i] = [(x - f * y) % p for x, y in zip(e[i], e[r])]
-                    t[i] = [(x - f * y) % p for x, y in zip(t[i], t[r])]
-            pivots.append((r, c))
-            r += 1
-        self.e = e
-        self.t = t
-        self.pivots = pivots
-        self.rank = r
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        p = self.p
-        c = [
-            sum(tk * bk for tk, bk in zip(trow, b)) % p
-            for trow in self.t
-        ]
-        if any(c[i] for i in range(self.rank, self.nrows)):
-            return None
-        x = [0] * self.ncols
-        for (r, col) in self.pivots:
-            x[col] = c[r]
-        return x
-
-    def kernel_basis(self) -> list[list[int]]:
-        p = self.p
-        pivot_cols = {c: r for (r, c) in self.pivots}
-        free = [c for c in range(self.ncols) if c not in pivot_cols]
-        basis = []
-        for f in free:
-            vec = [0] * self.ncols
-            vec[f] = 1
-            for (r, c) in self.pivots:
-                vec[c] = (-self.e[r][f]) % p
-            basis.append(vec)
-        return basis
-
-
-class ModularDecomposition:
-    """Solver for A*x = b (mod n), composite n, via the integer lift [A | n*I]."""
-
-    def __init__(self, a: Matrix, ncols: int, n: int):
-        self.n = n
-        self.ncols = ncols
-        nrows = len(a)
-        lifted = [list(row) + [n if j == i else 0 for j in range(nrows)] for i, row in enumerate(a)]
-        self.inner = IntegerDecomposition(lifted, ncols + nrows)
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        sol = self.inner.solve(list(b))
-        if sol is None:
-            return None
-        return [x % self.n for x in sol[: self.ncols]]
-
-    def kernel_generators(self) -> list[list[int]]:
-        """Generators (not necessarily a basis) of the solution module of
-        A*x = 0 (mod n): the integer kernel of the lift, projected mod n."""
-        gens = []
-        seen = set()
-        for vec in self.inner.kernel_basis():
-            g = tuple(x % self.n for x in vec[: self.ncols])
-            if any(g) and g not in seen:
-                seen.add(g)
-                gens.append(list(g))
-        return gens
-
-
-class _IntegerSolver:
-    """Integer solve with opportunistic mod-p unsolvability short-circuits."""
-
-    _PRECHECK_PRIMES = (2, 3)
-
-    def __init__(self, a: Matrix, ncols: int):
-        self.a = a
-        self.ncols = ncols
-        self._field: dict[int, FieldDecomposition] = {}
-        self._integer: IntegerDecomposition | None = None
-
-    def solve(self, b: list[int]) -> list[int] | None:
-        # unsolvable mod p implies unsolvable over Z; the converse needs HNF
-        for p in self._PRECHECK_PRIMES:
-            dec = self._field.get(p)
-            if dec is None:
-                dec = self._field[p] = FieldDecomposition(self.a, p)
-            if dec.solve([x % p for x in b]) is None:
-                return None
-        if self._integer is None:
-            self._integer = IntegerDecomposition(self.a, self.ncols)
-        return self._integer.solve(b)
-
-
-def linear_decomposition(ring: RingSpec, a: Matrix, ncols: int | None = None):
-    """A reusable solver for A*x = b over the ring, one decomposition per matrix.
-
-    Returns an object with .solve(b) -> list | None.
+    Two rows meeting at a column are replaced by an extended-gcd
+    combination, which keeps the span. Over Z_n a new pivot row is scaled
+    by a unit so its pivot p divides n, and its annihilator (n/p)*row,
+    zero at the pivot, joins the rows still to process: that gives the
+    Howell property.
     """
+    n = ring.modulus
+    pivots: dict[int, list[int]] = {}
+    kernel: list[list[int]] = []
+    todo = [[ring.canon(x) for x in row] for row in reversed(rows)]
+    while todo:
+        v = todo.pop()
+        c = 0
+        while v is not None:
+            while c < head and not v[c]:
+                c += 1
+            if c == head:
+                if any(v):
+                    kernel.append(v)
+                break
+            h = pivots.get(c)
+            if h is not None and v[c] % h[c] == 0:
+                v = _combine(n, 1, v, -(v[c] // h[c]), h)
+                continue
+            if h is None:
+                h, v = _normalise(n, v, c), None
+            else:
+                g, s, t = _xgcd(h[c], v[c])
+                h, v = _combine(n, s, h, t, v), _combine(n, h[c] // g, v, -(v[c] // g), h)
+            pivots[c] = h
+            if n is not None and h[c] != 1:
+                todo.append([n // h[c] * x % n for x in h])
+    return Echelon(ring, head, dict(sorted(pivots.items())), kernel)
+
+
+class LinearSolver:
+    """A*x = b over the ring for any number of right-hand sides.
+
+    Holds the echelon form of [A^T | I] on its first m columns (m rows of
+    A): b = A*x exactly when (b | 0) reduces to a zero head, and then the
+    tail left over is -x. The rows whose head reduced to zero carry the
+    solutions of A*x = 0 in their tails.
+    """
+
+    def __init__(self, ring: RingSpec, a: Matrix, ncols: int):
+        self.ring = ring
+        self.m = len(a)
+        self.ncols = ncols
+        rows = [
+            [row[j] for row in a] + [1 if k == j else 0 for k in range(ncols)]
+            for j in range(ncols)
+        ]
+        self.form = echelon(ring, rows, self.m)
+
+    def solve(self, b: list[int]) -> list[int] | None:
+        rest = self.form.reduce(list(b) + [0] * self.ncols)
+        if rest is None:
+            return None
+        return [self.ring.canon(-x) for x in rest[self.m :]]
+
+    def kernel(self) -> list[list[int]]:
+        """Generators of the solutions of A*x = 0 (a basis over Z and Z_p)."""
+        return [row[self.m :] for row in self.form.kernel]
+
+
+def linear_decomposition(ring: RingSpec, a: Matrix, ncols: int | None = None) -> LinearSolver:
+    """A reusable solver for A*x = b over the ring, one echelon form per matrix."""
     if ncols is None:
         ncols = len(a[0]) if a else 0
-    if ring.is_integers:
-        return _IntegerSolver(a, ncols)
-    if ring.is_field:
-        return FieldDecomposition(a, ring.modulus)
-    return ModularDecomposition(a, ncols, ring.modulus)
+    return LinearSolver(ring, a, ncols)
 
 
 def solve_linear_system(system: LinearSystem) -> LinearVerdict:
-    """Decide A*x = b exactly over Z or Z_n.
-
-    Over Z and composite Z_n the verdict comes from Hermite normal form of
-    the (lifted) integer matrix; over prime moduli from Gaussian elimination,
-    in which case a kernel basis accompanies a solvable verdict.
-    """
+    """Decide A*x = b exactly over Z or Z_n; a solvable verdict carries a
+    solution and generators of the solutions of A*x = 0."""
     ring = system.matrix.ring
-    a = system.matrix.rows()
-    dec = linear_decomposition(ring, a, system.matrix.ncols)
-    sol = dec.solve(list(system.rhs))
+    solver = linear_decomposition(ring, system.matrix.rows(), system.matrix.ncols)
+    sol = solver.solve(list(system.rhs))
     if sol is None:
         return LinearVerdict(solvable=False)
-    kernel = None
-    if ring.is_field:
-        kernel = tuple(tuple(v) for v in dec.kernel_basis())
-    return LinearVerdict(solvable=True, solution=tuple(ring.canon(x) for x in sol), kernel=kernel)
-
-
-@dataclass(frozen=True)
-class IntegerNormalForm:
-    """Hermite and Smith forms of an integer matrix, with witnesses.
-
-    hermite_transform * input == hermite (hermite_transform unimodular);
-    smith_left * input * smith_right == smith (both witnesses unimodular).
-    """
-
-    hermite: RingMatrix
-    hermite_transform: RingMatrix
-    smith: RingMatrix
-    smith_left: RingMatrix
-    smith_right: RingMatrix
-
-
-@dataclass(frozen=True)
-class ModularNormalForm:
-    """Echelon form over Z_n via the integer lift, with an invertible witness.
-
-    transform * input == form over Z_n, and transform is unimodular mod n
-    (it is the reduction of a unimodular integer matrix).
-    """
-
-    form: RingMatrix
-    transform: RingMatrix
-
-
-def _as_matrix(ring: RingSpec, rows: Matrix, nrows: int, ncols: int) -> RingMatrix:
-    entries = tuple(ring.canon(x) for row in rows for x in row)
-    return RingMatrix(ring, nrows, ncols, entries)
-
-
-def normal_form(m: RingMatrix) -> IntegerNormalForm | ModularNormalForm:
-    """Normal-form decomposition of a matrix over its ring."""
-    ring = m.ring
-    a = m.rows()
-    if a:
-        h, u, _ = row_hermite(a)
-    else:
-        h, u = [], _identity(0)
-    if ring.is_integers:
-        if a:
-            d, left, right = smith_normal_form(a)
-        else:
-            d, left, right = [], _identity(0), _identity(m.ncols)
-        return IntegerNormalForm(
-            hermite=_as_matrix(ring, h, m.nrows, m.ncols),
-            hermite_transform=_as_matrix(ring, u, m.nrows, m.nrows),
-            smith=_as_matrix(ring, d, m.nrows, m.ncols),
-            smith_left=_as_matrix(ring, left, m.nrows, m.nrows),
-            smith_right=_as_matrix(ring, right, m.ncols, m.ncols),
-        )
-    return ModularNormalForm(
-        form=_as_matrix(ring, h, m.nrows, m.ncols),
-        transform=_as_matrix(ring, u, m.nrows, m.nrows),
+    return LinearVerdict(
+        solvable=True,
+        solution=tuple(sol),
+        kernel=tuple(tuple(v) for v in solver.kernel()),
     )
-
-
-def mat_vec(ring: RingSpec, a: Matrix, x: list[int]) -> list[int]:
-    return [ring.canon(sum(aij * xj for aij, xj in zip(row, x))) for row in a]
-
-
-def mat_mul(ring: RingSpec, a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    return [
-        [ring.canon(sum(row[k] * b[k][j] for k in range(len(b)))) for j in range(cols)]
-        for row in a
-    ]

@@ -67,14 +67,6 @@ class Section:
 EMPTY_SECTION = Section(())
 
 
-def restrict_section(section: Section, subset: Iterable[str]) -> Section:
-    """Restriction E(U') -> E(U): drop measurements outside the subset.
-
-    Functorial: restricting twice equals restricting once to the smaller set.
-    """
-    return section.restrict(subset)
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A measurement scenario <X, M, O>.

@@ -21,12 +21,11 @@ from .errors import (
 )
 from .model import EmpiricalModel
 from .rings import (
-    FieldDecomposition,
     LinearSystem,
-    ModularDecomposition,
     RingMatrix,
     RingSpec,
-    normal_form,
+    echelon,
+    linear_decomposition,
     solve_linear_system,
 )
 from .scenario import Scenario, Section
@@ -138,18 +137,10 @@ def theory_of_sections(
     rows = [
         [embedding[s[m]] for m in context] + [ring.canon(-1)] for s in secs
     ]
-    if ring.is_field:
-        generators = FieldDecomposition(rows, ring.modulus).kernel_basis()
-    else:
-        generators = ModularDecomposition(rows, width, ring.modulus).kernel_generators()
-    equations = []
-    for gen in generators:
-        if all(x == 0 for x in gen):
-            continue
-        equations.append(
-            LinearEquation(ring, context, tuple(gen[:-1]), gen[-1])
-        )
-    return tuple(equations)
+    return tuple(
+        LinearEquation(ring, context, tuple(gen[:-1]), gen[-1])
+        for gen in linear_decomposition(ring, rows, width).kernel()
+    )
 
 
 def theory_of_model(model: EmpiricalModel, ring: RingSpec) -> Theory:
@@ -221,7 +212,8 @@ class AvnReport:
 
     avn means unsolvable: no assignment X -> R satisfies every generator.
     Exactly one certificate is present: a satisfying global assignment, or
-    the system in reduced form with the impossible row visible.
+    the Howell form of the augmented system, whose last row then has zero
+    coefficients and a nonzero constant.
     """
 
     ring: RingSpec
@@ -245,17 +237,12 @@ def _theory_rows(model: EmpiricalModel, theory: Theory) -> list[list[int]]:
 
 
 def _reduced_system(ring: RingSpec, rows: list[list[int]], rhs: list[int]) -> LinearSystem:
-    """Row-reduce the augmented system so unsolvability is visible."""
+    """The Howell form of [A | b]. Over Z_n the system is unsolvable exactly
+    when some y has y*A = 0 and y*b != 0 (Z_n is self-injective), and the
+    Howell property puts such a row (0 | y*b) among the form's rows."""
     ncols = len(rows[0]) if rows else 0
-    augmented = RingMatrix(
-        ring,
-        len(rows),
-        ncols + 1,
-        tuple(ring.canon(x) for row, b in zip(rows, rhs) for x in row + [b]),
-    )
-    nf = normal_form(augmented)
-    reduced = nf.hermite.rows() if ring.is_integers else nf.form.rows()
-    kept = [row for row in reduced if any(x != 0 for x in row)]
+    form = echelon(ring, [row + [b] for row, b in zip(rows, rhs)], ncols + 1)
+    kept = list(form.rows.values())
     matrix = RingMatrix(
         ring, len(kept), ncols, tuple(x for row in kept for x in row[:-1])
     )
@@ -322,64 +309,27 @@ def is_avn_at(model: EmpiricalModel, s0: Section, ring: RingSpec) -> AvnReport:
 def affine_span(ring: RingSpec, vectors: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     """Closure of a set of R-vectors under affine combinations.
 
-    Fixpoint iteration over combinations of bounded arity: ternary
-    combinations c1*v1 + c2*v2 + (1 - c1 - c2)*v3 reach the full affine
-    span over any Z_n; over fields with more than two elements binary
-    combinations already do.
+    The affine span of v0, v1, ... is v0 plus the submodule generated by
+    the differences v - v0. Over Z_n the Howell form of the differences
+    lists that submodule directly: every sum of c_i*h_i with
+    0 <= c_i < n/p_i over its rows h_i with pivots p_i, each element once.
     """
     if not ring.is_finite:
         raise UnsupportedRingError("affine spans over the integers may be infinite")
-    current = {tuple(ring.canon(x) for x in v) for v in vectors}
-    if not current:
+    vecs = [tuple(ring.canon(x) for x in v) for v in vectors]
+    if not vecs:
         return frozenset()
-    dim = len(next(iter(current)))
-    elements = tuple(ring.elements())
-
-    def combine2(u, v, c):
-        d = ring.sub(1, c)
-        return tuple(
-            ring.add(ring.mul(c, a), ring.mul(d, b)) for a, b in zip(u, v)
-        )
-
-    def combine3(u, v, w, c1, c2):
-        c3 = ring.sub(ring.sub(1, c1), c2)
-        return tuple(
-            ring.add(
-                ring.add(ring.mul(c1, a), ring.mul(c2, b)), ring.mul(c3, x)
-            )
-            for a, b, x in zip(u, v, w)
-        )
-
-    binary_only = ring.is_field and ring.modulus > 2
-    # combinations are symmetric under permuting their arguments (the
-    # coefficients range over everything), so each round only needs triples
-    # touching an element from the previous round's additions; the closure
-    # also cannot outgrow the full space, so reaching it ends the search
-    full_size = len(elements) ** dim
-    frontier = list(current)
-    while frontier and len(current) < full_size:
-        fresh: list[tuple[int, ...]] = []
-        snapshot = tuple(current)
-        if binary_only:
-            for u in frontier:
-                for v in snapshot:
-                    for c in elements:
-                        w = combine2(u, v, c)
-                        if w not in current:
-                            current.add(w)
-                            fresh.append(w)
-        else:
-            for u in frontier:
-                for v in snapshot:
-                    for w0 in snapshot:
-                        for c1 in elements:
-                            for c2 in elements:
-                                w = combine3(u, v, w0, c1, c2)
-                                if w not in current:
-                                    current.add(w)
-                                    fresh.append(w)
-        frontier = fresh
-    return frozenset(current)
+    v0 = vecs[0]
+    n = ring.modulus
+    form = echelon(ring, [[x - y for x, y in zip(v, v0)] for v in vecs[1:]], len(v0))
+    span = [v0]
+    for c, h in form.rows.items():
+        span = [
+            tuple((x + k * y) % n for x, y in zip(u, h))
+            for u in span
+            for k in range(n // h[c])
+        ]
+    return frozenset(span)
 
 
 def affine_closure_sections(

@@ -1,8 +1,9 @@
-"""Exact linear algebra: verdicts checked against brute force, witness
-matrices checked by multiplying them back out."""
+"""Exact linear algebra: echelon forms, solves and kernels checked against
+brute-force enumeration over finite rings and against minors over Z."""
 
 import random
-from itertools import product
+from itertools import combinations, product
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,21 +11,46 @@ from hypothesis import strategies as st
 
 from contextuality import (
     INTEGERS,
-    FieldDecomposition,
     HomomorphismError,
     LinearSystem,
-    ModularDecomposition,
     RingError,
     RingHom,
     RingMatrix,
     RingSpec,
     UnsupportedRingError,
     linear_decomposition,
-    normal_form,
-    smith_normal_form,
     solve_linear_system,
 )
-from contextuality.rings import mat_mul, mat_vec, ring_hom_apply, row_hermite
+from contextuality.rings import echelon
+
+
+def mat_vec(ring, a, x):
+    return [ring.canon(sum(aij * xj for aij, xj in zip(row, x))) for row in a]
+
+
+def ring_hom_apply(hom, vector):
+    """Apply a homomorphism entrywise."""
+    return tuple(hom.apply(x) for x in vector)
+
+
+def brute_span(n, rows, width):
+    """Every Z_n-combination of the rows, one row at a time."""
+    out = {(0,) * width}
+    for row in rows:
+        out = {tuple((x + k * y) % n for x, y in zip(u, row)) for u in out for k in range(n)}
+    return out
+
+
+def enumerate_span(n, form, width):
+    """The sums of c_i*h_i with 0 <= c_i < n/p_i over the echelon rows."""
+    span = [(0,) * width]
+    for c, h in form.rows.items():
+        span = [
+            tuple((x + k * y) % n for x, y in zip(u, h))
+            for u in span
+            for k in range(n // h[c])
+        ]
+    return span
 
 
 def brute_force_solve(modulus, rows, rhs):
@@ -133,11 +159,61 @@ def test_hom_commutes_with_matrix_action(n, rows, x):
 
 
 # ---------------------------------------------------------------------------
-# Hermite and Smith forms
+# echelon forms
 
 
-def _is_unimodular(m):
-    return abs(exact_det(m)) == 1
+@given(
+    n=st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+    seed=st.integers(0, 5_000),
+)
+@settings(max_examples=100, deadline=None)
+def test_echelon_span_matches_brute_force(n, seed):
+    rng = random.Random(seed)
+    nrows, width = rng.randint(1, 3), rng.randint(1, 3)
+    rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
+    form = echelon(RingSpec(n), rows, width)
+    pivots = list(form.rows)
+    assert pivots == sorted(pivots)
+    for c, h in form.rows.items():
+        assert n % h[c] == 0
+        assert not any(h[:c])
+    listed = enumerate_span(n, form, width)
+    assert len(listed) == prod(n // h[c] for c, h in form.rows.items())
+    assert set(listed) == brute_span(n, rows, width)
+    assert len(set(listed)) == len(listed)
+
+
+@given(
+    n=st.sampled_from([2, 3, 4, 6, 8, 9, 12]),
+    seed=st.integers(0, 5_000),
+)
+@settings(max_examples=100, deadline=None)
+def test_echelon_reduce_decides_membership(n, seed):
+    rng = random.Random(seed)
+    nrows, width = rng.randint(1, 3), rng.randint(1, 3)
+    rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
+    head = rng.randint(0, width)
+    form = echelon(RingSpec(n), rows, head)
+    span = brute_span(n, rows, width)
+    heads = {v[:head] for v in span}
+    for cand in product(range(n), repeat=head):
+        v = list(cand) + [0] * (width - head)
+        rest = form.reduce(v)
+        assert (rest is not None) == (cand in heads)
+        if rest is not None:
+            # what was taken off v lies in the span and clears its head
+            assert not any(rest[:head])
+            assert tuple((a - b) % n for a, b in zip(v, rest)) in span
+
+
+def _minor_gcd(rows, r):
+    """gcd of the r x r minors: an invariant of the lattice the rows span."""
+    width = len(rows[0])
+    g = 0
+    for rs in combinations(range(len(rows)), r):
+        for cs in combinations(range(width), r):
+            g = gcd(g, exact_det([[rows[i][j] for j in cs] for i in rs]))
+    return g
 
 
 @given(
@@ -147,60 +223,22 @@ def _is_unimodular(m):
         max_size=4,
     )
 )
-def test_row_hermite_witness_and_shape(a):
-    h, u, pivots = row_hermite(a)
-    assert _is_unimodular(u)
-    assert mat_mul(INTEGERS, u, a) == h
-    # echelon: pivot columns strictly increase, pivots positive,
-    # entries above each pivot reduced into [0, pivot)
-    last_col = -1
-    for (r, c) in pivots:
-        assert c > last_col
-        last_col = c
-        assert h[r][c] > 0
-        for i in range(r):
-            assert 0 <= h[i][c] < h[r][c]
-    rank = len(pivots)
-    for i in range(rank, len(h)):
-        assert all(x == 0 for x in h[i])
-
-
-@given(
-    st.lists(
-        st.lists(st.integers(-10, 10), min_size=2, max_size=4),
-        min_size=1,
-        max_size=4,
-    )
-)
-def test_smith_form_witnesses_and_divisibility(a):
-    width = len(a[0])
-    a = [row[:width] for row in a if len(row) == width] or [a[0]]
-    d, left, right = smith_normal_form(a)
-    assert _is_unimodular(left)
-    assert _is_unimodular(right)
-    assert mat_mul(INTEGERS, mat_mul(INTEGERS, left, a), right) == d
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    for i in range(len(d)):
-        for j in range(len(d[0]) if d else 0):
-            if i != j:
-                assert d[i][j] == 0
-    for x, y in zip(diag, diag[1:]):
-        assert x >= 0
-        if x == 0:
-            assert y == 0
-        else:
-            assert y % x == 0
-
-
-def test_smith_form_known_matrix():
-    d, left, right = smith_normal_form([[2, 4], [6, 8]])
-    assert [d[0][0], d[1][1]] == [2, 4]
-    assert mat_mul(INTEGERS, mat_mul(INTEGERS, left, [[2, 4], [6, 8]]), right) == d
-
-
-def test_smith_form_zero_matrix():
-    d, _, _ = smith_normal_form([[0, 0], [0, 0]])
-    assert d == [[0, 0], [0, 0]]
+def test_integer_echelon_shape_and_lattice(a):
+    form = echelon(INTEGERS, a, 3)
+    assert form.kernel == []  # the head covers every column: zero rows drop out
+    for c, row in form.rows.items():
+        assert row[c] > 0
+        assert not any(row[:c])
+    # the input rows reduce to zero, so they lie in the echelon lattice; the
+    # echelon rows are independent, and equal rank and equal minor gcds make
+    # the two lattices equal
+    for row in a:
+        assert form.reduce(row) == [0, 0, 0]
+    h = list(form.rows.values())
+    rank = len(h)
+    assert _minor_gcd(a, rank + 1) == 0
+    if rank:
+        assert _minor_gcd(a, rank) == _minor_gcd(h, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +246,12 @@ def test_smith_form_zero_matrix():
 
 
 @given(
-    n=st.sampled_from([2, 3, 4, 5, 6]),
+    n=st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12]),
     nrows=st.integers(1, 4),
     ncols=st.integers(1, 4),
     seed=st.integers(0, 10_000),
 )
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_solve_matches_brute_force(n, nrows, ncols, seed):
     rng = random.Random(seed)
     ring = RingSpec(n)
@@ -261,9 +299,8 @@ def test_integer_solve_consistent_with_construction(nrows, ncols, seed):
 def test_field_kernel_basis_spans_solution_set():
     p = 3
     rows = [[1, 2, 0, 1], [2, 1, 1, 0]]
-    dec = FieldDecomposition(rows, p)
-    basis = dec.kernel_basis()
-    assert len(basis) == 4 - dec.rank
+    basis = linear_decomposition(RingSpec(p), rows).kernel()
+    assert len(basis) == 4 - len(echelon(RingSpec(p), rows, 4).rows)
     for vec in basis:
         assert all(v % p == 0 for v in mat_vec(RingSpec(p), rows, vec))
     spanned = set()
@@ -281,32 +318,45 @@ def test_field_kernel_basis_spans_solution_set():
 
 
 @given(
-    n=st.sampled_from([4, 6]),
+    n=st.sampled_from([4, 6, 8, 9, 12]),
     nrows=st.integers(1, 3),
     ncols=st.integers(1, 3),
     seed=st.integers(0, 5_000),
 )
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_modular_kernel_generators_generate_solution_module(n, nrows, ncols, seed):
     rng = random.Random(seed)
     rows = [[rng.randrange(n) for _ in range(ncols)] for _ in range(nrows)]
-    dec = ModularDecomposition(rows, ncols, n)
-    gens = dec.kernel_generators()
     ring = RingSpec(n)
+    gens = linear_decomposition(ring, rows, ncols).kernel()
     for g in gens:
         assert all(v == 0 for v in mat_vec(ring, rows, g))
-    spanned = set()
-    for coeffs in product(range(n), repeat=len(gens)):
-        v = [0] * ncols
-        for c, g in zip(coeffs, gens):
-            v = [(a + c * b) % n for a, b in zip(v, g)]
-        spanned.add(tuple(v))
+    spanned = brute_span(n, gens, ncols)
     reference = {
         cand
         for cand in product(range(n), repeat=ncols)
         if all(sum(a * x for a, x in zip(row, cand)) % n == 0 for row in rows)
     }
     assert spanned == reference
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_integer_kernel_is_a_lattice_basis(a):
+    # the integer solutions of A*x = 0 form a saturated lattice of rank
+    # ncols - rank(A); solutions whose maximal minors have gcd 1 are
+    # independent and span it
+    basis = linear_decomposition(INTEGERS, a, 3).kernel()
+    for k in basis:
+        assert mat_vec(INTEGERS, a, k) == [0] * len(a)
+    assert len(basis) == 3 - len(echelon(INTEGERS, a, 3).rows)
+    if basis:
+        assert _minor_gcd(basis, len(basis)) == 1
 
 
 def test_decomposition_reuse_across_right_hand_sides():
@@ -317,44 +367,6 @@ def test_decomposition_reuse_across_right_hand_sides():
     assert dec.solve([1, 1]) is not None
     full = [rhs for rhs in product(range(2), repeat=2) if dec.solve(list(rhs))]
     assert len(full) == 4  # rank 2: every rhs reachable
-
-
-# ---------------------------------------------------------------------------
-# normal forms with witnesses
-
-
-def test_integer_normal_form_witnesses():
-    m = RingMatrix.from_rows(INTEGERS, [[4, 6], [2, 2]])
-    nf = normal_form(m)
-    u = nf.hermite_transform.rows()
-    assert _is_unimodular(u)
-    assert mat_mul(INTEGERS, u, m.rows()) == nf.hermite.rows()
-    l = nf.smith_left.rows()
-    r = nf.smith_right.rows()
-    assert _is_unimodular(l) and _is_unimodular(r)
-    assert mat_mul(INTEGERS, mat_mul(INTEGERS, l, m.rows()), r) == nf.smith.rows()
-
-
-@given(
-    n=st.sampled_from([2, 3, 4, 6]),
-    seed=st.integers(0, 5_000),
-)
-@settings(max_examples=100)
-def test_modular_normal_form_witness_invertible(n, seed):
-    rng = random.Random(seed)
-    nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
-    ring = RingSpec(n)
-    m = RingMatrix.from_rows(
-        ring, [[rng.randrange(n) for _ in range(ncols)] for _ in range(nrows)]
-    )
-    nf = normal_form(m)
-    t = nf.transform.rows()
-    assert mat_mul(ring, t, m.rows()) == nf.form.rows()
-    # the witness reduces a unimodular integer matrix, so its determinant
-    # must be a unit mod n
-    from math import gcd
-
-    assert gcd(exact_det(t), n) == 1
 
 
 def test_ring_matrix_validation():

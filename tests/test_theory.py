@@ -24,6 +24,7 @@ from contextuality import (
     classify_contextuality,
     is_avn,
     is_avn_at,
+    liar_cycle_model,
     model_of_theory,
     outcome_embedding,
     satisfies,
@@ -177,11 +178,7 @@ def test_sections_contained_in_solution_closure(n, k, seed):
     assert set(solutions(theory2, ctx)) == closed
 
 
-# dimension 3 over Z6 is skipped: the closure can reach all 216 points and
-# the cubic fixpoint sweep is too slow for a unit test at that size
-_SPAN_SHAPES = [
-    (n, d) for n in (2, 3, 4, 5, 6) for d in (1, 2, 3) if (n, d) != (6, 3)
-]
+_SPAN_SHAPES = [(n, d) for n in (2, 3, 4, 5, 6, 8, 9, 12) for d in (1, 2, 3)]
 
 
 @given(
@@ -284,6 +281,23 @@ def test_pr_box_avn_with_unsolvable_certificate():
     assert report.solution is None
     assert report.reduced_system is not None
     assert not solve_linear_system(report.reduced_system).solvable
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_avn_certificate_shows_the_impossible_row(n, corpus_models):
+    models = [m for name, m in sorted(corpus_models.items()) if name != "ks-18"]
+    verdicts = 0
+    for model in models + [liar_cycle_model(8)]:
+        report = is_avn(model, RingSpec(n))
+        if not report.avn:
+            continue
+        verdicts += 1
+        system = report.reduced_system
+        assert any(
+            not any(system.matrix.row(i)) and system.rhs[i]
+            for i in range(system.matrix.nrows)
+        )
+    assert verdicts
 
 
 def test_bell_support_model_not_avn():
