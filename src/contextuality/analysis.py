@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 from .cohomology import ObstructionReport, classify_cohomological
 from .documents import ModelDocument, document_hash, materialize
-from .errors import OutcomeCoercionError, SelfCheckError, UnsupportedRingError
+from .errors import (
+    BudgetExceededError,
+    OutcomeCoercionError,
+    SelfCheckError,
+    UnsupportedRingError,
+)
 from .model import (
     DEFAULT_SEARCH_BUDGET,
     ContextualityReport,
@@ -169,7 +174,9 @@ def analyze(
             except OutcomeCoercionError as exc:
                 avn_skipped = str(exc)
             try:
-                aff = timed(f"affine {ring}", lambda: affine_closure_model(model, ring))
+                aff = timed(
+                    f"affine {ring}", lambda: affine_closure_model(model, ring, budget)
+                )
                 aff_classification = timed(
                     f"classify affine {ring}",
                     lambda: classify_contextuality(aff, budget=budget),
@@ -177,7 +184,7 @@ def analyze(
                 aff_sc = aff_classification.strongly_contextual
                 if aff_sc is None:
                     aff_skipped = "undecided within the search budget"
-            except OutcomeCoercionError as exc:
+            except (OutcomeCoercionError, BudgetExceededError) as exc:
                 aff_skipped = str(exc)
         else:
             avn_skipped = "All-vs-Nothing needs a finite ring"

@@ -11,7 +11,7 @@ ring, solvable exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DisconnectedCoverError,
@@ -201,6 +201,22 @@ def coboundary(model: EmpiricalModel, cochain: Cochain, nerve=None) -> Cochain:
     return Cochain(ring, q + 1, tuple(components))
 
 
+def coboundary_entries(
+    lower: CochainBasis, upper: CochainBasis
+) -> Iterator[tuple[int, int, int]]:
+    """The nonzeros (row, column, +-1) of the coboundary from the q-basis
+    `lower` to the (q+1)-basis `upper`. Each position comes once: a row's
+    simplex and a column's simplex fix the deleted vertex, and the column's
+    section fixes the row's section by restriction."""
+    face_index = {sigma.contexts: i for i, sigma in enumerate(lower.simplices)}
+    for ti, tau in enumerate(upper.simplices):
+        for j in range(tau.dimension + 1):
+            si = face_index[tau.contexts[:j] + tau.contexts[j + 1 :]]
+            sign = 1 if j % 2 == 0 else -1
+            for s in lower.sections[si]:
+                yield upper.index[(ti, s.restrict(tau.intersection))], lower.index[(si, s)], sign
+
+
 def coboundary_matrix(
     model: EmpiricalModel, q: int, ring: RingSpec, nerve=None
 ) -> RingMatrix:
@@ -210,20 +226,10 @@ def coboundary_matrix(
         nerve = build_nerve(model.scenario, q + 1)
     lower = cochain_basis(model, q, nerve)
     upper = cochain_basis(model, q + 1, nerve)
-    entries = [[0] * len(lower) for _ in range(len(upper))]
-    face_index = {sigma.contexts: i for i, sigma in enumerate(lower.simplices)}
-    for ti, tau in enumerate(upper.simplices):
-        for j in range(tau.dimension + 1):
-            face_contexts = tau.contexts[:j] + tau.contexts[j + 1 :]
-            si = face_index[face_contexts]
-            sign = 1 if j % 2 == 0 else -1
-            for s in lower.sections[si]:
-                row = upper.index[(ti, s.restrict(tau.intersection))]
-                col = lower.index[(si, s)]
-                entries[row][col] = ring.add(entries[row][col], sign)
-    return RingMatrix.from_rows(ring, entries) if entries else RingMatrix(
-        ring, 0, len(lower), ()
-    )
+    entries = [0] * (len(upper) * len(lower))
+    for row, col, sign in coboundary_entries(lower, upper):
+        entries[row * len(lower) + col] = ring.canon(sign)
+    return RingMatrix(ring, len(upper), len(lower), tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +255,13 @@ class ObstructionSolver:
     Vanishing of the class of a section s0 at context C0 is equivalent to the
     existence of a compatible family: a 0-cochain r in K = ker(delta0),
     restricting consistently on overlaps, whose component at C0 is the unit
-    combination at s0. K is computed once. Per context, the rows
-    (pi_C0(k) | k) over generators k of K are brought to echelon form on the
-    C0 columns: the unit vector e_s0 reduces to a zero head exactly when the
-    obstruction vanishes, and the negated tail is then the family.
+    combination at s0. K is computed once, as the tails of the sparse rows
+    [delta0^T | I] whose head echelon reduces to zero; its generators k_g
+    stay sparse. Per context, the rows (pi_C0(k_g) | e_g), with one tail
+    column per generator, are brought to echelon form on the C0 columns:
+    the unit vector e_s0 reduces to a zero head exactly when the
+    obstruction vanishes, and with t the tail left over the family is
+    -sum_g t_g*k_g.
     """
 
     def __init__(self, model: EmpiricalModel, ring: RingSpec):
@@ -261,8 +270,14 @@ class ObstructionSolver:
         self.ring = ring
         self.nerve = build_nerve(model.scenario, 1)
         self.basis = cochain_basis(model, 0, self.nerve)
-        self.compat = coboundary_matrix(model, 0, ring, self.nerve).rows()
-        self._kernel = linear_decomposition(ring, self.compat, len(self.basis)).kernel()
+        upper = cochain_basis(model, 1, self.nerve)
+        m = self._compatibility_rows = len(upper)
+        rows = [{m + j: 1} for j in range(len(self.basis))]
+        for i, j, sign in coboundary_entries(self.basis, upper):
+            rows[j][i] = sign
+        self._kernel = [
+            {k - m: x for k, x in row.items()} for row in echelon(ring, rows, m).kernel
+        ]
         self._decompositions: dict[int, Echelon] = {}
 
     def _context_index(self, context: Iterable[str]) -> int:
@@ -271,35 +286,43 @@ class ObstructionSolver:
     def _decomposition(self, ci: int) -> Echelon:
         form = self._decompositions.get(ci)
         if form is None:
-            cols = [self.basis.index[(ci, s)] for s in self.model.support(ci)]
-            rows = [[k[j] for j in cols] + k for k in self._kernel]
-            form = self._decompositions[ci] = echelon(self.ring, rows, len(cols))
+            cols = {self.basis.index[(ci, s)]: i for i, s in enumerate(self.model.support(ci))}
+            head = len(cols)
+            rows = []
+            for g, k in enumerate(self._kernel):
+                row = {cols[j]: x for j, x in k.items() if j in cols}
+                row[head + g] = 1
+                rows.append(row)
+            form = self._decompositions[ci] = echelon(self.ring, rows, head)
         return form
 
-    def _solve(self, ci: int, s0: Section) -> list[int] | None:
+    def _reduce(self, ci: int, s0: Section) -> dict[int, int] | None:
+        """The tail left by reducing e_s0 at context ci, or None when the
+        obstruction does not vanish."""
         if s0 not in self.model.support_set(ci):
             raise SectionNotSupportedError(
                 f"{s0} is not supported at context {self.model.scenario.contexts[ci]}"
             )
-        support = self.model.support(ci)
-        unit = [1 if s == s0 else 0 for s in support]
-        rest = self._decomposition(ci).reduce(unit + [0] * len(self.basis))
-        if rest is None:
-            return None
-        return [self.ring.canon(-x) for x in rest[len(support) :]]
+        return self._decomposition(ci).reduce({self.model.support(ci).index(s0): 1})
 
     def vanishes(self, context: Iterable[str], s0: Section) -> bool:
-        return self._solve(self._context_index(context), s0) is not None
+        return self._reduce(self._context_index(context), s0) is not None
 
     def family(
         self, context: Iterable[str], s0: Section
     ) -> tuple[FormalLinearCombination, ...] | None:
         """The witnessing compatible family, one combination per context, or
         None when the obstruction does not vanish."""
-        solution = self._solve(self._context_index(context), s0)
-        if solution is None:
+        ci = self._context_index(context)
+        tail = self._reduce(ci, s0)
+        if tail is None:
             return None
-        return vector_to_cochain(self.ring, self.basis, solution).components
+        head = len(self.model.support(ci))
+        witness = [0] * len(self.basis)
+        for g, t in tail.items():
+            for j, x in self._kernel[g - head].items():
+                witness[j] -= t * x
+        return vector_to_cochain(self.ring, self.basis, map(self.ring.canon, witness)).components
 
     @property
     def unknowns(self) -> int:
@@ -307,7 +330,7 @@ class ObstructionSolver:
 
     @property
     def compatibility_rows(self) -> int:
-        return len(self.compat)
+        return self._compatibility_rows
 
 
 def obstruction_vanishes(

@@ -15,7 +15,7 @@ from itertools import product
 
 from .errors import PauliError
 from .model import EmpiricalModel
-from .rings import RingSpec, echelon
+from .rings import RingSpec, echelon, sparse
 from .scenario import Scenario
 from .theory import LinearEquation, Theory, model_of_theory
 
@@ -114,10 +114,9 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
 def check_vector_rank(operators: list[PauliOperator] | tuple[PauliOperator, ...]) -> int:
     """Rank over Z_2 of the operators' check vectors. Full rank for a triple
     means the common stabilised subspace has dimension 2^(n-3)."""
-    rows = [list(op.check_vector()) for op in operators]
-    if not rows:
-        return 0
-    return len(echelon(RingSpec(2), rows, len(rows[0])).rows)
+    vectors = [op.check_vector() for op in operators]
+    width = len(vectors[0]) if vectors else 0
+    return len(echelon(RingSpec(2), map(sparse, vectors), width).rows)
 
 
 # ---------------------------------------------------------------------------

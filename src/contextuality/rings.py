@@ -1,21 +1,26 @@
 """Exact linear algebra over the integers and the modular rings Z_n.
 
 All arithmetic is arbitrary-precision integer arithmetic. One routine,
-`echelon`, brings a matrix to echelon form by extended-gcd row operations:
-Hermite form over Z, and over Z_n the Howell form, whose pivots divide n
-and which answers membership in the row module by plain reduction. Solving
+`echelon`, brings sparse rows (dicts from column to nonzero canonical
+entry) to echelon form by extended-gcd row operations: Hermite form over
+Z, and over Z_n the Howell form, whose pivots divide n and which answers
+membership in the row module by plain reduction. Every step touches only
+stored entries, so its cost follows the nonzeros, not the width. Solving
 A*x = b, kernels, AvN certificates, affine spans and cohomology
-obstructions are all built on it.
+obstructions are all built on it; dense callers convert at their boundary
+with `sparse` and `dense`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterable
 
 from .errors import HomomorphismError, RingError, UnsupportedRingError
 
 Matrix = list[list[int]]
+Row = dict[int, int]  # column -> nonzero canonical entry
 
 
 def _is_prime(n: int) -> bool:
@@ -196,14 +201,41 @@ class LinearVerdict:
 
 
 # ---------------------------------------------------------------------------
-# echelon form
+# echelon form on sparse rows
 
 
-def _combine(n: int | None, a: int, u: list[int], b: int, v: list[int]) -> list[int]:
-    """a*u + b*v, reduced mod n unless n is None (over Z)."""
-    if n is None:
-        return [a * x + b * y for x, y in zip(u, v)]
-    return [(a * x + b * y) % n for x, y in zip(u, v)]
+def sparse(row: list[int] | tuple[int, ...]) -> Row:
+    """The nonzero entries of a dense row, keyed by column; `echelon` and
+    `reduce` make them canonical."""
+    return {j: x for j, x in enumerate(row) if x}
+
+
+def dense(row: Row, width: int, offset: int = 0) -> list[int]:
+    """Columns offset..offset+width-1 of a sparse row whose keys all lie
+    there, as a list."""
+    out = [0] * width
+    for j, x in row.items():
+        out[j - offset] = x
+    return out
+
+
+def _combine(n: int | None, a: int, u: Row, b: int, v: Row) -> Row:
+    """a*u + b*v, reduced mod n unless n is None (over Z), without zeros."""
+    if a == 1:
+        w = dict(u)
+    elif n is None:
+        w = {k: a * x for k, x in u.items()} if a else {}
+    else:
+        w = {k: y for k, x in u.items() if (y := a * x % n)}
+    for k, y in v.items():
+        x = w.get(k, 0) + b * y
+        if n is not None:
+            x %= n
+        if x:
+            w[k] = x
+        else:
+            w.pop(k, None)
+    return w
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -217,12 +249,12 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
-def _normalise(n: int | None, v: list[int], c: int) -> list[int]:
+def _normalise(n: int | None, v: Row, c: int) -> Row:
     """v times a unit of the ring such that v[c] is positive over Z and
     equal to gcd(v[c], n) over Z_n."""
     x = v[c]
     if n is None:
-        return v if x > 0 else [-y for y in v]
+        return v if x > 0 else {k: -y for k, y in v.items()}
     g = gcd(x, n)
     if g == x:
         return v
@@ -230,117 +262,120 @@ def _normalise(n: int | None, v: list[int], c: int) -> list[int]:
     u = pow(x // g, -1, n // g)
     while gcd(u, n) != 1:
         u += n // g
-    return [u * y % n for y in v]
+    return {k: u * y % n for k, y in v.items()}
 
 
 class Echelon:
     """A row module in echelon form on its first `head` columns.
 
-    `rows` maps each pivot column, in increasing order, to the row whose
-    first nonzero head entry sits there; nothing is reduced above a pivot.
-    Over Z the pivots are positive (Hermite form without back-reduction).
-    Over Z_n each pivot divides n and the form is a weak Howell form (a
-    Howell form without the reduction above pivots): every element of the
-    module that is zero on the columns before c is a combination of the
-    rows with pivots at c or later and of `kernel`, the nonzero rows whose
-    head reduced to zero. That makes `reduce` a membership test. With the
-    head covering every column, the sums of c_i*h_i with 0 <= c_i < n/p_i
-    over the rows h_i with pivots p_i list the module, each element once.
+    Rows are sparse: a dict from column to entry holding only the nonzero
+    canonical entries, so every operation costs the stored keys, not the
+    width. `rows` maps each pivot column, in increasing order, to the row
+    whose smallest key below `head` is that column; nothing is reduced
+    above a pivot. Over Z the pivots are positive (Hermite form without
+    back-reduction). Over Z_n each pivot divides n and the form is a weak
+    Howell form (a Howell form without the reduction above pivots): every
+    element of the module that is zero on the columns before c is a
+    combination of the rows with pivots at c or later and of `kernel`, the
+    nonzero rows whose head reduced to zero. That makes `reduce` a
+    membership test. With the head covering every column, the sums of
+    c_i*h_i with 0 <= c_i < n/p_i over the rows h_i with pivots p_i list
+    the module, each element once.
     """
 
-    def __init__(
-        self,
-        ring: RingSpec,
-        head: int,
-        rows: dict[int, list[int]],
-        kernel: list[list[int]],
-    ):
+    def __init__(self, ring: RingSpec, head: int, rows: dict[int, Row], kernel: list[Row]):
         self.ring = ring
         self.head = head
         self.rows = rows
         self.kernel = kernel
 
-    def reduce(self, v: list[int] | tuple[int, ...]) -> list[int] | None:
+    def reduce(self, v: Row) -> Row | None:
         """v minus a combination of the rows that is zero on the head, or
         None when no combination of the module clears v's head."""
         n = self.ring.modulus
-        w = [self.ring.canon(x) for x in v]
-        for c in range(self.head):
+        w = {k: y for k, x in v.items() if (y := self.ring.canon(x))}
+        while w:
+            c = min(w)
+            if c >= self.head:
+                break
+            h = self.rows.get(c)
             x = w[c]
-            if x:
-                h = self.rows.get(c)
-                if h is None or x % h[c]:
-                    return None
-                w = _combine(n, 1, w, -(x // h[c]), h)
+            if h is None or x % h[c]:
+                return None
+            w = _combine(n, 1, w, -(x // h[c]), h)
         return w
 
 
-def echelon(ring: RingSpec, rows: Matrix, head: int) -> Echelon:
-    """Echelon form of the rows' span on its first `head` columns.
+def echelon(ring: RingSpec, rows: Iterable[Row], head: int) -> Echelon:
+    """Echelon form of the span of sparse rows on its first `head` columns.
 
-    Two rows meeting at a column are replaced by an extended-gcd
-    combination, which keeps the span. Over Z_n a new pivot row is scaled
-    by a unit so its pivot p divides n, and its annihilator (n/p)*row,
-    zero at the pivot, joins the rows still to process: that gives the
-    Howell property.
+    A row's pivot is its smallest key below `head`. Two rows meeting at a
+    pivot are replaced by an extended-gcd combination, which keeps the
+    span. Over Z_n a new pivot row is scaled by a unit so its pivot p
+    divides n, and its annihilator (n/p)*row, zero at the pivot, joins the
+    rows still to process: that gives the Howell property.
     """
     n = ring.modulus
-    pivots: dict[int, list[int]] = {}
-    kernel: list[list[int]] = []
-    todo = [[ring.canon(x) for x in row] for row in reversed(rows)]
+    pivots: dict[int, Row] = {}
+    kernel: list[Row] = []
+    todo = [{k: y for k, x in row.items() if (y := ring.canon(x))} for row in rows]
+    todo.reverse()
     while todo:
         v = todo.pop()
-        c = 0
-        while v is not None:
-            while c < head and not v[c]:
-                c += 1
-            if c == head:
-                if any(v):
-                    kernel.append(v)
+        while v:
+            c = min(v)
+            if c >= head:
+                kernel.append(v)
                 break
             h = pivots.get(c)
-            if h is not None and v[c] % h[c] == 0:
-                v = _combine(n, 1, v, -(v[c] // h[c]), h)
+            x = v[c]
+            if h is not None and x % h[c] == 0:
+                v = _combine(n, 1, v, -(x // h[c]), h)
                 continue
             if h is None:
                 h, v = _normalise(n, v, c), None
             else:
-                g, s, t = _xgcd(h[c], v[c])
-                h, v = _combine(n, s, h, t, v), _combine(n, h[c] // g, v, -(v[c] // g), h)
+                g, s, t = _xgcd(h[c], x)
+                h, v = _combine(n, s, h, t, v), _combine(n, h[c] // g, v, -(x // g), h)
             pivots[c] = h
             if n is not None and h[c] != 1:
-                todo.append([n // h[c] * x % n for x in h])
+                m = n // h[c]
+                todo.append({k: y for k, x in h.items() if (y := m * x % n)})
     return Echelon(ring, head, dict(sorted(pivots.items())), kernel)
 
 
 class LinearSolver:
     """A*x = b over the ring for any number of right-hand sides.
 
-    Holds the echelon form of [A^T | I] on its first m columns (m rows of
-    A): b = A*x exactly when (b | 0) reduces to a zero head, and then the
-    tail left over is -x. The rows whose head reduced to zero carry the
-    solutions of A*x = 0 in their tails.
+    Holds the echelon form of the sparse rows [A^T | I] on their first m
+    columns (m rows of A), built from A's nonzeros: b = A*x exactly when
+    (b | 0) reduces to a zero head, and then the tail left over is -x. The
+    rows whose head reduced to zero carry the solutions of A*x = 0 in their
+    tails.
     """
 
     def __init__(self, ring: RingSpec, a: Matrix, ncols: int):
         self.ring = ring
         self.m = len(a)
         self.ncols = ncols
-        rows = [
-            [row[j] for row in a] + [1 if k == j else 0 for k in range(ncols)]
-            for j in range(ncols)
-        ]
+        rows: list[Row] = [{} for _ in range(ncols)]
+        for i, row in enumerate(a):
+            for j, x in enumerate(row):
+                if x:
+                    rows[j][i] = x
+        for j, row in enumerate(rows):
+            row[self.m + j] = 1
         self.form = echelon(ring, rows, self.m)
 
     def solve(self, b: list[int]) -> list[int] | None:
-        rest = self.form.reduce(list(b) + [0] * self.ncols)
+        rest = self.form.reduce(sparse(b))
         if rest is None:
             return None
-        return [self.ring.canon(-x) for x in rest[self.m :]]
+        return [self.ring.canon(-x) for x in dense(rest, self.ncols, self.m)]
 
     def kernel(self) -> list[list[int]]:
         """Generators of the solutions of A*x = 0 (a basis over Z and Z_p)."""
-        return [row[self.m :] for row in self.form.kernel]
+        return [dense(row, self.ncols, self.m) for row in self.form.kernel]
 
 
 def linear_decomposition(ring: RingSpec, a: Matrix, ncols: int | None = None) -> LinearSolver:

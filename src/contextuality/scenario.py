@@ -173,44 +173,24 @@ class Simplex:
         return len(self.contexts) - 1
 
 
-def _intersection(scenario: Scenario, indices: tuple[int, ...]) -> tuple[str, ...]:
-    common = set(scenario.contexts[indices[0]])
-    for i in indices[1:]:
-        common &= set(scenario.contexts[i])
-    return scenario.sorted_measurements(common)
-
-
-def simplex(scenario: Scenario, indices: Iterable[int]) -> Simplex:
-    idx = tuple(indices)
-    if list(idx) != sorted(set(idx)):
-        raise ScenarioError(f"simplex indices must be strictly increasing, got {idx}")
-    inter = _intersection(scenario, idx)
-    if not inter:
-        raise ScenarioError(f"contexts {idx} have empty intersection")
-    return Simplex(idx, inter)
-
-
-def boundary_face(scenario: Scenario, sigma: Simplex, j: int) -> Simplex:
-    """The j-th face: delete the j-th context (intersection recomputed, so it
-    can only grow)."""
-    if not 0 <= j <= sigma.dimension:
-        raise ScenarioError(f"face index {j} out of range for dimension {sigma.dimension}")
-    remaining = sigma.contexts[:j] + sigma.contexts[j + 1 :]
-    return Simplex(remaining, _intersection(scenario, remaining))
-
-
 def build_nerve(scenario: Scenario, max_dimension: int | None = None) -> tuple[tuple[Simplex, ...], ...]:
     """The nerve of the cover up to the requested dimension, one tuple of
     simplices per dimension, each dimension in lexicographic index order.
 
     Strictly increasing tuples only (the alternating reduction of the full
     simplicial structure); extending a tuple can only shrink the
-    intersection, so generation prunes on emptiness.
+    intersection, so a simplex is extended only by the later contexts that
+    contain one of its intersection's measurements.
     """
     n = len(scenario.contexts)
     limit = n - 1 if max_dimension is None else min(max_dimension, n - 1)
     if limit < 0:
         return ()
+    sets = [set(c) for c in scenario.contexts]
+    containing: dict[str, list[int]] = {}
+    for i, ctx in enumerate(scenario.contexts):
+        for m in ctx:
+            containing.setdefault(m, []).append(i)
     levels: list[tuple[Simplex, ...]] = []
     current = [Simplex((i,), scenario.contexts[i]) for i in range(n)]
     levels.append(tuple(current))
@@ -218,12 +198,10 @@ def build_nerve(scenario: Scenario, max_dimension: int | None = None) -> tuple[t
         nxt = []
         for sigma in current:
             last = sigma.contexts[-1]
-            for extra in range(last + 1, n):
-                common = tuple(
-                    m for m in sigma.intersection if m in set(scenario.contexts[extra])
-                )
-                if common:
-                    nxt.append(Simplex(sigma.contexts + (extra,), common))
+            extras = {j for m in sigma.intersection for j in containing[m] if j > last}
+            for extra in sorted(extras):
+                common = tuple(m for m in sigma.intersection if m in sets[extra])
+                nxt.append(Simplex(sigma.contexts + (extra,), common))
         if not nxt:
             break
         levels.append(tuple(nxt))

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterable, Mapping
 
 from .errors import (
+    BudgetExceededError,
     DegenerateModelError,
     OutcomeCoercionError,
     RingError,
@@ -21,12 +23,15 @@ from .errors import (
 )
 from .model import EmpiricalModel
 from .rings import (
+    Echelon,
     LinearSystem,
     RingMatrix,
     RingSpec,
+    dense,
     echelon,
     linear_decomposition,
     solve_linear_system,
+    sparse,
 )
 from .scenario import Scenario, Section
 
@@ -241,8 +246,8 @@ def _reduced_system(ring: RingSpec, rows: list[list[int]], rhs: list[int]) -> Li
     when some y has y*A = 0 and y*b != 0 (Z_n is self-injective), and the
     Howell property puts such a row (0 | y*b) among the form's rows."""
     ncols = len(rows[0]) if rows else 0
-    form = echelon(ring, [row + [b] for row, b in zip(rows, rhs)], ncols + 1)
-    kept = list(form.rows.values())
+    form = echelon(ring, [sparse(row + [b]) for row, b in zip(rows, rhs)], ncols + 1)
+    kept = [dense(row, ncols + 1) for row in form.rows.values()]
     matrix = RingMatrix(
         ring, len(kept), ncols, tuple(x for row in kept for x in row[:-1])
     )
@@ -306,6 +311,36 @@ def is_avn_at(model: EmpiricalModel, s0: Section, ring: RingSpec) -> AvnReport:
 # affine closures
 
 
+def _affine_form(
+    ring: RingSpec, vectors: Iterable[tuple[int, ...]]
+) -> tuple[tuple[int, ...], Echelon] | None:
+    """v0 and the Howell form of the differences v - v0 (None without
+    vectors): the affine span is v0 plus the row module of the form."""
+    if not ring.is_finite:
+        raise UnsupportedRingError("affine spans over the integers may be infinite")
+    vecs = [tuple(ring.canon(x) for x in v) for v in vectors]
+    if not vecs:
+        return None
+    v0 = vecs[0]
+    diffs = [sparse([x - y for x, y in zip(v, v0)]) for v in vecs[1:]]
+    return v0, echelon(ring, diffs, len(v0))
+
+
+def _list_span(v0: tuple[int, ...], form: Echelon) -> frozenset[tuple[int, ...]]:
+    """Every sum v0 + c_1*h_1 + ... with 0 <= c_i < n/p_i over the form's
+    rows h_i with pivots p_i, each element once."""
+    n = form.ring.modulus
+    span = [v0]
+    for c, row in form.rows.items():
+        h = dense(row, len(v0))
+        span = [
+            tuple((x + k * y) % n for x, y in zip(u, h))
+            for u in span
+            for k in range(n // h[c])
+        ]
+    return frozenset(span)
+
+
 def affine_span(ring: RingSpec, vectors: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     """Closure of a set of R-vectors under affine combinations.
 
@@ -314,22 +349,8 @@ def affine_span(ring: RingSpec, vectors: Iterable[tuple[int, ...]]) -> frozenset
     lists that submodule directly: every sum of c_i*h_i with
     0 <= c_i < n/p_i over its rows h_i with pivots p_i, each element once.
     """
-    if not ring.is_finite:
-        raise UnsupportedRingError("affine spans over the integers may be infinite")
-    vecs = [tuple(ring.canon(x) for x in v) for v in vectors]
-    if not vecs:
-        return frozenset()
-    v0 = vecs[0]
-    n = ring.modulus
-    form = echelon(ring, [[x - y for x, y in zip(v, v0)] for v in vecs[1:]], len(v0))
-    span = [v0]
-    for c, h in form.rows.items():
-        span = [
-            tuple((x + k * y) % n for x, y in zip(u, h))
-            for u in span
-            for k in range(n // h[c])
-        ]
-    return frozenset(span)
+    found = _affine_form(ring, vectors)
+    return frozenset() if found is None else _list_span(*found)
 
 
 def affine_closure_sections(
@@ -339,30 +360,44 @@ def affine_closure_sections(
     embedding: Mapping[int, int],
 ) -> tuple[Section, ...]:
     vectors = {tuple(embedding[s[m]] for m in context) for s in sections}
-    closed = affine_span(ring, vectors)
-    return tuple(
-        Section.of(zip(context, v)) for v in sorted(closed)
-    )
+    return tuple(Section.of(zip(context, v)) for v in sorted(affine_span(ring, vectors)))
 
 
-def affine_closure_model(model: EmpiricalModel, ring: RingSpec) -> EmpiricalModel:
+def affine_closure_model(
+    model: EmpiricalModel, ring: RingSpec, budget: int | None = None
+) -> EmpiricalModel:
     """Per-context affine closure over the ring.
 
     The closed supports take values anywhere in the ring, so the returned
     model lives over the same cover with the ring's canonical elements as
     its outcome alphabet. Closure commutes with restriction, which is what
-    keeps the result no-signalling.
+    keeps the result no-signalling. The Howell forms give the closure's
+    size, the product of n/p_i over their pivots p_i, before anything is
+    listed; when the total over all contexts exceeds the budget the
+    closure is not built and BudgetExceededError is raised.
     """
     if not ring.is_finite:
         raise UnsupportedRingError("affine closure over the integers may be infinite")
     embedding = outcome_embedding(ring, model.scenario.outcomes)
+    forms = [
+        _affine_form(ring, {tuple(embedding[s[m]] for m in ctx) for s in sup})
+        for ctx, sup in zip(model.scenario.contexts, model.supports)
+    ]
+    if budget is not None:
+        n = ring.modulus
+        size = sum(prod(n // h[c] for c, h in form.rows.items()) for _, form in forms)
+        if size > budget:
+            raise BudgetExceededError(
+                f"the affine closure over {ring} has {size} sections, "
+                f"over the budget of {budget}"
+            )
     scenario = Scenario(
         model.scenario.measurements,
         model.scenario.contexts,
         tuple(ring.elements()),
     )
     supports = tuple(
-        affine_closure_sections(ring, ctx, sup, embedding)
-        for ctx, sup in zip(scenario.contexts, model.supports)
+        tuple(Section.of(zip(ctx, v)) for v in sorted(_list_span(*found)))
+        for ctx, found in zip(scenario.contexts, forms)
     )
     return EmpiricalModel(scenario, supports)

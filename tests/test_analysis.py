@@ -97,6 +97,18 @@ def test_coercion_failures_skip_avn_but_not_cohomology():
     assert entry.obstructions.verdicts  # cohomology ran anyway
 
 
+def test_affine_closure_over_the_budget_is_skipped(corpus_documents):
+    # pr-box's closure over Z1009 has 1009 sections per context, 4036 in
+    # all: the Howell pivots give that size, and the closure is not listed
+    ring = RingSpec(1009)
+    report = analyze(corpus_documents["pr-box"], rings=(ring,), budget=1000)
+    entry = report.ring_entry(ring)
+    assert entry.aff_sc is None
+    assert "4036 sections" in entry.aff_skipped and "budget of 1000" in entry.aff_skipped
+    assert entry.avn is not None and entry.obstructions.verdicts  # the rest ran
+    assert "SC of affine closure: skipped" in render_text(report)
+
+
 def test_render_text_carries_the_verdicts(corpus_documents):
     text = render_text(analyze(corpus_documents["pr-box"]))
     assert "no-signalling: yes" in text

@@ -35,6 +35,7 @@ from conftest import ALL4, BIPARTITE, CORR, bipartite_model, hardy_model, pr_box
 
 Z2 = RingSpec(2)
 Z3 = RingSpec(3)
+Z4 = RingSpec(4)
 Z6 = RingSpec(6)
 
 
@@ -275,7 +276,7 @@ def test_connecting_hom_agrees_on_fixed_models(corpus_models):
         corpus_models["specker-triangle"],
     ]
     for model in models:
-        for ring in (Z2, Z3, INTEGERS):
+        for ring in (Z2, Z3, Z4, Z6, INTEGERS):
             solver = ObstructionSolver(model, ring)
             for ci, ctx in enumerate(model.scenario.contexts):
                 for s in model.support(ci):
@@ -286,13 +287,30 @@ def test_connecting_hom_agrees_on_fixed_models(corpus_models):
 
 def test_connecting_hom_agrees_on_random_models():
     for model in random_models(25, seed=20240818):
-        for ring in (Z2, INTEGERS):
+        for ring in (Z2, Z4, Z6, INTEGERS):
             solver = ObstructionSolver(model, ring)
             for ci, ctx in enumerate(model.scenario.contexts):
                 for s in model.support(ci):
                     assert solver.vanishes(ctx, s) == connecting_hom_check(
                         model, ctx, s, ring
                     )
+
+
+def test_vanishing_families_certify_random_models():
+    # every vanishing verdict over composite rings and Z carries a family
+    # that passes the compatibility check
+    checked = 0
+    for model in random_models(25, seed=20240818):
+        for ring in (Z4, Z6, INTEGERS):
+            solver = ObstructionSolver(model, ring)
+            for ci, ctx in enumerate(model.scenario.contexts):
+                for s in model.support(ci):
+                    family = solver.family(ctx, s)
+                    assert (family is not None) == solver.vanishes(ctx, s)
+                    if family is not None:
+                        check_family(model, ring, ctx, s, family)
+                        checked += 1
+    assert checked
 
 
 def test_vanishing_is_monotone_under_ring_homs(corpus_models):

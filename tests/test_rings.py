@@ -21,7 +21,7 @@ from contextuality import (
     linear_decomposition,
     solve_linear_system,
 )
-from contextuality.rings import echelon
+from contextuality.rings import dense, echelon, sparse
 
 
 def mat_vec(ring, a, x):
@@ -41,10 +41,16 @@ def brute_span(n, rows, width):
     return out
 
 
+def echelon_of(ring, rows, head):
+    """Echelon form of dense rows."""
+    return echelon(ring, [sparse(row) for row in rows], head)
+
+
 def enumerate_span(n, form, width):
     """The sums of c_i*h_i with 0 <= c_i < n/p_i over the echelon rows."""
     span = [(0,) * width]
-    for c, h in form.rows.items():
+    for c, row in form.rows.items():
+        h = dense(row, width)
         span = [
             tuple((x + k * y) % n for x, y in zip(u, h))
             for u in span
@@ -171,12 +177,12 @@ def test_echelon_span_matches_brute_force(n, seed):
     rng = random.Random(seed)
     nrows, width = rng.randint(1, 3), rng.randint(1, 3)
     rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
-    form = echelon(RingSpec(n), rows, width)
+    form = echelon_of(RingSpec(n), rows, width)
     pivots = list(form.rows)
     assert pivots == sorted(pivots)
     for c, h in form.rows.items():
         assert n % h[c] == 0
-        assert not any(h[:c])
+        assert min(h) == c  # the row is zero before its pivot
     listed = enumerate_span(n, form, width)
     assert len(listed) == prod(n // h[c] for c, h in form.rows.items())
     assert set(listed) == brute_span(n, rows, width)
@@ -193,14 +199,15 @@ def test_echelon_reduce_decides_membership(n, seed):
     nrows, width = rng.randint(1, 3), rng.randint(1, 3)
     rows = [[rng.randrange(n) for _ in range(width)] for _ in range(nrows)]
     head = rng.randint(0, width)
-    form = echelon(RingSpec(n), rows, head)
+    form = echelon_of(RingSpec(n), rows, head)
     span = brute_span(n, rows, width)
     heads = {v[:head] for v in span}
     for cand in product(range(n), repeat=head):
         v = list(cand) + [0] * (width - head)
-        rest = form.reduce(v)
+        rest = form.reduce(sparse(v))
         assert (rest is not None) == (cand in heads)
         if rest is not None:
+            rest = dense(rest, width)
             # what was taken off v lies in the span and clears its head
             assert not any(rest[:head])
             assert tuple((a - b) % n for a, b in zip(v, rest)) in span
@@ -224,21 +231,39 @@ def _minor_gcd(rows, r):
     )
 )
 def test_integer_echelon_shape_and_lattice(a):
-    form = echelon(INTEGERS, a, 3)
+    form = echelon_of(INTEGERS, a, 3)
     assert form.kernel == []  # the head covers every column: zero rows drop out
     for c, row in form.rows.items():
         assert row[c] > 0
-        assert not any(row[:c])
+        assert min(row) == c
     # the input rows reduce to zero, so they lie in the echelon lattice; the
     # echelon rows are independent, and equal rank and equal minor gcds make
     # the two lattices equal
     for row in a:
-        assert form.reduce(row) == [0, 0, 0]
-    h = list(form.rows.values())
+        assert form.reduce(sparse(row)) == {}
+    h = [dense(row, 3) for row in form.rows.values()]
     rank = len(h)
     assert _minor_gcd(a, rank + 1) == 0
     if rank:
         assert _minor_gcd(a, rank) == _minor_gcd(h, rank)
+
+
+@given(
+    modulus=st.sampled_from([None, 2, 3, 4, 6, 8, 9, 12]),
+    seed=st.integers(0, 5_000),
+)
+@settings(max_examples=100, deadline=None)
+def test_echelon_stores_only_nonzero_canonical_entries(modulus, seed):
+    rng = random.Random(seed)
+    ring = RingSpec(modulus)
+    nrows, width = rng.randint(1, 5), rng.randint(1, 5)
+    rows = [[rng.randint(-12, 12) for _ in range(width)] for _ in range(nrows)]
+    head = rng.randint(0, width)
+    form = echelon_of(ring, rows, head)
+    rests = [form.reduce(sparse(row)) for row in rows]
+    for row in list(form.rows.values()) + form.kernel + rests:
+        assert all(0 <= j < width for j in row)
+        assert all(x != 0 and ring.contains_canonical(x) for x in row.values())
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +325,7 @@ def test_field_kernel_basis_spans_solution_set():
     p = 3
     rows = [[1, 2, 0, 1], [2, 1, 1, 0]]
     basis = linear_decomposition(RingSpec(p), rows).kernel()
-    assert len(basis) == 4 - len(echelon(RingSpec(p), rows, 4).rows)
+    assert len(basis) == 4 - len(echelon_of(RingSpec(p), rows, 4).rows)
     for vec in basis:
         assert all(v % p == 0 for v in mat_vec(RingSpec(p), rows, vec))
     spanned = set()
@@ -354,7 +379,7 @@ def test_integer_kernel_is_a_lattice_basis(a):
     basis = linear_decomposition(INTEGERS, a, 3).kernel()
     for k in basis:
         assert mat_vec(INTEGERS, a, k) == [0] * len(a)
-    assert len(basis) == 3 - len(echelon(INTEGERS, a, 3).rows)
+    assert len(basis) == 3 - len(echelon_of(INTEGERS, a, 3).rows)
     if basis:
         assert _minor_gcd(basis, len(basis)) == 1
 

@@ -7,11 +7,12 @@ from contextuality import (
     ScenarioError,
     Section,
     SectionDomainError,
+    Simplex,
     build_nerve,
     connected_components,
     is_connected,
 )
-from contextuality.scenario import boundary_face, sections_of, simplex
+from contextuality.scenario import sections_of
 
 from conftest import BIPARTITE
 
@@ -140,6 +141,36 @@ def test_nerve_dimension_cap():
         (0, 1),
     )
     assert len(build_nerve(scn, max_dimension=0)) == 1
+
+
+# explicit simplex constructors: the library builds simplices only in
+# build_nerve, so these exist to check the face maps
+
+
+def _intersection(scenario, indices):
+    common = set(scenario.contexts[indices[0]])
+    for i in indices[1:]:
+        common &= set(scenario.contexts[i])
+    return scenario.sorted_measurements(common)
+
+
+def simplex(scenario, indices):
+    idx = tuple(indices)
+    if list(idx) != sorted(set(idx)):
+        raise ScenarioError(f"simplex indices must be strictly increasing, got {idx}")
+    inter = _intersection(scenario, idx)
+    if not inter:
+        raise ScenarioError(f"contexts {idx} have empty intersection")
+    return Simplex(idx, inter)
+
+
+def boundary_face(scenario, sigma, j):
+    """The j-th face: delete the j-th context (intersection recomputed, so it
+    can only grow)."""
+    if not 0 <= j <= sigma.dimension:
+        raise ScenarioError(f"face index {j} out of range for dimension {sigma.dimension}")
+    remaining = sigma.contexts[:j] + sigma.contexts[j + 1 :]
+    return Simplex(remaining, _intersection(scenario, remaining))
 
 
 def test_simplex_intersection_and_faces():
