@@ -11,6 +11,7 @@ ring, solvable exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -21,7 +22,7 @@ from .errors import (
 )
 from .model import EmpiricalModel
 from .rings import Echelon, RingHom, RingMatrix, RingSpec, echelon, linear_decomposition
-from .scenario import Section, Simplex, build_nerve, connected_components
+from .scenario import Section, Simplex, build_nerve, connected_components, projection
 
 # ---------------------------------------------------------------------------
 # formal linear combinations and cochains
@@ -122,16 +123,29 @@ class Cochain:
 class CochainBasis:
     """Canonical basis of the q-cochain group: pairs of a simplex and a
     section over its intersection, simplices in nerve order, sections in
-    lexicographic order."""
+    lexicographic order.
+
+    The sections of simplex si are also given as outcome tuples over its
+    intersection (`values[si]`), and occupy the positions from
+    `offsets[si]` up to `offsets[si + 1]`.
+    """
 
     degree: int
     simplices: tuple[Simplex, ...]
     sections: tuple[tuple[Section, ...], ...]  # aligned with simplices
-    entries: tuple[tuple[int, Section], ...]
-    index: Mapping[tuple[int, Section], int]
+    values: tuple[tuple[tuple[int, ...], ...], ...]  # aligned with sections
+    offsets: tuple[int, ...]  # one more than simplices
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.offsets[-1]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, Section], ...]:
+        return tuple((si, s) for si, secs in enumerate(self.sections) for s in secs)
+
+    @cached_property
+    def index(self) -> Mapping[tuple[int, Section], int]:
+        return {entry: k for k, entry in enumerate(self.entries)}
 
 
 def simplex_sections(model: EmpiricalModel, sigma: Simplex) -> tuple[Section, ...]:
@@ -146,13 +160,13 @@ def cochain_basis(model: EmpiricalModel, q: int, nerve=None) -> CochainBasis:
         nerve = build_nerve(model.scenario, q)
     simplices = nerve[q] if q < len(nerve) else ()
     sections = tuple(simplex_sections(model, sigma) for sigma in simplices)
-    entries = []
-    index = {}
-    for si, secs in enumerate(sections):
-        for s in secs:
-            index[(si, s)] = len(entries)
-            entries.append((si, s))
-    return CochainBasis(q, simplices, sections, tuple(entries), index)
+    values = tuple(
+        model.restricted_values(sigma.contexts[0], sigma.intersection) for sigma in simplices
+    )
+    offsets = [0]
+    for secs in sections:
+        offsets.append(offsets[-1] + len(secs))
+    return CochainBasis(q, simplices, sections, values, tuple(offsets))
 
 
 def cochain_to_vector(basis: CochainBasis, cochain: Cochain) -> list[int]:
@@ -173,9 +187,7 @@ def vector_to_cochain(
     vec = list(vector)
     components = []
     for si, sigma in enumerate(basis.simplices):
-        weights = []
-        for s in basis.sections[si]:
-            weights.append((s, vec[basis.index[(si, s)]]))
+        weights = zip(basis.sections[si], vec[basis.offsets[si] : basis.offsets[si + 1]])
         components.append(FormalLinearCombination(ring, sigma.intersection, tuple(weights)))
     return Cochain(ring, basis.degree, tuple(components))
 
@@ -207,14 +219,21 @@ def coboundary_entries(
     """The nonzeros (row, column, +-1) of the coboundary from the q-basis
     `lower` to the (q+1)-basis `upper`. Each position comes once: a row's
     simplex and a column's simplex fix the deleted vertex, and the column's
-    section fixes the row's section by restriction."""
+    section fixes the row's section by restriction, a projection of its
+    outcome tuple."""
     face_index = {sigma.contexts: i for i, sigma in enumerate(lower.simplices)}
     for ti, tau in enumerate(upper.simplices):
+        start = upper.offsets[ti]
+        rows = {v: start + k for k, v in enumerate(upper.values[ti])}
         for j in range(tau.dimension + 1):
             si = face_index[tau.contexts[:j] + tau.contexts[j + 1 :]]
             sign = 1 if j % 2 == 0 else -1
-            for s in lower.sections[si]:
-                yield upper.index[(ti, s.restrict(tau.intersection))], lower.index[(si, s)], sign
+            where = {m: k for k, m in enumerate(lower.simplices[si].intersection)}
+            project = projection([where[m] for m in tau.intersection])
+            col = lower.offsets[si]
+            for v in lower.values[si]:
+                yield rows[project(v)], col, sign
+                col += 1
 
 
 def coboundary_matrix(
@@ -286,11 +305,11 @@ class ObstructionSolver:
     def _decomposition(self, ci: int) -> Echelon:
         form = self._decompositions.get(ci)
         if form is None:
-            cols = {self.basis.index[(ci, s)]: i for i, s in enumerate(self.model.support(ci))}
-            head = len(cols)
+            start, end = self.basis.offsets[ci], self.basis.offsets[ci + 1]
+            head = end - start
             rows = []
             for g, k in enumerate(self._kernel):
-                row = {cols[j]: x for j, x in k.items() if j in cols}
+                row = {j - start: x for j, x in k.items() if start <= j < end}
                 row[head + g] = 1
                 rows.append(row)
             form = self._decompositions[ci] = echelon(self.ring, rows, head)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -22,7 +23,7 @@ from .errors import (
     SelfCheckError,
     SignallingError,
 )
-from .scenario import Scenario, Section, sections_of
+from .scenario import Scenario, Section, projection
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -34,6 +35,10 @@ class EmpiricalModel:
     Construction with validate=False skips E1/E2 for diagnostic use (for
     example feeding a deliberately signalling table to check_no_signalling);
     every ingestion path in the library validates.
+
+    Each support is also stored once as outcome tuples in context order,
+    aligned with `supports`; every restriction inside the library is a
+    projection of those tuples.
     """
 
     scenario: Scenario
@@ -46,28 +51,40 @@ class EmpiricalModel:
             raise ModelError(
                 f"expected {len(scn.contexts)} supports, got {len(self.supports)}"
             )
-        outcome_pos = {o: i for i, o in enumerate(scn.outcomes)}
+        position = {o: i for i, o in enumerate(scn.outcomes)}
+
+        def key(v: tuple[int, ...]) -> tuple[int, ...]:
+            return tuple(map(position.__getitem__, v))
+
+        label, outcome = itemgetter(0), itemgetter(1)
         normalised = []
+        values = []
         for ctx, sup in zip(scn.contexts, self.supports):
-            ctx_set = frozenset(ctx)
-            seen = set()
+            # items are label-sorted: the domain is the context exactly when
+            # the labels match, and `in_context_order` reorders the outcomes
+            labels = tuple(sorted(ctx))
+            in_context_order = projection([labels.index(m) for m in ctx])
+            seen: dict[tuple[int, ...], Section] = {}
             for s in sup:
-                if s.domain != ctx_set:
+                if tuple(map(label, s.items)) != labels:
                     raise ModelError(f"section {s} is not a section over context {ctx}")
-                for _, o in s.items:
-                    if o not in outcome_pos:
-                        raise ModelError(f"section {s} uses outcome outside the alphabet")
-                seen.add(s)
-            ordered = sorted(seen, key=lambda s: tuple(outcome_pos[s[m]] for m in ctx))
-            normalised.append(tuple(ordered))
+                v = in_context_order(tuple(map(outcome, s.items)))
+                if not all(map(position.__contains__, v)):
+                    raise ModelError(f"section {s} uses outcome outside the alphabet")
+                seen[v] = s
+            ordered = sorted(seen, key=key)
+            normalised.append(tuple(seen[v] for v in ordered))
+            values.append(tuple(ordered))
         object.__setattr__(self, "supports", tuple(normalised))
+        object.__setattr__(self, "_values", tuple(values))
+        object.__setattr__(self, "_lexicographic", key)
         object.__setattr__(self, "_restriction_cache", {})
         object.__setattr__(self, "_support_sets", tuple(frozenset(s) for s in self.supports))
         if validate:
             for ctx, sup in zip(scn.contexts, self.supports):
                 if not sup:
                     raise EmptySupportError(f"context {ctx} has empty support (E1)")
-            witness = _signalling_witness(scn, self.supports)
+            witness = _signalling_witness(self)
             if witness is not None:
                 (i, j), t, side = witness
                 raise SignallingError(
@@ -85,25 +102,39 @@ class EmpiricalModel:
     def support_set(self, index: int) -> frozenset[Section]:
         return self._support_sets[index]
 
-    def section_key(self, context: tuple[str, ...], s: Section) -> tuple[int, ...]:
-        pos = {o: i for i, o in enumerate(self.scenario.outcomes)}
-        return tuple(pos[s[m]] for m in context)
+    def support_values(self, index: int) -> tuple[tuple[int, ...], ...]:
+        """S(C_index) as outcome tuples in context order, aligned with
+        `support(index)`."""
+        return self._values[index]
 
     def restricted_support(self, index: int, subset: Iterable[str]) -> tuple[Section, ...]:
         """Image of S(C_index) under restriction to the subset, ordered
         lexicographically. For subsets beneath the cover this is S(U) by E2."""
-        sub = self.scenario.sorted_measurements(subset)
-        key = (index, sub)
+        return self._restriction(index, subset)[0]
+
+    def restricted_values(self, index: int, subset: Iterable[str]) -> tuple[tuple[int, ...], ...]:
+        """`restricted_support(index, subset)` as outcome tuples in declared
+        measurement order, aligned with it."""
+        return self._restriction(index, subset)[1]
+
+    def _restriction(self, index: int, subset: Iterable[str]):
+        scn = self.scenario
+        sub = scn.sorted_measurements(subset)
         cache = self._restriction_cache
-        if key not in cache:
-            if not set(sub) <= set(self.scenario.contexts[index]):
-                raise ModelError(
-                    f"{sub} is not beneath context {self.scenario.contexts[index]}"
-                )
-            image = {s.restrict(sub) for s in self.supports[index]}
-            pos = {o: i for i, o in enumerate(self.scenario.outcomes)}
-            cache[key] = tuple(sorted(image, key=lambda s: tuple(pos[s[m]] for m in sub)))
-        return cache[key]
+        found = cache.get((index, sub))
+        if found is None:
+            ctx = scn.contexts[index]
+            if sub == ctx:
+                found = self.supports[index], self._values[index]
+            else:
+                where = {m: k for k, m in enumerate(ctx)}
+                if not all(m in where for m in sub):
+                    raise ModelError(f"{sub} is not beneath context {ctx}")
+                project = projection([where[m] for m in sub])
+                image = sorted(set(map(project, self._values[index])), key=self._lexicographic)
+                found = _sections(sub, image), tuple(image)
+            cache[(index, sub)] = found
+        return found
 
     def context_of_section(self, s: Section) -> int:
         """Index of the cover context equal to the section's domain; the
@@ -118,32 +149,29 @@ class EmpiricalModel:
         return idx
 
 
-def _signalling_witness(scenario, supports):
+def _sections(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
+    """Sections over the measurements with the given outcome tuples (in the
+    measurements' order), unchecked."""
+    order = sorted(range(len(measurements)), key=measurements.__getitem__)
+    labels = [measurements[k] for k in order]
+    return tuple(Section(tuple(zip(labels, [v[k] for k in order]))) for v in rows)
+
+
+def _signalling_witness(model: EmpiricalModel):
     """First E2 violation in canonical order, or None.
 
     Canonical order: context pairs (i, j) with i < j in cover order, overlap
-    sections in lexicographic order.
+    sections in lexicographic order. Only overlapping pairs can violate E2.
     """
-    pos = {o: i for i, o in enumerate(scenario.outcomes)}
-    n = len(scenario.contexts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            overlap = tuple(
-                m for m in scenario.contexts[i] if m in set(scenario.contexts[j])
-            )
-            if not overlap:
-                continue
-            left = {s.restrict(overlap) for s in supports[i]}
-            right = {s.restrict(overlap) for s in supports[j]}
-            if left == right:
-                continue
-            diff = sorted(
-                left.symmetric_difference(right),
-                key=lambda s: tuple(pos[s[m]] for m in overlap),
-            )
-            t = diff[0]
+    scenario, values = model.scenario, model._values
+    where = [{m: k for k, m in enumerate(c)} for c in scenario.contexts]
+    for i, j, overlap in scenario.overlaps():
+        left = set(map(projection([where[i][m] for m in overlap]), values[i]))
+        right = set(map(projection([where[j][m] for m in overlap]), values[j]))
+        if left != right:
+            t = min(left.symmetric_difference(right), key=model._lexicographic)
             side = "first" if t in left else "second"
-            return (i, j), t, side
+            return (i, j), _sections(overlap, [t])[0], side
     return None
 
 
@@ -164,7 +192,7 @@ class NoSignallingVerdict:
 def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
     """Support-level E2 over every context pair; a false verdict carries the
     first violating pair and overlap section in canonical order."""
-    w = _signalling_witness(model.scenario, model.supports)
+    w = _signalling_witness(model)
     if w is None:
         return NoSignallingVerdict(True)
     (i, j), t, side = w
@@ -227,27 +255,20 @@ class ProbabilityTable:
 
     def _check_marginals(self):
         scn = self.scenario
-        n = len(scn.contexts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                overlap = tuple(
-                    m for m in scn.contexts[i] if m in set(scn.contexts[j])
+        for i, j, overlap in scn.overlaps():
+            mi = self.marginal(i, overlap)
+            mj = self.marginal(j, overlap)
+            if mi != mj:
+                bad = next(
+                    t for t in sorted(set(mi) | set(mj), key=str)
+                    if mi.get(t, Fraction(0)) != mj.get(t, Fraction(0))
                 )
-                if not overlap:
-                    continue
-                mi = self.marginal(i, overlap)
-                mj = self.marginal(j, overlap)
-                if mi != mj:
-                    bad = next(
-                        t for t in sorted(set(mi) | set(mj), key=str)
-                        if mi.get(t, Fraction(0)) != mj.get(t, Fraction(0))
-                    )
-                    raise SignallingError(
-                        f"distributions of {scn.contexts[i]} and {scn.contexts[j]} "
-                        f"have different marginals at {bad}",
-                        contexts=(scn.contexts[i], scn.contexts[j]),
-                        section=bad,
-                    )
+                raise SignallingError(
+                    f"distributions of {scn.contexts[i]} and {scn.contexts[j]} "
+                    f"have different marginals at {bad}",
+                    contexts=(scn.contexts[i], scn.contexts[j]),
+                    section=bad,
+                )
 
     def marginal(self, index: int, subset: tuple[str, ...]) -> dict[Section, Fraction]:
         out: dict[Section, Fraction] = {}
@@ -300,15 +321,12 @@ class CompatibleFamily:
         for idx, (ctx, s) in enumerate(zip(scn.contexts, self.sections)):
             if s not in self.model.support_set(idx):
                 raise ModelError(f"{s} not supported in context {ctx}")
-        n = len(scn.contexts)
-        for i in range(n):
-            for j in range(i + 1, n):
-                overlap = [m for m in scn.contexts[i] if m in set(scn.contexts[j])]
-                if overlap and self.sections[i].restrict(overlap) != self.sections[j].restrict(overlap):
-                    raise ModelError(
-                        f"sections for {scn.contexts[i]} and {scn.contexts[j]} "
-                        "disagree on their overlap"
-                    )
+        for i, j, overlap in scn.overlaps():
+            if self.sections[i].restrict(overlap) != self.sections[j].restrict(overlap):
+                raise ModelError(
+                    f"sections for {scn.contexts[i]} and {scn.contexts[j]} "
+                    "disagree on their overlap"
+                )
 
     def glue(self) -> Section:
         """The unique global section restricting to every member."""
@@ -344,15 +362,13 @@ class _Restrictor:
             m: [] for m in domain
         }
         for ci, ctx in enumerate(model.scenario.contexts):
-            ctx_set = set(ctx)
-            overlap = tuple(m for m in domain if m in ctx_set)
-            if not overlap:
-                continue
-            sup = model.supports[ci]
+            where = {m: k for k, m in enumerate(ctx)}
+            overlap = tuple(m for m in domain if m in where)
             for t in range(1, len(overlap) + 1):
                 prefix = overlap[:t]
+                project = projection([where[m] for m in prefix])
                 checks[overlap[t - 1]].append(
-                    (prefix, {s.values_on(prefix) for s in sup})
+                    (prefix, set(map(project, model.support_values(ci))))
                 )
         self.checks = [checks[m] for m in domain]
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ScenarioError, SectionDomainError
 
@@ -46,12 +47,13 @@ class Section:
 
     def restrict(self, subset: Iterable[str]) -> "Section":
         target = frozenset(subset)
-        missing = target - self.domain
-        if missing:
+        kept = tuple((m, o) for m, o in self.items if m in target)
+        if len(kept) != len(target):
+            missing = target - self.domain
             raise SectionDomainError(
                 f"cannot restrict to {sorted(target)}: {sorted(missing)} outside domain"
             )
-        return Section(tuple((m, o) for m, o in self.items if m in target))
+        return Section(kept)
 
     def values_on(self, order: Iterable[str]) -> tuple[int, ...]:
         """Outcome tuple in the given measurement order."""
@@ -67,6 +69,17 @@ class Section:
 EMPTY_SECTION = Section(())
 
 
+def projection(positions: list[int]):
+    """Restriction on outcome tuples: the map taking a tuple to its entries
+    at the given positions, as a tuple."""
+    if not positions:
+        return lambda v: ()
+    if len(positions) == 1:
+        (p,) = positions
+        return lambda v: (v[p],)
+    return itemgetter(*positions)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A measurement scenario <X, M, O>.
@@ -75,6 +88,10 @@ class Scenario:
     contexts: the cover M, an antichain of subsets whose union is X; each
         stored sorted by declared measurement order, cover order as declared.
     outcomes: the shared alphabet O, declared order, integers.
+
+    Construction also indexes the cover once: each measurement's position
+    in the declared order, the contexts containing each measurement, and
+    for each context the other contexts it overlaps.
     """
 
     measurements: tuple[str, ...]
@@ -108,26 +125,40 @@ class Scenario:
                 raise ScenarioError(f"context {c} uses undeclared measurements {unknown}")
             normalised.append(tuple(sorted(c, key=order.__getitem__)))
         object.__setattr__(self, "contexts", tuple(normalised))
-        covered = set().union(*(set(c) for c in self.contexts))
-        missing = [m for m in self.measurements if m not in covered]
+        containing: dict[str, list[int]] = {}
+        for i, ctx in enumerate(self.contexts):
+            for m in ctx:
+                containing.setdefault(m, []).append(i)
+        missing = [m for m in self.measurements if m not in containing]
         if missing:
             raise ScenarioError(f"cover does not reach measurements {missing}")
+        # a context can only lie inside a context it overlaps, so checking
+        # each context's neighbours in cover order finds the first violation
         sets = [set(c) for c in self.contexts]
-        for i in range(len(sets)):
-            for j in range(len(sets)):
-                if i != j and sets[i] <= sets[j]:
+        neighbours = []
+        for i, ctx in enumerate(self.contexts):
+            near = sorted({j for m in ctx for j in containing[m]} - {i})
+            for j in near:
+                if sets[i] <= sets[j]:
                     kind = "duplicates" if sets[i] == sets[j] else "is contained in"
                     raise ScenarioError(
                         f"cover is not an antichain: context {self.contexts[i]} "
                         f"{kind} context {self.contexts[j]}"
                     )
+            neighbours.append(tuple(near))
+        object.__setattr__(self, "_position", order)
+        object.__setattr__(self, "_containing", {m: tuple(c) for m, c in containing.items()})
+        object.__setattr__(self, "_neighbours", tuple(neighbours))
+        object.__setattr__(
+            self, "_context_index", {c: i for i, c in enumerate(self.contexts)}
+        )
 
     # -- ordering helpers ---------------------------------------------------
 
     def measurement_index(self, label: str) -> int:
         try:
-            return self.measurements.index(label)
-        except ValueError:
+            return self._position[label]
+        except KeyError:
             raise ScenarioError(f"unknown measurement {label!r}") from None
 
     def sorted_measurements(self, subset: Iterable[str]) -> tuple[str, ...]:
@@ -136,9 +167,31 @@ class Scenario:
     def context_index(self, context: Iterable[str]) -> int:
         target = self.sorted_measurements(context)
         try:
-            return self.contexts.index(target)
-        except ValueError:
+            return self._context_index[target]
+        except KeyError:
             raise ScenarioError(f"{target} is not a cover context") from None
+
+    def contexts_containing(self, label: str) -> tuple[int, ...]:
+        """Cover indices of the contexts that contain the measurement, in
+        cover order."""
+        try:
+            return self._containing[label]
+        except KeyError:
+            raise ScenarioError(f"unknown measurement {label!r}") from None
+
+    def neighbours(self, index: int) -> tuple[int, ...]:
+        """Cover indices of the other contexts that share a measurement with
+        context `index`, in cover order."""
+        return self._neighbours[index]
+
+    def overlaps(self) -> Iterator[tuple[int, int, tuple[str, ...]]]:
+        """The pairs (i, j), i < j, of contexts that share a measurement, in
+        lexicographic order, each with its overlap in declared order."""
+        for i, ctx in enumerate(self.contexts):
+            for j in self._neighbours[i]:
+                if j > i:
+                    other = set(self.contexts[j])
+                    yield i, j, tuple(m for m in ctx if m in other)
 
     def section(self, context: Iterable[str], values: Iterable[int]) -> Section:
         ms = self.sorted_measurements(context)
@@ -187,10 +240,7 @@ def build_nerve(scenario: Scenario, max_dimension: int | None = None) -> tuple[t
     if limit < 0:
         return ()
     sets = [set(c) for c in scenario.contexts]
-    containing: dict[str, list[int]] = {}
-    for i, ctx in enumerate(scenario.contexts):
-        for m in ctx:
-            containing.setdefault(m, []).append(i)
+    containing = scenario.contexts_containing
     levels: list[tuple[Simplex, ...]] = []
     current = [Simplex((i,), scenario.contexts[i]) for i in range(n)]
     levels.append(tuple(current))
@@ -198,7 +248,7 @@ def build_nerve(scenario: Scenario, max_dimension: int | None = None) -> tuple[t
         nxt = []
         for sigma in current:
             last = sigma.contexts[-1]
-            extras = {j for m in sigma.intersection for j in containing[m] if j > last}
+            extras = {j for m in sigma.intersection for j in containing(m) if j > last}
             for extra in sorted(extras):
                 common = tuple(m for m in sigma.intersection if m in sets[extra])
                 nxt.append(Simplex(sigma.contexts + (extra,), common))
@@ -212,22 +262,17 @@ def build_nerve(scenario: Scenario, max_dimension: int | None = None) -> tuple[t
 def connected_components(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     """Partition of cover indices under the overlap relation, each component
     sorted, components ordered by smallest member."""
-    n = len(scenario.contexts)
-    sets = [set(c) for c in scenario.contexts]
     seen: set[int] = set()
     components = []
-    for start in range(n):
+    for start in range(len(scenario.contexts)):
         if start in seen:
             continue
         stack = [start]
-        comp = set()
+        comp = {start}
         while stack:
-            i = stack.pop()
-            if i in comp:
-                continue
-            comp.add(i)
-            for j in range(n):
-                if j not in comp and sets[i] & sets[j]:
+            for j in scenario.neighbours(stack.pop()):
+                if j not in comp:
+                    comp.add(j)
                     stack.append(j)
         seen |= comp
         components.append(tuple(sorted(comp)))

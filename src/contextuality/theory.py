@@ -369,19 +369,21 @@ def affine_closure_model(
     """Per-context affine closure over the ring.
 
     The closed supports take values anywhere in the ring, so the returned
-    model lives over the same cover with the ring's canonical elements as
-    its outcome alphabet. Closure commutes with restriction, which is what
-    keeps the result no-signalling. The Howell forms give the closure's
-    size, the product of n/p_i over their pivots p_i, before anything is
-    listed; when the total over all contexts exceeds the budget the
-    closure is not built and BudgetExceededError is raised.
+    model lives over the same cover with the sorted canonical residues that
+    occur in the closed supports as its outcome alphabet; no support admits
+    any other value, so a larger alphabet would change no verdict. Closure
+    commutes with restriction, which is what keeps the result
+    no-signalling. The Howell forms give the closure's size, the product of
+    n/p_i over their pivots p_i, before anything is listed; when the total
+    over all contexts exceeds the budget the closure is not built and
+    BudgetExceededError is raised.
     """
     if not ring.is_finite:
         raise UnsupportedRingError("affine closure over the integers may be infinite")
-    embedding = outcome_embedding(ring, model.scenario.outcomes)
+    embedding = outcome_embedding(ring, model.scenario.outcomes).__getitem__
     forms = [
-        _affine_form(ring, {tuple(embedding[s[m]] for m in ctx) for s in sup})
-        for ctx, sup in zip(model.scenario.contexts, model.supports)
+        _affine_form(ring, {tuple(map(embedding, v)) for v in model.support_values(ci)})
+        for ci in range(len(model.supports))
     ]
     if budget is not None:
         n = ring.modulus
@@ -391,13 +393,14 @@ def affine_closure_model(
                 f"the affine closure over {ring} has {size} sections, "
                 f"over the budget of {budget}"
             )
+    spans = [sorted(_list_span(*found)) for found in forms]
     scenario = Scenario(
         model.scenario.measurements,
         model.scenario.contexts,
-        tuple(ring.elements()),
+        tuple(sorted({x for span in spans for v in span for x in v})),
     )
     supports = tuple(
-        tuple(Section.of(zip(ctx, v)) for v in sorted(_list_span(*found)))
-        for ctx, found in zip(scenario.contexts, forms)
+        tuple(Section.of(zip(ctx, v)) for v in span)
+        for ctx, span in zip(scenario.contexts, spans)
     )
     return EmpiricalModel(scenario, supports)

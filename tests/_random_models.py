@@ -28,7 +28,8 @@ from contextuality import (
 _LABELS = ("m1", "m2", "m3", "m4")
 
 
-def _random_scenario(rng: random.Random) -> Scenario:
+def random_scenario(rng: random.Random) -> Scenario:
+    """A connected cover of 2-4 measurements by contexts of size 2 or 3."""
     while True:
         n = rng.choice((2, 3, 3, 4, 4, 4))
         measurements = _LABELS[:n]
@@ -140,7 +141,7 @@ def _from_theory(rng: random.Random, scenario: Scenario) -> EmpiricalModel | Non
 def random_model(rng: random.Random) -> EmpiricalModel:
     """One small no-signalling model; retries internally until valid."""
     while True:
-        scenario = _random_scenario(rng)
+        scenario = random_scenario(rng)
         roll = rng.random()
         try:
             if roll < 0.3:

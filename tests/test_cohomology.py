@@ -26,6 +26,7 @@ from contextuality import (
     coboundary_matrix,
     cochain_basis,
     connecting_hom_check,
+    liar_cycle_model,
     monotone_under_hom,
 )
 from contextuality.cohomology import cochain_to_vector, vector_to_cochain
@@ -115,22 +116,38 @@ def test_cochain_vector_round_trip():
     assert cochain_to_vector(basis, cochain) == vec
 
 
-def test_coboundary_matrix_matches_functional_form():
+def test_coboundary_matrix_matches_functional_form(corpus_models):
+    # the corpus covers and the liar cycle overlap each context with
+    # several others; ghz-mermin also has 2-simplices, so degree one is
+    # checked there
     rng = random.Random(5)
-    for model in (pr_box(), hardy_model(), bipartite_model(CORR, ALL4, ALL4, ALL4)):
-        for ring in (Z2, Z3, Z6):
-            basis0 = cochain_basis(model, 0)
-            basis1 = cochain_basis(model, 1)
-            matrix = coboundary_matrix(model, 0, ring)
-            assert matrix.nrows == len(basis1) and matrix.ncols == len(basis0)
-            for _ in range(4):
-                vec = [rng.randrange(ring.modulus) for _ in range(len(basis0))]
-                functional = coboundary(model, vector_to_cochain(ring, basis0, vec))
-                via_matrix = [
-                    ring.canon(sum(a * x for a, x in zip(row, vec)))
-                    for row in matrix.rows()
-                ]
-                assert cochain_to_vector(basis1, functional) == via_matrix
+    models = (
+        pr_box(),
+        hardy_model(),
+        bipartite_model(CORR, ALL4, ALL4, ALL4),
+        corpus_models["ghz-mermin"],
+        corpus_models["peres-mermin-square"],
+        liar_cycle_model(8),
+    )
+    degree_one = 0
+    for model in models:
+        nerve = build_nerve(model.scenario, 2)
+        for q in range(len(nerve) - 1):
+            degree_one += q == 1
+            for ring in (Z2, Z3, Z6):
+                lower = cochain_basis(model, q)
+                upper = cochain_basis(model, q + 1)
+                matrix = coboundary_matrix(model, q, ring)
+                assert matrix.nrows == len(upper) and matrix.ncols == len(lower)
+                for _ in range(4):
+                    vec = [rng.randrange(ring.modulus) for _ in range(len(lower))]
+                    functional = coboundary(model, vector_to_cochain(ring, lower, vec))
+                    via_matrix = [
+                        ring.canon(sum(a * x for a, x in zip(row, vec)))
+                        for row in matrix.rows()
+                    ]
+                    assert cochain_to_vector(upper, functional) == via_matrix
+    assert degree_one == 1
 
 
 def test_coboundary_squares_to_zero_on_corpus(corpus_models):

@@ -3,7 +3,7 @@ enumeration of global assignments."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -14,6 +14,7 @@ from contextuality import (
     ModelError,
     NormalisationError,
     ProbabilityTable,
+    Scenario,
     ScenarioError,
     Section,
     SectionNotSupportedError,
@@ -34,7 +35,7 @@ from conftest import (
     hardy_model,
     pr_box,
 )
-from _random_models import random_models
+from _random_models import random_models, random_scenario
 
 
 def all_global_sections(model):
@@ -106,6 +107,110 @@ def test_check_no_signalling_witness_location():
 
 def test_pr_box_no_signalling():
     assert check_no_signalling(pr_box()).holds
+
+
+# ---------------------------------------------------------------------------
+# restriction against all-pairs references built on Section.restrict
+
+
+def lexicographic(scenario, measurements):
+    pos = {o: k for k, o in enumerate(scenario.outcomes)}
+    return lambda s: tuple(pos[s[m]] for m in measurements)
+
+
+def reference_signalling_witnesses(model):
+    """Every E2 violation over all context pairs (i, j), i < j in cover
+    order: the two contexts, the first overlap section in lexicographic
+    order that only one side's restriction contains, and that side."""
+    scn = model.scenario
+    found = []
+    for i, ci in enumerate(scn.contexts):
+        for cj, sup in zip(scn.contexts[i + 1 :], model.supports[i + 1 :]):
+            overlap = tuple(m for m in ci if m in cj)
+            if not overlap:
+                continue
+            left = {s.restrict(overlap) for s in model.supports[i]}
+            right = {s.restrict(overlap) for s in sup}
+            if left != right:
+                t = min(left ^ right, key=lexicographic(scn, overlap))
+                found.append((ci, cj, t, "first" if t in left else "second"))
+    return found
+
+
+def reference_restricted_support(model, index, subset):
+    sub = model.scenario.sorted_measurements(subset)
+    image = {s.restrict(sub) for s in model.supports[index]}
+    return tuple(sorted(image, key=lexicographic(model.scenario, sub)))
+
+
+def reversed_orders(model):
+    """The same supports over a scenario that declares its measurements
+    and outcomes in reverse order, so that declared order, label order and
+    numeric order all differ."""
+    scn = model.scenario
+    flipped = Scenario(scn.measurements[::-1], scn.contexts, scn.outcomes[::-1])
+    return EmpiricalModel(flipped, model.supports, validate=False)
+
+
+def signalling_tables(count, seed):
+    """Unvalidated models over random covers whose supports are random
+    subsets of each context's sections, kept when E2 fails on at least two
+    context pairs."""
+    rng = random.Random(seed)
+    tables = []
+    while len(tables) < count:
+        scn = random_scenario(rng)
+        supports = []
+        for ctx in scn.contexts:
+            full = [scn.section(ctx, v) for v in product(scn.outcomes, repeat=len(ctx))]
+            supports.append(tuple(rng.sample(full, rng.randint(1, len(full)))))
+        table = EmpiricalModel(scn, tuple(supports), validate=False)
+        if len(reference_signalling_witnesses(table)) >= 2:
+            tables.append(table)
+    return tables
+
+
+def test_signalling_witness_matches_all_pairs_reference():
+    three_pairs = (CORR, ((0, 0), (1, 0)), ((0, 0),), ANTI)
+    fixed = EmpiricalModel(
+        BIPARTITE,
+        tuple(
+            tuple(BIPARTITE.section(ctx, vals) for vals in row)
+            for ctx, row in zip(BIPARTITE.contexts, three_pairs)
+        ),
+        validate=False,
+    )
+    tables = [fixed] + signalling_tables(40, seed=20240820)
+    assert len(tables) == 41
+    models = random_models(25, seed=20240818) + tables
+    for model in models + [reversed_orders(m) for m in models]:
+        expected = reference_signalling_witnesses(model)
+        verdict = check_no_signalling(model)
+        if not expected:
+            assert verdict.holds
+            continue
+        w = verdict.witness
+        assert (w.context_a, w.context_b, w.section, w.present_in) == expected[0]
+        with pytest.raises(SignallingError) as err:
+            EmpiricalModel(model.scenario, model.supports)
+        assert (err.value.contexts, err.value.section) == ((w.context_a, w.context_b), w.section)
+    assert len(reference_signalling_witnesses(fixed)) == 3
+
+
+def test_restricted_support_matches_all_pairs_reference():
+    models = random_models(25, seed=20240818) + [hardy_model(), pr_box()]
+    for model in models + [reversed_orders(m) for m in models]:
+        scn = model.scenario
+        for ci, ctx in enumerate(scn.contexts):
+            assert model.restricted_support(ci, ctx) is model.supports[ci]
+            for size in range(1, len(ctx) + 1):
+                for sub in combinations(ctx, size):
+                    expected = reference_restricted_support(model, ci, sub)
+                    assert model.restricted_support(ci, sub[::-1]) == expected
+                    order = scn.sorted_measurements(sub)
+                    assert model.restricted_values(ci, set(sub)) == tuple(
+                        s.values_on(order) for s in expected
+                    )
 
 
 def test_context_of_section_requires_support():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from contextuality import (
 from contextuality.scenario import sections_of
 
 from conftest import BIPARTITE
+from _random_models import random_models
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,64 @@ def test_connected_components():
     assert connected_components(scn) == ((0,), (1,))
     assert not is_connected(scn)
     assert is_connected(BIPARTITE)
+
+
+def reference_components(scenario):
+    """Components under the overlap relation, testing every context pair."""
+    n = len(scenario.contexts)
+    sets = [set(c) for c in scenario.contexts]
+    seen, components = set(), []
+    for start in range(n):
+        if start in seen:
+            continue
+        stack, comp = [start], set()
+        while stack:
+            i = stack.pop()
+            if i not in comp:
+                comp.add(i)
+                stack.extend(j for j in range(n) if sets[i] & sets[j])
+        seen |= comp
+        components.append(tuple(sorted(comp)))
+    return tuple(components)
+
+
+def reference_antichain_error(scenario_contexts):
+    """The message for the first pair (i, j), i != j in cover order, with
+    context i inside context j, or None for an antichain."""
+    for i, ci in enumerate(scenario_contexts):
+        for j, cj in enumerate(scenario_contexts):
+            if i != j and set(ci) <= set(cj):
+                kind = "duplicates" if set(ci) == set(cj) else "is contained in"
+                return f"cover is not an antichain: context {ci} {kind} context {cj}"
+    return None
+
+
+def test_components_and_antichain_match_all_pairs_reference():
+    rng = random.Random(20240821)
+    disconnected = rejected = 0
+    scenarios = [m.scenario for m in random_models(25, seed=20240818)]
+    for _ in range(300):
+        measurements = tuple(rng.sample([f"x{i}" for i in range(7)], 7))
+        contexts = [
+            tuple(rng.sample(measurements, rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 7))
+        ]
+        covered = {m for c in contexts for m in c}
+        contexts += [(m,) for m in measurements if m not in covered]
+        order = {m: k for k, m in enumerate(measurements)}
+        normalised = [tuple(sorted(c, key=order.__getitem__)) for c in contexts]
+        expected = reference_antichain_error(normalised)
+        if expected is not None:
+            rejected += 1
+            with pytest.raises(ScenarioError) as err:
+                Scenario(measurements, tuple(contexts), (0, 1))
+            assert str(err.value) == expected
+            continue
+        scenarios.append(Scenario(measurements, tuple(contexts), (0, 1)))
+    for scn in scenarios:
+        assert connected_components(scn) == reference_components(scn)
+        disconnected += not is_connected(scn)
+    assert rejected >= 50 and disconnected >= 50
 
 
 @given(

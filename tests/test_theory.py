@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from contextuality import (
     DegenerateModelError,
+    EmpiricalModel,
     INTEGERS,
     LinearEquation,
     OutcomeCoercionError,
@@ -269,6 +270,18 @@ def test_affine_closure_over_larger_ring_grows_alphabet():
         (1, 1),
         (2, 2),
     }
+
+
+def test_affine_closure_alphabet_is_the_residues_that_occur():
+    # one section per context is its own closure: a huge ring must not
+    # become the alphabet of a two-section model
+    scn = Scenario(("a", "b", "c"), (("a", "b"), ("b", "c")), (0, 1))
+    model = EmpiricalModel(
+        scn, ((scn.section(("a", "b"), (0, 1)),), (scn.section(("b", "c"), (1, 0)),))
+    )
+    closed = affine_closure_model(model, RingSpec(1000003), budget=1000)
+    assert closed.scenario.outcomes == (0, 1)
+    assert closed.supports == model.supports
 
 
 # ---------------------------------------------------------------------------
