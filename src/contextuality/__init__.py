@@ -33,12 +33,10 @@ from .errors import (
 from .rings import (
     INTEGERS,
     LinearSystem,
-    LinearVerdict,
     RingHom,
     RingMatrix,
     RingSpec,
     linear_decomposition,
-    solve_linear_system,
 )
 from .scenario import (
     Scenario,
@@ -67,7 +65,6 @@ from .theory import (
     LinearEquation,
     Theory,
     affine_closure_model,
-    affine_closure_sections,
     affine_span,
     is_avn,
     is_avn_at,

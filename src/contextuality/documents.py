@@ -22,7 +22,7 @@ from .paradox import LiarCycle, liar_cycle_model
 from .pauli import PauliOperator, generate_subgroup, theory_of_subgroup
 from .rings import RingSpec
 from .scenario import Scenario, Section
-from .theory import LinearEquation, Theory, model_of_theory
+from .theory import LinearEquation, Theory, equations_on_cover, model_of_theory
 
 SCHEMA = "contextuality-model/1"
 
@@ -113,11 +113,14 @@ def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
     return scenario, ring_outcomes
 
 
-def _parse_section(obj: Any, scenario: Scenario, context: tuple[str, ...], path: str) -> Section:
+def _parse_section(
+    obj: Any, scenario: Scenario, context: tuple[str, ...], labels: tuple[str, ...], path: str
+) -> Section:
+    """A section over the context; `labels` is the context sorted once by
+    label, so the checked values build the label-sorted Section directly."""
     _expect(obj, dict, "a section object", path)
-    ctx_set = set(context)
     for m in obj:
-        if m not in ctx_set:
+        if m not in context:
             raise DocumentError(
                 f"{m!r} is not a measurement of context {context}", path=f"{path}.{m}"
             )
@@ -130,7 +133,7 @@ def _parse_section(obj: Any, scenario: Scenario, context: tuple[str, ...], path:
                 f"outcome {o} is not in the alphabet {scenario.outcomes}",
                 path=f"{path}.{m}",
             )
-    return Section.of((m, obj[m]) for m in context)
+    return Section(tuple((m, obj[m]) for m in labels))
 
 
 def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
@@ -143,9 +146,10 @@ def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
     supports = []
     for i, (ctx, row) in enumerate(zip(scenario.contexts, rows)):
         _expect(row, list, "a list of sections", f"{path}[{i}]")
+        labels = tuple(sorted(ctx))
         supports.append(
             tuple(
-                _parse_section(s, scenario, ctx, f"{path}[{i}][{j}]")
+                _parse_section(s, scenario, ctx, labels, f"{path}[{i}][{j}]")
                 for j, s in enumerate(row)
             )
         )
@@ -171,6 +175,7 @@ def _parse_probabilities(obj: Any, scenario: Scenario, path: str) -> Probability
     table_rows = []
     for i, (ctx, row) in enumerate(zip(scenario.contexts, rows)):
         _expect(row, list, "a list of probability entries", f"{path}[{i}]")
+        labels = tuple(sorted(ctx))
         entries = []
         for j, entry in enumerate(row):
             entry_path = f"{path}[{i}][{j}]"
@@ -179,7 +184,7 @@ def _parse_probabilities(obj: Any, scenario: Scenario, path: str) -> Probability
             for field in ("section", "p"):
                 if field not in entry:
                     raise DocumentError(f"missing field {field!r}", path=entry_path)
-            section = _parse_section(entry["section"], scenario, ctx, f"{entry_path}.section")
+            section = _parse_section(entry["section"], scenario, ctx, labels, f"{entry_path}.section")
             entries.append((section, _parse_fraction(entry["p"], f"{entry_path}.p")))
         table_rows.append(tuple(entries))
     return ProbabilityTable(scenario, tuple(table_rows))
@@ -218,23 +223,13 @@ def _parse_theory(obj: Any, scenario: Scenario, path: str) -> tuple[Theory, tupl
             value = ring.canon(_expect(c, int, "an integer", f"{eq_path}.coefficients.{m}"))
             if value != 0:
                 coeffs[m] = value
-        names = set(coeffs)
-        containing = [ctx for ctx in scenario.contexts if names <= set(ctx)]
-        if not containing:
+        landed = equations_on_cover(ring, scenario, coeffs, constant)
+        if not landed:
             raise DocumentError(
-                f"no cover context contains {sorted(names)} jointly", path=eq_path
+                f"no cover context contains {sorted(coeffs)} jointly", path=eq_path
             )
-        raw.append(
-            RawEquation(
-                tuple(sorted(coeffs.items())), ring.canon(constant)
-            )
-        )
-        for ctx in containing:
-            expanded.append(
-                LinearEquation(
-                    ring, ctx, tuple(coeffs.get(m, 0) for m in ctx), constant
-                )
-            )
+        raw.append(RawEquation(tuple(sorted(coeffs.items())), ring.canon(constant)))
+        expanded.extend(landed)
     return Theory(ring, tuple(expanded)), tuple(raw), modulus
 
 
@@ -478,15 +473,11 @@ def document_from_equations(
     expanded = []
     for coeffs, constant in equations:
         kept = {m: ring.canon(c) for m, c in coeffs.items() if ring.canon(c) != 0}
-        names = set(kept)
-        containing = [ctx for ctx in scenario.contexts if names <= set(ctx)]
-        if not containing:
-            raise DocumentError(f"no cover context contains {sorted(names)} jointly")
+        landed = equations_on_cover(ring, scenario, kept, constant)
+        if not landed:
+            raise DocumentError(f"no cover context contains {sorted(kept)} jointly")
         raw.append(RawEquation(tuple(sorted(kept.items())), ring.canon(constant)))
-        for ctx in containing:
-            expanded.append(
-                LinearEquation(ring, ctx, tuple(kept.get(m, 0) for m in ctx), constant)
-            )
+        expanded.extend(landed)
     return ModelDocument(
         theory=Theory(ring, tuple(expanded)),
         raw_equations=tuple(raw),

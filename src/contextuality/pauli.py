@@ -17,7 +17,7 @@ from .errors import PauliError
 from .model import EmpiricalModel
 from .rings import RingSpec, echelon, sparse
 from .scenario import Scenario
-from .theory import LinearEquation, Theory, model_of_theory
+from .theory import Theory, equations_on_cover, model_of_theory
 
 LETTERS = "IXYZ"
 
@@ -270,7 +270,6 @@ def theory_of_subgroup(
     fit no context, impose nothing on the model and are skipped.
     """
     ring = RingSpec(2)
-    measurement_set = set(scenario.measurements)
     equations = []
     for op in elements:
         if op.phase in (1, 3):
@@ -278,16 +277,12 @@ def theory_of_subgroup(
                 f"{op} has an imaginary global phase and stabilises no state"
             )
         variables = {
-            f"{p}{i}" for i, p in enumerate(op.letters, start=1) if p != "I"
+            f"{p}{i}": 1 for i, p in enumerate(op.letters, start=1) if p != "I"
         }
-        if not variables or not variables <= measurement_set:
-            continue
-        for ctx in scenario.contexts:
-            if variables <= set(ctx):
-                coefficients = tuple(1 if m in variables else 0 for m in ctx)
-                equations.append(
-                    LinearEquation(ring, ctx, coefficients, 0 if op.phase == 0 else 1)
-                )
+        if variables:
+            equations.extend(
+                equations_on_cover(ring, scenario, variables, 0 if op.phase == 0 else 1)
+            )
     return Theory(ring, tuple(equations))
 
 
@@ -327,11 +322,7 @@ def ghz_model(parties: int = 3) -> EmpiricalModel:
     """
     if parties != 3:
         raise PauliError("only the tripartite model is built in")
-    e, f, g = GHZ_TRIPLE
-    scenario = triple_scenario(e, f, g)
-    subgroup = generate_subgroup([e, f, g])
-    theory = theory_of_subgroup(subgroup, scenario)
-    return model_of_theory(theory, scenario)
+    return triple_model(*GHZ_TRIPLE)
 
 
 def triple_model(e: PauliOperator, f: PauliOperator, g: PauliOperator) -> EmpiricalModel:

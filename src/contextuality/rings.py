@@ -191,15 +191,6 @@ class LinearSystem:
             raise RingError("rhs entries must be canonical for the ring")
 
 
-@dataclass(frozen=True)
-class LinearVerdict:
-    """Outcome of an exact solve: decidable, never approximate."""
-
-    solvable: bool
-    solution: tuple[int, ...] | None = None
-    kernel: tuple[tuple[int, ...], ...] | None = None  # generators of A*x = 0
-
-
 # ---------------------------------------------------------------------------
 # echelon form on sparse rows
 
@@ -383,18 +374,3 @@ def linear_decomposition(ring: RingSpec, a: Matrix, ncols: int | None = None) ->
     if ncols is None:
         ncols = len(a[0]) if a else 0
     return LinearSolver(ring, a, ncols)
-
-
-def solve_linear_system(system: LinearSystem) -> LinearVerdict:
-    """Decide A*x = b exactly over Z or Z_n; a solvable verdict carries a
-    solution and generators of the solutions of A*x = 0."""
-    ring = system.matrix.ring
-    solver = linear_decomposition(ring, system.matrix.rows(), system.matrix.ncols)
-    sol = solver.solve(list(system.rhs))
-    if sol is None:
-        return LinearVerdict(solvable=False)
-    return LinearVerdict(
-        solvable=True,
-        solution=tuple(sol),
-        kernel=tuple(tuple(v) for v in solver.kernel()),
-    )

@@ -19,6 +19,7 @@ from .errors import (
     DegenerateModelError,
     OutcomeCoercionError,
     RingError,
+    ScenarioError,
     UnsupportedRingError,
 )
 from .model import EmpiricalModel
@@ -30,7 +31,6 @@ from .rings import (
     dense,
     echelon,
     linear_decomposition,
-    solve_linear_system,
     sparse,
 )
 from .scenario import Scenario, Section
@@ -101,6 +101,29 @@ class Theory:
 
     def __len__(self) -> int:
         return len(self.equations)
+
+
+def equations_on_cover(
+    ring: RingSpec,
+    scenario: Scenario,
+    coefficients: Mapping[str, int],
+    constant: int,
+) -> tuple[LinearEquation, ...]:
+    """The equation sum of coefficients[m]*m = constant on every cover
+    context, in cover order, that contains its measurements with nonzero
+    coefficient; an all-zero equation lands on every context. Empty when
+    no context contains them jointly or one is not in the scenario."""
+    names = [m for m, a in coefficients.items() if ring.canon(a)]
+    landing = set(range(len(scenario.contexts)))
+    try:
+        for m in names:
+            landing.intersection_update(scenario.contexts_containing(m))
+    except ScenarioError:
+        return ()
+    return tuple(
+        LinearEquation(ring, ctx, tuple(coefficients.get(m, 0) for m in ctx), constant)
+        for ctx in map(scenario.contexts.__getitem__, sorted(landing))
+    )
 
 
 def outcome_embedding(ring: RingSpec, outcomes: Iterable[int]) -> dict[int, int]:
@@ -215,9 +238,12 @@ def model_of_theory(theory: Theory, scenario: Scenario) -> EmpiricalModel:
 class AvnReport:
     """Consistency verdict for the global theory system.
 
-    avn means unsolvable: no assignment X -> R satisfies every generator.
-    Exactly one certificate is present: a satisfying global assignment, or
-    the Howell form of the augmented system, whose last row then has zero
+    avn means unsolvable: no assignment X -> R satisfies every generator
+    (and, with `fixed`, extends that section). Exactly one certificate is
+    present. A solvable system carries a satisfying global assignment, read
+    off the Howell form of the augmented system [A | b] by back
+    substitution with the free unknowns set to 0. An unsolvable one carries
+    that Howell form itself as `reduced_system`; its last row then has zero
     coefficients and a nonzero constant.
     """
 
@@ -229,63 +255,51 @@ class AvnReport:
     fixed: Section | None = None
 
 
-def _theory_rows(model: EmpiricalModel, theory: Theory) -> list[list[int]]:
+def _decide(
+    model: EmpiricalModel, theory: Theory, s0: Section | None = None
+) -> tuple[bool, Section | None, LinearSystem | None]:
+    """Verdict, solution and certificate from one Howell form of [A | b].
+
+    The rows are the theory's equations over the declared measurements,
+    then, for s0, one row m = s0(m) per measurement of its domain in
+    declared order. Over Z_n the system is unsolvable exactly when some y
+    has y*A = 0 and y*b != 0 (Z_n is self-injective), and the Howell
+    property puts such a row (0 | y*b) among the form's rows: a pivot in
+    the b column. Without one, back substitution from the last pivot
+    solves the form. A row with pivot p at column c needs
+    p*x_c = r, where r is its constant minus its terms in the unknowns
+    already fixed, and p divides r: (n/p)*row is zero at c, so it is a
+    combination of later rows, which x satisfies, hence (n/p)*r = 0.
+    """
+    ring, n = theory.ring, theory.ring.modulus
     measurements = model.scenario.measurements
-    index = {m: i for i, m in enumerate(measurements)}
+    width = len(measurements)
+    index = model.scenario.measurement_index
     rows = []
     for eq in theory.equations:
-        row = [0] * len(measurements)
-        for m, a in zip(eq.context, eq.coefficients):
-            row[index[m]] = a
+        row = {index(m): a for m, a in zip(eq.context, eq.coefficients) if a}
+        row[width] = eq.constant
         rows.append(row)
-    return rows
-
-
-def _reduced_system(ring: RingSpec, rows: list[list[int]], rhs: list[int]) -> LinearSystem:
-    """The Howell form of [A | b]. Over Z_n the system is unsolvable exactly
-    when some y has y*A = 0 and y*b != 0 (Z_n is self-injective), and the
-    Howell property puts such a row (0 | y*b) among the form's rows."""
-    ncols = len(rows[0]) if rows else 0
-    form = echelon(ring, [sparse(row + [b]) for row, b in zip(rows, rhs)], ncols + 1)
-    kept = [dense(row, ncols + 1) for row in form.rows.values()]
-    matrix = RingMatrix(
-        ring, len(kept), ncols, tuple(x for row in kept for x in row[:-1])
-    )
-    return LinearSystem(matrix, tuple(row[-1] for row in kept))
-
-
-def _decide_system(
-    model: EmpiricalModel,
-    theory: Theory,
-    extra_rows: list[list[int]],
-    extra_rhs: list[int],
-) -> tuple[bool, Section | None, LinearSystem | None]:
-    measurements = model.scenario.measurements
-    rows = _theory_rows(model, theory) + extra_rows
-    rhs = [eq.constant for eq in theory.equations] + extra_rhs
-    if not rows:
-        zero = Section.of({m: 0 for m in measurements})
-        return False, zero, None
-    system = LinearSystem(
-        RingMatrix(
-            theory.ring,
-            len(rows),
-            len(measurements),
-            tuple(theory.ring.canon(x) for row in rows for x in row),
-        ),
-        tuple(theory.ring.canon(b) for b in rhs),
-    )
-    verdict = solve_linear_system(system)
-    if verdict.solvable:
-        solution = Section.of(dict(zip(measurements, verdict.solution)))
-        return False, solution, None
-    return True, None, _reduced_system(theory.ring, rows, rhs)
+    if s0 is not None:
+        embedding = outcome_embedding(ring, model.scenario.outcomes)
+        for m in model.scenario.sorted_measurements(s0.domain):
+            rows.append({index(m): 1, width: embedding[s0[m]]})
+    form = echelon(ring, rows, width + 1)
+    if width in form.rows:
+        kept = [dense(row, width + 1) for row in form.rows.values()]
+        matrix = RingMatrix(ring, len(kept), width, tuple(x for row in kept for x in row[:-1]))
+        return True, None, LinearSystem(matrix, tuple(row[-1] for row in kept))
+    x = [0] * width
+    for c, row in reversed(form.rows.items()):
+        r = row.get(width, 0) - sum(a * x[j] for j, a in row.items() if c < j < width)
+        x[c] = r % n // row[c]
+    return False, Section.of(zip(measurements, x)), None
 
 
 def is_avn(model: EmpiricalModel, ring: RingSpec) -> AvnReport:
     """All-vs-Nothing over the ring: the model's theory has no global solution."""
     theory = theory_of_model(model, ring)
-    avn, solution, reduced = _decide_system(model, theory, [], [])
+    avn, solution, reduced = _decide(model, theory)
     return AvnReport(ring, avn, theory, solution, reduced)
 
 
@@ -293,17 +307,7 @@ def is_avn_at(model: EmpiricalModel, s0: Section, ring: RingSpec) -> AvnReport:
     """AvN relative to a section: no theory solution extends s0."""
     model.context_of_section(s0)
     theory = theory_of_model(model, ring)
-    embedding = outcome_embedding(ring, model.scenario.outcomes)
-    measurements = model.scenario.measurements
-    index = {m: i for i, m in enumerate(measurements)}
-    fixing_rows = []
-    fixing_rhs = []
-    for m in model.scenario.sorted_measurements(s0.domain):
-        row = [0] * len(measurements)
-        row[index[m]] = 1
-        fixing_rows.append(row)
-        fixing_rhs.append(embedding[s0[m]])
-    avn, solution, reduced = _decide_system(model, theory, fixing_rows, fixing_rhs)
+    avn, solution, reduced = _decide(model, theory, s0)
     return AvnReport(ring, avn, theory, solution, reduced, fixed=s0)
 
 
@@ -351,16 +355,6 @@ def affine_span(ring: RingSpec, vectors: Iterable[tuple[int, ...]]) -> frozenset
     """
     found = _affine_form(ring, vectors)
     return frozenset() if found is None else _list_span(*found)
-
-
-def affine_closure_sections(
-    ring: RingSpec,
-    context: tuple[str, ...],
-    sections: Iterable[Section],
-    embedding: Mapping[int, int],
-) -> tuple[Section, ...]:
-    vectors = {tuple(embedding[s[m]] for m in context) for s in sections}
-    return tuple(Section.of(zip(context, v)) for v in sorted(affine_span(ring, vectors)))
 
 
 def affine_closure_model(

@@ -6,6 +6,11 @@ table by iterated overlap pruning (the largest no-signalling submodel of
 the seed), and solution sets of random linear theories. Everything is
 driven by one random.Random instance, so a fixed seed reproduces the
 whole stream.
+
+None of those reaches a non-vanishing obstruction over Z4, Z6 or Z, so a
+second stream, `random_contextual_models`, builds All-vs-Nothing models
+over Z_k by design: a cycle of contexts whose parity-like relations
+compose to a map without a fixed point.
 """
 
 from __future__ import annotations
@@ -159,3 +164,61 @@ def random_model(rng: random.Random) -> EmpiricalModel:
 def random_models(count: int, seed: int) -> list[EmpiricalModel]:
     rng = random.Random(seed)
     return [random_model(rng) for _ in range(count)]
+
+
+def random_contextual_model(rng: random.Random) -> EmpiricalModel:
+    """Supports x_{i+1} = u_i*x_i + c_i (u_i = +-1) over the outcomes Z_k
+    around a cycle m1..mL. The last step is chosen so that the composite
+    x1 -> U*x1 + C mostly has no fixed point mod k: then the model is AvN
+    over Z_k, so every obstruction is non-vanishing over Z_k and hence
+    over Z. Otherwise U = -1 and C is even with k even, which leaves two
+    fixed points: two global sections, and every other section
+    contextual. Each relation is a bijection, so every marginal is all of
+    Z_k and the model is no-signalling. Some contexts carry an extra
+    measurement of their own, either tied (the sum of the pair) or, for
+    k <= 3, free; a chord context with one more bijective relation may
+    close a second cycle.
+    """
+    k = rng.choice((2, 3, 4, 6))
+    length = rng.randint(3, 5)
+    cycle = [f"m{i + 1}" for i in range(length)]
+    steps = [(rng.choice((1, -1)), rng.randrange(k)) for _ in range(length - 1)]
+    unit, shift = 1, 0
+    for u, c in steps:
+        unit, shift = u * unit, u * shift + c
+    u = rng.choice((1, -1))
+    if (u * unit + 1) % k == 0 and k % 2:
+        u = -u  # x = -x + C always has a fixed point when 2 is a unit
+    if (u * unit - 1) % k == 0:
+        closing = [r for r in range(k) if r]  # x = x + r
+    else:
+        odd = rng.random() < 0.7  # 2x = r, k even: no solution for odd r
+        closing = [r for r in range(k) if r % 2 == odd]
+    steps.append((u, rng.choice(closing) - u * shift))
+    pairs = [(cycle[i], cycle[(i + 1) % length], u, c) for i, (u, c) in enumerate(steps)]
+    if length > 3 and rng.random() < 0.4:
+        pairs.append((cycle[0], cycle[2], rng.choice((1, -1)), rng.randrange(k)))
+    measurements = list(cycle)
+    contexts, supports = [], []
+    for i, (a, b, u, c) in enumerate(pairs):
+        rows = [{a: x, b: (u * x + c) % k} for x in range(k)]
+        roll = rng.random()
+        if roll < 0.3:
+            extra = f"e{i + 1}"
+            rows = [{**r, extra: (r[a] + r[b]) % k} for r in rows]
+        elif roll < 0.5 and k <= 3:
+            extra = f"e{i + 1}"
+            rows = [{**r, extra: o} for r in rows for o in range(k)]
+        else:
+            extra = None
+        if extra is not None:
+            measurements.append(extra)
+        contexts.append(tuple(rows[0]))
+        supports.append(tuple(Section.of(r) for r in rows))
+    scenario = Scenario(tuple(measurements), tuple(contexts), tuple(range(k)))
+    return EmpiricalModel(scenario, tuple(supports))
+
+
+def random_contextual_models(count: int, seed: int) -> list[EmpiricalModel]:
+    rng = random.Random(seed)
+    return [random_contextual_model(rng) for _ in range(count)]

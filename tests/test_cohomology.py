@@ -31,7 +31,7 @@ from contextuality import (
 )
 from contextuality.cohomology import cochain_to_vector, vector_to_cochain
 
-from _random_models import random_models
+from _random_models import random_contextual_models, random_models
 from conftest import ALL4, BIPARTITE, CORR, bipartite_model, hardy_model, pr_box
 
 Z2 = RingSpec(2)
@@ -303,22 +303,28 @@ def test_connecting_hom_agrees_on_fixed_models(corpus_models):
 
 
 def test_connecting_hom_agrees_on_random_models():
-    for model in random_models(25, seed=20240818):
-        for ring in (Z2, Z4, Z6, INTEGERS):
+    # the contextual stream is AvN by construction, so both verdicts occur
+    models = random_models(25, seed=20240818) + random_contextual_models(20, seed=20240824)
+    non_vanishing = dict.fromkeys((Z2, Z4, Z6, INTEGERS), 0)
+    for model in models:
+        for ring in non_vanishing:
             solver = ObstructionSolver(model, ring)
             for ci, ctx in enumerate(model.scenario.contexts):
                 for s in model.support(ci):
-                    assert solver.vanishes(ctx, s) == connecting_hom_check(
-                        model, ctx, s, ring
-                    )
+                    vanishes = solver.vanishes(ctx, s)
+                    assert vanishes == connecting_hom_check(model, ctx, s, ring)
+                    non_vanishing[ring] += not vanishes
+    assert all(non_vanishing[r] for r in (Z4, Z6, INTEGERS)), non_vanishing
 
 
 def test_vanishing_families_certify_random_models():
     # every vanishing verdict over composite rings and Z carries a family
     # that passes the compatibility check
     checked = 0
-    for model in random_models(25, seed=20240818):
-        for ring in (Z4, Z6, INTEGERS):
+    models = random_models(25, seed=20240818) + random_contextual_models(20, seed=20240824)
+    non_vanishing = dict.fromkeys((Z4, Z6, INTEGERS), 0)
+    for model in models:
+        for ring in non_vanishing:
             solver = ObstructionSolver(model, ring)
             for ci, ctx in enumerate(model.scenario.contexts):
                 for s in model.support(ci):
@@ -327,7 +333,10 @@ def test_vanishing_families_certify_random_models():
                     if family is not None:
                         check_family(model, ring, ctx, s, family)
                         checked += 1
+                    else:
+                        non_vanishing[ring] += 1
     assert checked
+    assert all(non_vanishing.values()), non_vanishing
 
 
 def test_vanishing_is_monotone_under_ring_homs(corpus_models):

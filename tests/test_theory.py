@@ -26,15 +26,19 @@ from contextuality import (
     is_avn,
     is_avn_at,
     liar_cycle_model,
+    linear_decomposition,
     model_of_theory,
     outcome_embedding,
     satisfies,
     solutions,
-    solve_linear_system,
     theory_of_model,
     theory_of_sections,
 )
 
+import contextuality.theory as theory_module
+from contextuality.theory import equations_on_cover
+
+from _random_models import random_models
 from conftest import ALL4, ANTI, BIPARTITE, CORR, bipartite_model, hardy_model, pr_box
 
 
@@ -87,6 +91,18 @@ def test_theory_dedupes_and_checks_ring():
     assert len(Theory(RingSpec(2), (eq, eq))) == 1
     with pytest.raises(RingError):
         Theory(RingSpec(3), (eq,))
+
+
+def test_equations_land_on_the_contexts_containing_them():
+    ring = RingSpec(2)
+    landed = equations_on_cover(ring, BIPARTITE, {"a1": 1}, 1)
+    assert [eq.context for eq in landed] == [("a1", "b1"), ("a1", "b2")]
+    assert [eq.coefficients for eq in landed] == [(1, 0), (1, 0)]
+    # zero coefficients constrain nothing: the equation lands everywhere
+    everywhere = equations_on_cover(ring, BIPARTITE, {"a1": 2}, 1)
+    assert [eq.context for eq in everywhere] == list(BIPARTITE.contexts)
+    assert equations_on_cover(ring, BIPARTITE, {"a1": 1, "a2": 1}, 0) == ()
+    assert equations_on_cover(ring, BIPARTITE, {"zz": 1}, 0) == ()
 
 
 def test_outcome_embedding_requires_injectivity():
@@ -288,12 +304,18 @@ def test_affine_closure_alphabet_is_the_residues_that_occur():
 # AvN verdicts and certificates
 
 
+def _solve(system):
+    """A solution of a LinearSystem, or None, from the one public solver."""
+    matrix = system.matrix
+    return linear_decomposition(matrix.ring, matrix.rows(), matrix.ncols).solve(list(system.rhs))
+
+
 def test_pr_box_avn_with_unsolvable_certificate():
     report = is_avn(pr_box(), RingSpec(2))
     assert report.avn
     assert report.solution is None
     assert report.reduced_system is not None
-    assert not solve_linear_system(report.reduced_system).solvable
+    assert _solve(report.reduced_system) is None
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -333,7 +355,7 @@ def test_avn_fixed_section_tightens_the_system():
     report = is_avn_at(model, s0, ring)
     assert report.avn
     assert report.fixed == s0
-    assert not solve_linear_system(report.reduced_system).solvable
+    assert _solve(report.reduced_system) is None
     s1 = BIPARTITE.section(("a2", "b2"), (0, 0))
     assert not is_avn_at(model, s1, ring).avn
 
@@ -343,6 +365,81 @@ def test_avn_at_requires_supported_section():
 
     with pytest.raises(SectionNotSupportedError):
         is_avn_at(pr_box(), BIPARTITE.section(("a1", "b1"), (0, 1)), RingSpec(2))
+
+
+def _check_avn_report(model, ring, report, s0=None):
+    """The report against the dense system [A | b] built here from its
+    theory (and s0's fixing rows), solved by `linear_decomposition`."""
+    measurements = model.scenario.measurements
+    embedding = outcome_embedding(ring, model.scenario.outcomes)
+    rows, rhs = [], []
+    for eq in report.theory.equations:
+        rows.append([eq.coefficient(m) for m in measurements])
+        rhs.append(eq.constant)
+    fixed = {} if s0 is None else {m: embedding[o] for m, o in s0.items}
+    for m, value in fixed.items():
+        rows.append([int(m == other) for other in measurements])
+        rhs.append(value)
+    unsolvable = linear_decomposition(ring, rows, len(measurements)).solve(rhs) is None
+    assert report.avn == unsolvable
+    if report.avn:
+        assert report.solution is None
+        system = report.reduced_system
+        last = system.matrix.nrows - 1
+        assert not any(system.matrix.row(last)) and system.rhs[last]
+        return
+    assert report.reduced_system is None
+    g = report.solution
+    assert g.domain == frozenset(measurements)
+    for eq in report.theory.equations:
+        assert satisfies(g.restrict(eq.context), eq)
+    assert all(g[m] == value for m, value in fixed.items())
+
+
+def test_avn_reports_match_the_dense_system(corpus_models):
+    # every verdict, solution and certificate of is_avn and is_avn_at,
+    # over prime, prime-power and mixed composite moduli
+    models = list(corpus_models.values()) + random_models(30, seed=20240822)
+    tallies = {"avn": 0, "solved": 0, "at-avn": 0, "at-solved": 0}
+    for model in models:
+        for n in (2, 3, 4, 6, 8, 9, 12):
+            ring = RingSpec(n)
+            try:
+                report = is_avn(model, ring)
+            except OutcomeCoercionError:
+                continue
+            _check_avn_report(model, ring, report)
+            tallies["avn" if report.avn else "solved"] += 1
+            for ci in range(len(model.scenario.contexts)):
+                for s0 in model.support(ci):
+                    report = is_avn_at(model, s0, ring)
+                    assert report.fixed == s0
+                    _check_avn_report(model, ring, report, s0)
+                    tallies["at-avn" if report.avn else "at-solved"] += 1
+    assert all(tallies.values()), tallies
+
+
+def test_avn_decides_from_one_echelon_form(monkeypatch):
+    # the theory's per-context kernels aside, a verdict costs one echelon
+    # form of [A | b], whichever way it goes
+    calls = []
+    original = theory_module.echelon
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(theory_module, "echelon", counting)
+    model = bipartite_model(CORR, CORR, CORR, ALL4)
+    for decide in (
+        lambda: is_avn(pr_box(), RingSpec(2)),
+        lambda: is_avn(model, RingSpec(2)),
+        lambda: is_avn_at(model, BIPARTITE.section(("a2", "b2"), (0, 1)), RingSpec(2)),
+        lambda: is_avn_at(model, BIPARTITE.section(("a2", "b2"), (0, 0)), RingSpec(2)),
+    ):
+        calls.clear()
+        decide()
+        assert len(calls) == 1
 
 
 def test_box25_avn_moduli(corpus_models):
