@@ -79,7 +79,6 @@ from .cohomology import (
     Cochain,
     CochainBasis,
     FormalLinearCombination,
-    HomMonotonicityReport,
     ObstructionReport,
     ObstructionSolver,
     SectionObstruction,
@@ -88,7 +87,6 @@ from .cohomology import (
     coboundary_matrix,
     cochain_basis,
     connecting_hom_check,
-    monotone_under_hom,
     obstruction_vanishes,
 )
 from .pauli import (

@@ -1,11 +1,18 @@
 """One-call classification of a documented model.
 
 Gathers every verdict the library can produce (no-signalling, logical and
-strong contextuality, AvN and affine collapse per finite ring, cohomological
-obstructions per ring and over the integers), asserts the implication
-hierarchy between them before reporting, and renders the result as text or
-JSON. A hierarchy violation means the library contradicts itself on this
-input and is reported as a self-check failure, never silently.
+strong contextuality, AvN per finite ring, cohomological obstructions per
+ring and over the integers), asserts the implication hierarchy between them
+before reporting, and renders the result as text or JSON. A hierarchy
+violation means the library contradicts itself on this input and is
+reported as a self-check failure, never silently.
+
+Strong contextuality of the affine closure is reported as the AvN verdict
+itself. Over Z_n the affine span of a context's support is the solution set
+of that context's linear theory (Z_n is a Frobenius ring, so every submodule
+equals its double annihilator), hence the closure has a global section
+exactly when the theory has a global solution. No closure is listed or
+searched here; the tests keep that search as an oracle for the equivalence.
 """
 
 from __future__ import annotations
@@ -16,12 +23,7 @@ from dataclasses import dataclass
 
 from .cohomology import ObstructionReport, classify_cohomological
 from .documents import ModelDocument, document_hash, materialize
-from .errors import (
-    BudgetExceededError,
-    OutcomeCoercionError,
-    SelfCheckError,
-    UnsupportedRingError,
-)
+from .errors import OutcomeCoercionError, SelfCheckError
 from .model import (
     DEFAULT_SEARCH_BUDGET,
     ContextualityReport,
@@ -30,7 +32,7 @@ from .model import (
     classify_contextuality,
 )
 from .rings import INTEGERS, RingSpec
-from .theory import AvnReport, affine_closure_model, is_avn
+from .theory import AvnReport, is_avn
 
 _INTEGER_RING = INTEGERS
 
@@ -43,11 +45,18 @@ class RingAnalysis:
     avn: bool | None
     avn_report: AvnReport | None
     avn_skipped: str | None
-    aff_sc: bool | None
-    aff_skipped: str | None
     obstructions: ObstructionReport
     clc: bool
     csc: bool
+
+    @property
+    def aff_sc(self) -> bool | None:
+        """SC of the affine closure, which over Z_n is AvN itself."""
+        return self.avn
+
+    @property
+    def aff_skipped(self) -> str | None:
+        return self.avn_skipped
 
 
 @dataclass(frozen=True)
@@ -117,19 +126,12 @@ def _check_hierarchy(report: AnalysisReport) -> None:
         ring = entry.ring
         if ring.is_integers:
             continue
-        _implies(violations, entry.avn, entry.aff_sc, f"AvN_{ring} must imply SC of the affine closure")
-        _implies(violations, entry.aff_sc, entry.csc, f"SC of the affine closure must imply CSC_{ring}")
+        _implies(violations, entry.avn, entry.csc, f"AvN_{ring} must imply CSC_{ring}")
         _implies(violations, entry.csc, integral.csc, f"CSC_{ring} must imply CSC_Z")
         _implies(violations, entry.clc, integral.clc, f"CLC_{ring} must imply CLC_Z")
         _implies(violations, entry.csc, entry.clc, f"CSC_{ring} must imply CLC_{ring}")
         _implies(violations, entry.csc, sc, f"CSC_{ring} must imply SC")
         _implies(violations, entry.clc, lc, f"CLC_{ring} must imply LC")
-        if ring.is_field and entry.avn is not None and entry.aff_sc is not None:
-            if entry.avn != entry.aff_sc:
-                violations.append(
-                    f"over the prime ring {ring}, AvN and SC of the affine "
-                    "closure must coincide"
-                )
     if violations:
         raise SelfCheckError(
             "hierarchy violation on this model: " + "; ".join(violations)
@@ -165,30 +167,14 @@ def analyze(
         avn_report = None
         avn = None
         avn_skipped = None
-        aff_sc = None
-        aff_skipped = None
         if ring.is_finite:
             try:
                 avn_report = timed(f"avn {ring}", lambda: is_avn(model, ring))
                 avn = avn_report.avn
             except OutcomeCoercionError as exc:
                 avn_skipped = str(exc)
-            try:
-                aff = timed(
-                    f"affine {ring}", lambda: affine_closure_model(model, ring, budget)
-                )
-                aff_classification = timed(
-                    f"classify affine {ring}",
-                    lambda: classify_contextuality(aff, budget=budget),
-                )
-                aff_sc = aff_classification.strongly_contextual
-                if aff_sc is None:
-                    aff_skipped = "undecided within the search budget"
-            except (OutcomeCoercionError, BudgetExceededError) as exc:
-                aff_skipped = str(exc)
         else:
             avn_skipped = "All-vs-Nothing needs a finite ring"
-            aff_skipped = "affine closure needs a finite ring"
         obstructions = timed(
             f"cohomology {ring}", lambda: classify_cohomological(model, ring)
         )
@@ -198,8 +184,6 @@ def analyze(
                 avn,
                 avn_report,
                 avn_skipped,
-                aff_sc,
-                aff_skipped,
                 obstructions,
                 obstructions.clc,
                 obstructions.csc,

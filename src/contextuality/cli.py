@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="R",
         help="coefficient ring, z or zN; repeatable (default: the document's own)",
     )
-    p.add_argument("--budget", type=int, help="search node and affine closure budget")
+    p.add_argument("--budget", type=int, help="search node budget of the LC/SC search")
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_analyze)
 

@@ -21,7 +21,7 @@ from .errors import (
     SelfCheckError,
 )
 from .model import EmpiricalModel
-from .rings import Echelon, RingHom, RingMatrix, RingSpec, echelon, linear_decomposition
+from .rings import Echelon, RingMatrix, RingSpec, echelon, linear_decomposition
 from .scenario import Section, Simplex, build_nerve, connected_components, projection
 
 # ---------------------------------------------------------------------------
@@ -509,28 +509,3 @@ def connecting_hom_check(
 
     dec = linear_decomposition(ring, rows, width)
     return dec.solve(rhs) is not None
-
-
-# ---------------------------------------------------------------------------
-# functoriality in the coefficient ring
-
-
-@dataclass(frozen=True)
-class HomMonotonicityReport:
-    """Vanishing over the source ring must push to vanishing over the target:
-    a homomorphism maps witnessing families to witnessing families."""
-
-    hom: RingHom
-    holds: bool
-    counterexamples: tuple[SectionObstruction, ...]
-
-
-def monotone_under_hom(model: EmpiricalModel, hom: RingHom) -> HomMonotonicityReport:
-    source = ObstructionSolver(model, hom.source)
-    target = ObstructionSolver(model, hom.target)
-    counterexamples = []
-    for ci, ctx in enumerate(model.scenario.contexts):
-        for s in model.support(ci):
-            if source.vanishes(ctx, s) and not target.vanishes(ctx, s):
-                counterexamples.append(SectionObstruction(ctx, s, False))
-    return HomMonotonicityReport(hom, not counterexamples, tuple(counterexamples))

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
 from typing import Iterable, Mapping
 
 from .errors import (
-    BudgetExceededError,
     DegenerateModelError,
     OutcomeCoercionError,
     RingError,
@@ -24,7 +22,6 @@ from .errors import (
 )
 from .model import EmpiricalModel
 from .rings import (
-    Echelon,
     LinearSystem,
     RingMatrix,
     RingSpec,
@@ -144,6 +141,22 @@ def outcome_embedding(ring: RingSpec, outcomes: Iterable[int]) -> dict[int, int]
     return mapping
 
 
+def _kernel_equations(
+    ring: RingSpec,
+    context: tuple[str, ...],
+    values: Iterable[tuple[int, ...]],
+    embedding: Mapping[int, int],
+) -> tuple[LinearEquation, ...]:
+    """Generators of the kernel of the matrix with one row
+    [v_1..v_k, -1] per outcome tuple v in context order, unknowns
+    (a_1..a_k, b), as equations over the context."""
+    rows = [[embedding[o] for o in v] + [ring.canon(-1)] for v in values]
+    return tuple(
+        LinearEquation(ring, context, tuple(gen[:-1]), gen[-1])
+        for gen in linear_decomposition(ring, rows, len(context) + 1).kernel()
+    )
+
+
 def theory_of_sections(
     ring: RingSpec,
     context: tuple[str, ...],
@@ -157,22 +170,15 @@ def theory_of_sections(
         raise UnsupportedRingError(
             "theories need a finite coefficient ring matching the outcomes"
         )
-    secs = list(sections)
+    values = [s.values_on(context) for s in sections]
     if embedding is None:
-        values = sorted({o for s in secs for o in s.as_dict().values()})
-        embedding = outcome_embedding(ring, values)
-    width = len(context) + 1
-    rows = [
-        [embedding[s[m]] for m in context] + [ring.canon(-1)] for s in secs
-    ]
-    return tuple(
-        LinearEquation(ring, context, tuple(gen[:-1]), gen[-1])
-        for gen in linear_decomposition(ring, rows, width).kernel()
-    )
+        embedding = outcome_embedding(ring, sorted({o for v in values for o in v}))
+    return _kernel_equations(ring, context, values, embedding)
 
 
 def theory_of_model(model: EmpiricalModel, ring: RingSpec) -> Theory:
-    """Per-context kernel generators, one batch per cover context."""
+    """Per-context kernel generators, one batch per cover context, from the
+    stored outcome tuples of each support."""
     if not ring.is_finite:
         raise UnsupportedRingError(
             "theory of a model needs a finite ring; the outcome alphabet "
@@ -180,8 +186,8 @@ def theory_of_model(model: EmpiricalModel, ring: RingSpec) -> Theory:
         )
     embedding = outcome_embedding(ring, model.scenario.outcomes)
     equations: list[LinearEquation] = []
-    for ctx, sup in zip(model.scenario.contexts, model.supports):
-        equations.extend(theory_of_sections(ring, ctx, sup, embedding))
+    for ci, ctx in enumerate(model.scenario.contexts):
+        equations.extend(_kernel_equations(ring, ctx, model.support_values(ci), embedding))
     return Theory(ring, tuple(equations))
 
 
@@ -315,25 +321,23 @@ def is_avn_at(model: EmpiricalModel, s0: Section, ring: RingSpec) -> AvnReport:
 # affine closures
 
 
-def _affine_form(
-    ring: RingSpec, vectors: Iterable[tuple[int, ...]]
-) -> tuple[tuple[int, ...], Echelon] | None:
-    """v0 and the Howell form of the differences v - v0 (None without
-    vectors): the affine span is v0 plus the row module of the form."""
+def affine_span(ring: RingSpec, vectors: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
+    """Closure of a set of R-vectors under affine combinations.
+
+    The affine span of v0, v1, ... is v0 plus the submodule generated by
+    the differences v - v0. Over Z_n the Howell form of the differences
+    lists that submodule directly: every sum of c_i*h_i with
+    0 <= c_i < n/p_i over its rows h_i with pivots p_i, each element once.
+    With `affine_closure_model` this is the reference oracle for
+    SC(Aff_R e) <=> AvN_R(e); the analysis pipeline lists no spans.
+    """
     if not ring.is_finite:
         raise UnsupportedRingError("affine spans over the integers may be infinite")
     vecs = [tuple(ring.canon(x) for x in v) for v in vectors]
     if not vecs:
-        return None
-    v0 = vecs[0]
-    diffs = [sparse([x - y for x, y in zip(v, v0)]) for v in vecs[1:]]
-    return v0, echelon(ring, diffs, len(v0))
-
-
-def _list_span(v0: tuple[int, ...], form: Echelon) -> frozenset[tuple[int, ...]]:
-    """Every sum v0 + c_1*h_1 + ... with 0 <= c_i < n/p_i over the form's
-    rows h_i with pivots p_i, each element once."""
-    n = form.ring.modulus
+        return frozenset()
+    n, v0 = ring.modulus, vecs[0]
+    form = echelon(ring, [sparse([x - y for x, y in zip(v, v0)]) for v in vecs[1:]], len(v0))
     span = [v0]
     for c, row in form.rows.items():
         h = dense(row, len(v0))
@@ -345,21 +349,7 @@ def _list_span(v0: tuple[int, ...], form: Echelon) -> frozenset[tuple[int, ...]]
     return frozenset(span)
 
 
-def affine_span(ring: RingSpec, vectors: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    """Closure of a set of R-vectors under affine combinations.
-
-    The affine span of v0, v1, ... is v0 plus the submodule generated by
-    the differences v - v0. Over Z_n the Howell form of the differences
-    lists that submodule directly: every sum of c_i*h_i with
-    0 <= c_i < n/p_i over its rows h_i with pivots p_i, each element once.
-    """
-    found = _affine_form(ring, vectors)
-    return frozenset() if found is None else _list_span(*found)
-
-
-def affine_closure_model(
-    model: EmpiricalModel, ring: RingSpec, budget: int | None = None
-) -> EmpiricalModel:
+def affine_closure_model(model: EmpiricalModel, ring: RingSpec) -> EmpiricalModel:
     """Per-context affine closure over the ring.
 
     The closed supports take values anywhere in the ring, so the returned
@@ -367,34 +357,32 @@ def affine_closure_model(
     occur in the closed supports as its outcome alphabet; no support admits
     any other value, so a larger alphabet would change no verdict. Closure
     commutes with restriction, which is what keeps the result
-    no-signalling. The Howell forms give the closure's size, the product of
-    n/p_i over their pivots p_i, before anything is listed; when the total
-    over all contexts exceeds the budget the closure is not built and
-    BudgetExceededError is raised.
+    no-signalling.
+
+    This is the reference oracle for SC(Aff_R e) <=> AvN_R(e). Over Z_n the
+    affine span v0 + M of a support is the solution set v0 + Ann(Ann(M))
+    of the context's theory, because Z_n is a finite Frobenius ring and
+    every submodule of Z_n^k is its own double annihilator (Wood, "Duality
+    for modules over finite rings and applications to coding theory",
+    Amer. J. Math. 121, 1999). So the closure is strongly contextual
+    exactly when `is_avn` holds, and `analyze` reports that verdict
+    without listing the closure, whose size is the product of n/p_i over
+    the Howell pivots p_i of each context.
     """
     if not ring.is_finite:
         raise UnsupportedRingError("affine closure over the integers may be infinite")
     embedding = outcome_embedding(ring, model.scenario.outcomes).__getitem__
-    forms = [
-        _affine_form(ring, {tuple(map(embedding, v)) for v in model.support_values(ci)})
+    spans = [
+        sorted(affine_span(ring, {tuple(map(embedding, v)) for v in model.support_values(ci)}))
         for ci in range(len(model.supports))
     ]
-    if budget is not None:
-        n = ring.modulus
-        size = sum(prod(n // h[c] for c, h in form.rows.items()) for _, form in forms)
-        if size > budget:
-            raise BudgetExceededError(
-                f"the affine closure over {ring} has {size} sections, "
-                f"over the budget of {budget}"
-            )
-    spans = [sorted(_list_span(*found)) for found in forms]
     scenario = Scenario(
         model.scenario.measurements,
         model.scenario.contexts,
         tuple(sorted({x for span in spans for v in span for x in v})),
     )
     supports = tuple(
-        tuple(Section.of(zip(ctx, v)) for v in span)
+        tuple(Section(tuple(sorted(zip(ctx, v)))) for v in span)
         for ctx, span in zip(scenario.contexts, spans)
     )
     return EmpiricalModel(scenario, supports)

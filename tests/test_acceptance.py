@@ -46,7 +46,7 @@ from contextuality import (
     triple_scenario,
 )
 
-from _random_models import random_models
+from _random_models import random_contextual_models, random_models
 
 Z2 = RingSpec(2)
 Z3 = RingSpec(3)
@@ -206,7 +206,7 @@ def _assert_hierarchy(model: EmpiricalModel) -> None:
         if avn is not None:
             assert not avn or aff_sc
             assert not aff_sc or report.csc
-            assert avn == aff_sc  # converse holds over prime moduli
+            assert avn == aff_sc  # the converse, here over prime moduli
         assert not report.csc or integral.csc
         assert not report.csc or sc
         assert not report.clc or lc
@@ -224,6 +224,40 @@ def test_criterion_6_hierarchy_property_suite():
     for model in random_models(500, seed=20250819):
         _assert_hierarchy(model)
     _passed(6, "implication hierarchy on corpus and 500 random models")
+
+
+_ORACLE_BUDGET = 5_000
+
+
+def test_criterion_6_affine_closure_sc_is_avn_over_every_zn():
+    # Over Z_n the affine span of a support is the solution set of its
+    # theory (double annihilators in a Frobenius ring), so searching the
+    # listed closure must agree with the linear AvN verdict for every
+    # modulus, composite ones included
+    models = [materialize(corpus(name)) for name in corpus_names()]
+    models += random_models(15, seed=20250819)
+    models += random_contextual_models(15, seed=20250824)
+    agree = undecided = 0
+    for model in models:
+        for n in range(2, 13):
+            ring = RingSpec(n)
+            try:
+                avn = is_avn(model, ring).avn
+            except OutcomeCoercionError:
+                continue
+            closed = affine_closure_model(model, ring)
+            aff_sc = classify_contextuality(closed, _ORACLE_BUDGET).strongly_contextual
+            if aff_sc is None:
+                undecided += 1
+            else:
+                assert aff_sc == avn, (model.scenario.contexts, ring)
+                agree += 1
+    assert agree > 10 * undecided
+    _passed(
+        6,
+        f"SC of the affine closure equals AvN over Z2..Z12 on {agree} pairs "
+        f"({undecided} undecided within {_ORACLE_BUDGET} nodes)",
+    )
 
 
 # criterion 7: independent oracles agree with the production paths

@@ -22,7 +22,7 @@ from contextuality import (
 )
 from contextuality import analysis as analysis_module
 
-from _random_models import random_models
+from _random_models import random_contextual_models, random_models
 from conftest import ALL4, CORR, bell_table, bipartite_model, hardy_model, pr_box
 from contextuality import document_from_table
 
@@ -97,16 +97,35 @@ def test_coercion_failures_skip_avn_but_not_cohomology():
     assert entry.obstructions.verdicts  # cohomology ran anyway
 
 
-def test_affine_closure_over_the_budget_is_skipped(corpus_documents):
-    # pr-box's closure over Z1009 has 1009 sections per context, 4036 in
-    # all: the Howell pivots give that size, and the closure is not listed
+def test_affine_closure_sc_is_decided_by_avn_beyond_the_budget(corpus_documents):
+    # pr-box's closure over Z1009 has 4036 sections, more than the budget;
+    # SC of the closure is the AvN verdict, so no closure is listed. The
+    # parity argument needs characteristic 2, so both are false here
     ring = RingSpec(1009)
     report = analyze(corpus_documents["pr-box"], rings=(ring,), budget=1000)
     entry = report.ring_entry(ring)
-    assert entry.aff_sc is None
-    assert "4036 sections" in entry.aff_skipped and "budget of 1000" in entry.aff_skipped
-    assert entry.avn is not None and entry.obstructions.verdicts  # the rest ran
-    assert "SC of affine closure: skipped" in render_text(report)
+    assert entry.avn is False and entry.aff_sc is False
+    assert entry.aff_skipped is None
+    assert entry.obstructions.verdicts and entry.csc
+    assert "SC of affine closure: no" in render_text(report)
+
+
+@pytest.mark.parametrize("rings", [None, (RingSpec(4),), (RingSpec(6),)], ids=["default", "Z4", "Z6"])
+def test_no_stage_lists_or_searches_an_affine_closure(corpus_documents, rings):
+    for name, doc in corpus_documents.items():
+        report = analyze(doc, rings=rings)
+        stages = [t.stage for t in report.timings]
+        assert not [s for s in stages if "affine" in s], (name, stages)
+        rows = report_json(report)["rings"]
+        assert all(r["aff_sc"] == r["avn"] and r["aff_skipped"] == r["avn_skipped"] for r in rows)
+
+
+@pytest.mark.parametrize("ring", [RingSpec(4), RingSpec(6)], ids=str)
+def test_ks18_affine_closure_is_decided_over_composite_rings(corpus_documents, ring):
+    # the closure search ran out of nodes here; AvN decides it exactly
+    entry = analyze(corpus_documents["ks-18"], rings=(ring,)).ring_entry(ring)
+    assert entry.avn is True and entry.aff_sc is True
+    assert entry.aff_skipped is None
 
 
 def test_render_text_carries_the_verdicts(corpus_documents):
@@ -167,14 +186,6 @@ def test_contradictory_verdicts_raise_a_self_check_error(monkeypatch):
 
 
 def test_hierarchy_self_check_passes_on_random_models():
-    # Z6 affine closures on three-measurement contexts are outside the
-    # unit-test budget, so composite rings only go with small covers
-    for i, model in enumerate(random_models(40, seed=20240820)):
-        widest = max(len(c) for c in model.scenario.contexts)
-        if i % 3 == 0 and widest <= 2:
-            rings = (Z2, RingSpec(6))
-        elif i % 3 == 0:
-            rings = (Z2, RingSpec(4))
-        else:
-            rings = (Z2, Z3)
-        analyze(document_from_model(model), rings=rings)
+    models = random_models(40, seed=20240820) + random_contextual_models(10, 20240824)
+    for model in models:
+        analyze(document_from_model(model), rings=(Z2, Z3, RingSpec(4), RingSpec(6)))

@@ -295,7 +295,7 @@ def test_affine_closure_alphabet_is_the_residues_that_occur():
     model = EmpiricalModel(
         scn, ((scn.section(("a", "b"), (0, 1)),), (scn.section(("b", "c"), (1, 0)),))
     )
-    closed = affine_closure_model(model, RingSpec(1000003), budget=1000)
+    closed = affine_closure_model(model, RingSpec(1000003))
     assert closed.scenario.outcomes == (0, 1)
     assert closed.supports == model.supports
 
