@@ -17,12 +17,11 @@ searched here; the tests keep that search as an oracle for the equivalence.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass
 
 from .cohomology import ObstructionReport, classify_cohomological
-from .documents import ModelDocument, document_hash, materialize
+from .documents import ModelDocument, canonical_json, document_hash, materialize
 from .errors import OutcomeCoercionError, SelfCheckError
 from .model import (
     DEFAULT_SEARCH_BUDGET,
@@ -322,4 +321,4 @@ def report_json(report: AnalysisReport) -> dict:
 
 
 def render_json(report: AnalysisReport) -> str:
-    return json.dumps(report_json(report), indent=2, sort_keys=True) + "\n"
+    return canonical_json(report_json(report)) + "\n"

@@ -9,7 +9,6 @@ implementation contradicts itself on the given model.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -18,6 +17,7 @@ from .analysis import analyze, render_json, render_text
 from .bundle import export_bundle_dot
 from .corpus import corpus, corpus_names, corpus_text
 from .documents import (
+    canonical_json,
     document_from_triple,
     materialize,
     parse_model,
@@ -137,7 +137,7 @@ def _cmd_obstruction(args) -> int:
                 "compatibility_rows": solver.compatibility_rows,
             },
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(canonical_json(payload) + "\n")
         return 0
     word = "vanishes" if vanishes else "does not vanish"
     sys.stdout.write(
@@ -167,7 +167,7 @@ def _cmd_avn(args) -> int:
             "equations": [str(eq) for eq in report.theory.equations],
             "solution": str(report.solution) if report.solution else None,
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(canonical_json(payload) + "\n")
         return 0
     scope = f" fixing {report.fixed}" if report.fixed is not None else ""
     verdict = "yes" if report.avn else "no"
@@ -230,7 +230,7 @@ def _cmd_stabiliser(args) -> int:
             if diagnosis.commuting
             else None,
         }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(canonical_json(payload) + "\n")
         return 0
     verdict = "yes" if diagnosis.avn else "no"
     sys.stdout.write(f"AvN triple: {verdict}\n")
@@ -301,10 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command. Repeated calls in one process share one parser: it
+    holds no per-call state, since `prog` is fixed and the help width is
+    read when help is printed."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

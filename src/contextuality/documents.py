@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import Any, Iterable, Mapping
 
 from .errors import DocumentError
@@ -339,24 +340,76 @@ def _scenario_json(doc: ModelDocument) -> dict:
     }
 
 
-def _section_json(section: Section, context: tuple[str, ...]) -> dict:
-    return {m: section[m] for m in context}
+def _write_json(value: Any, quote, out: list[str], newline: str) -> None:
+    """Append the indented JSON of `value` to `out`; `newline` is the line
+    break plus the indentation of the line `value` starts on."""
+    if isinstance(value, str):
+        out.append(quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write_json(item, quote, out, inner)
+            separator = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + quote(key) + ": ")
+            _write_json(value[key], quote, out, inner)
+            separator = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def canonical_json(value: Any, ensure_ascii: bool = True) -> str:
+    """Exactly `json.dumps(value, indent=2, sort_keys=True,
+    ensure_ascii=ensure_ascii)`, for values built from dicts with string
+    keys, lists, tuples, strings, ints, finite floats, booleans and None;
+    anything else is a TypeError.
+
+    With `indent` set, `json.dumps` runs its pure-Python encoder; this writer
+    makes one pass and quotes strings through `json.encoder`'s C routines.
+    """
+    out: list[str] = []
+    quote = encode_basestring_ascii if ensure_ascii else encode_basestring
+    _write_json(value, quote, out, "\n")
+    return "".join(out)
+
+
+def _section_json(section: Section) -> dict:
+    # the section's domain is its context; the writer sorts the keys
+    return dict(section.items)
 
 
 def _payload_json(doc: ModelDocument) -> Any:
-    scn = doc.scenario
     if doc.payload_kind == "supports":
         return [
-            [_section_json(s, ctx) for s in sup]
-            for ctx, sup in zip(scn.contexts, doc.model.supports)
+            [_section_json(s) for s in sup] for sup in doc.model.supports
         ]
     if doc.payload_kind == "probabilities":
         return [
-            [
-                {"section": _section_json(s, ctx), "p": str(p)}
-                for s, p in row
-            ]
-            for ctx, row in zip(scn.contexts, doc.table.rows)
+            [{"section": _section_json(s), "p": str(p)} for s, p in row]
+            for row in doc.table.rows
         ]
     if doc.payload_kind == "theory":
         return {
@@ -382,7 +435,7 @@ def print_model(doc: ModelDocument) -> str:
             data[field] = value
     data["scenario"] = _scenario_json(doc)
     data[doc.payload_kind] = _payload_json(doc)
-    return json.dumps(data, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    return canonical_json(data, ensure_ascii=False) + "\n"
 
 
 def document_hash(doc: ModelDocument) -> str:

@@ -419,7 +419,12 @@ class _Restrictor:
                 del values[m]
             return True
 
-        dfs(0)
+        try:
+            dfs(0)
+        finally:
+            # dfs reaches itself through its closure cell; clearing the cell
+            # lets reference counting free the search and the model it holds
+            del dfs
         if limit is not None and len(results) >= limit:
             complete = True
         return results, nodes, complete

@@ -62,6 +62,34 @@ def bell_table() -> ProbabilityTable:
     )
 
 
+# colouring scale: the Groetzsch graph, 11 vertices and 20 edges
+GROETZSCH_EDGES = (
+    [(i, (i + 1) % 5) for i in range(5)]  # the 5-cycle
+    + [(i, 5 + j) for j in range(5) for i in ((j + 1) % 5, (j + 4) % 5)]  # shadows
+    + [(5 + j, 10) for j in range(5)]  # apex
+)
+
+
+def groetzsch_colouring(colours):
+    """Proper colourings of the Groetzsch graph: one context per edge,
+    supported on the pairs of distinct colours."""
+    names = tuple(f"v{i}" for i in range(11))
+    contexts = tuple((names[a], names[b]) for a, b in sorted(map(sorted, GROETZSCH_EDGES)))
+    scn = Scenario(names, contexts, tuple(range(colours)))
+    return EmpiricalModel(
+        scn,
+        tuple(
+            tuple(
+                scn.section(ctx, (x, y))
+                for x in range(colours)
+                for y in range(colours)
+                if x != y
+            )
+            for ctx in contexts
+        ),
+    )
+
+
 @pytest.fixture(scope="session")
 def corpus_documents():
     return {name: corpus(name) for name in corpus_names()}

@@ -1,8 +1,10 @@
 """The aggregate analyzer: ring selection, verdict aggregation, the built-in
 hierarchy self-check, and both renderings of the report."""
 
+import gc
 import json
 import types
+import weakref
 
 import pytest
 
@@ -189,3 +191,17 @@ def test_hierarchy_self_check_passes_on_random_models():
     models = random_models(40, seed=20240820) + random_contextual_models(10, 20240824)
     for model in models:
         analyze(document_from_model(model), rings=(Z2, Z3, RingSpec(4), RingSpec(6)))
+
+
+def test_analyze_frees_its_model_without_the_cycle_collector(corpus_documents):
+    # the LC/SC search must leave no reference cycle holding the model (with
+    # its restriction cache and degree-0 complex) once the report is dropped
+    gc.collect()
+    gc.disable()
+    try:
+        report = analyze(corpus_documents["ghz-mermin"])
+        model = weakref.ref(report.model)
+        del report
+        assert model() is None
+    finally:
+        gc.enable()

@@ -81,6 +81,37 @@ def test_usage_errors_exit_one(capsys):
     assert "error:" in err
 
 
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+    build = cli_module.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli_module, "_PARSER", None, raising=False)
+    monkeypatch.setattr(cli_module, "build_parser", counted)
+    for _ in range(3):
+        assert main(["corpus", "list"]) == 0
+    assert len(built) == 1
+    assert capsys.readouterr().out.split() == list(corpus_names()) * 3
+
+
+def test_repeated_calls_share_no_state(pr_path, capsys):
+    assert main(["analyze", pr_path, "--json", "--ring", "z4", "--ring", "z6"]) == 0
+    rings = [entry["ring"] for entry in json.loads(capsys.readouterr().out)["rings"]]
+    assert rings == ["Z4", "Z6", "Z"]
+    assert main(["analyze", pr_path, "--json"]) == 0
+    rings = [entry["ring"] for entry in json.loads(capsys.readouterr().out)["rings"]]
+    assert rings == ["Z2", "Z"]
+
+    assert main(["analyze"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["corpus", "show", "pr-box"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (corpus_text("pr-box"), "")
+
+
 def test_self_check_failure_exits_two(pr_path, capsys, monkeypatch):
     def explode(doc, rings=None, budget=None):
         raise SelfCheckError("hierarchy violation: forced")

@@ -35,7 +35,15 @@ from contextuality.cohomology import cochain_to_vector, vector_to_cochain
 
 import contextuality.cohomology as cohomology_module
 from _random_models import random_contextual_models, random_models
-from conftest import ALL4, BIPARTITE, CORR, bipartite_model, hardy_model, pr_box
+from conftest import (
+    ALL4,
+    BIPARTITE,
+    CORR,
+    bipartite_model,
+    groetzsch_colouring,
+    hardy_model,
+    pr_box,
+)
 
 Z2 = RingSpec(2)
 Z3 = RingSpec(3)
@@ -298,37 +306,6 @@ def test_analyze_builds_one_degree0_complex_per_model(corpus_documents, monkeypa
     report = analyze(corpus_documents["ghz-mermin"], rings=(Z2, Z4, Z6))
     assert [entry.ring for entry in report.rings] == [Z2, Z4, Z6, INTEGERS]
     assert len(calls) == 1
-
-
-# ---------------------------------------------------------------------------
-# colouring scale: the Groetzsch graph, 11 vertices and 20 edges
-
-
-GROETZSCH_EDGES = (
-    [(i, (i + 1) % 5) for i in range(5)]  # the 5-cycle
-    + [(i, 5 + j) for j in range(5) for i in ((j + 1) % 5, (j + 4) % 5)]  # shadows
-    + [(5 + j, 10) for j in range(5)]  # apex
-)
-
-
-def groetzsch_colouring(colours):
-    """Proper colourings of the Groetzsch graph: one context per edge,
-    supported on the pairs of distinct colours."""
-    names = tuple(f"v{i}" for i in range(11))
-    contexts = tuple((names[a], names[b]) for a, b in sorted(map(sorted, GROETZSCH_EDGES)))
-    scn = Scenario(names, contexts, tuple(range(colours)))
-    return EmpiricalModel(
-        scn,
-        tuple(
-            tuple(
-                scn.section(ctx, (x, y))
-                for x in range(colours)
-                for y in range(colours)
-                if x != y
-            )
-            for ctx in contexts
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
