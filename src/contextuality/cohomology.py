@@ -21,7 +21,15 @@ from .errors import (
     SelfCheckError,
 )
 from .model import EmpiricalModel
-from .rings import Echelon, RingMatrix, RingSpec, Row, echelon, linear_decomposition
+from .rings import (
+    INTEGERS,
+    Echelon,
+    RingMatrix,
+    RingSpec,
+    Row,
+    echelon,
+    linear_decomposition,
+)
 from .scenario import Section, Simplex, build_nerve, connected_components, projection
 
 # ---------------------------------------------------------------------------
@@ -273,7 +281,19 @@ class _Degree0Complex:
     basis positions, the sparse rows [delta0^T | I] (row j holds column j
     of delta0 on the keys below that number and a 1 at its own tail key)
     and the context owning each basis position. Built once per model by
-    `_degree0_complex`."""
+    `_degree0_complex`.
+
+    The rows are eliminated once per model, over Z, on first use. That
+    integer form also serves every Z_n when each of its pivots is 1. The
+    elimination is a unimodular transform U, recorded in the tails, with
+    U*delta0^T = [H; 0], and H is in echelon form with pivots 1. Mod n, U
+    stays invertible and the rows of H stay independent, because each has
+    a 1 where the rows after it are zero. So x*delta0^T = 0 mod n forces
+    the coefficients of x*U^-1 on H to vanish, and x is a combination of
+    the kernel rows of U: their reductions mod n generate ker delta0 over
+    Z_n. If some pivot is not 1, each finite ring eliminates the rows
+    itself.
+    """
 
     def __init__(self, model: EmpiricalModel):
         _require_connected(model)
@@ -288,6 +308,55 @@ class _Degree0Complex:
         self.owner = [
             ci for ci in range(len(offsets) - 1) for _ in range(offsets[ci], offsets[ci + 1])
         ]
+
+    def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
+        """Generators of ker delta0 over the ring, indexed by basis position,
+        and whether every pivot of the form is 1. The rows are eliminated
+        from the last basis position to the first, because fill-in was
+        measured lower that way than in cover order: the finished pivot
+        rows hold 551 nonzeros instead of 1,239 on the Groetzsch
+        3-colouring, and 38,166 instead of 249,652 on the Mycielski M6
+        4-colouring."""
+        m = self.compatibility_rows
+        form = echelon(ring, reversed(self.rows), m)
+        kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
+        return kernel, all(h[c] == 1 for c, h in form.rows.items())
+
+    def _split(self, kernel: list[Row]) -> list[dict[int, Row]]:
+        """Per context, the part of each generator g with an entry there, as
+        its local entries plus a 1 at tail key (support size + g)."""
+        offsets = self.basis.offsets
+        parts: list[dict[int, Row]] = [{} for _ in range(len(offsets) - 1)]
+        for g, k in enumerate(kernel):
+            for j, x in k.items():
+                ci = self.owner[j]
+                part = parts[ci].get(g)
+                if part is None:
+                    part = parts[ci][g] = {offsets[ci + 1] - offsets[ci] + g: 1}
+                part[j - offsets[ci]] = x
+        return parts
+
+    @cached_property
+    def _integral(self) -> tuple[list[Row], bool]:
+        return self._eliminate(INTEGERS)
+
+    @property
+    def unit_pivots(self) -> bool:
+        """Whether every pivot of the integer form is 1."""
+        return self._integral[1]
+
+    def kernel(self, ring: RingSpec) -> tuple[list[Row], list[dict[int, Row]]]:
+        """Generators of ker delta0 over the ring and their per-context
+        parts. Over Z, and over Z_n when the integer form has unit pivots,
+        the generators are read off the integer form."""
+        kernel, unit_pivots = self._integral
+        if ring.is_finite:
+            n = ring.modulus
+            if unit_pivots:
+                kernel = [{j: y for j, x in k.items() if (y := x % n)} for k in kernel]
+            else:
+                kernel = self._eliminate(ring)[0]
+        return kernel, self._split(kernel)
 
 
 def _degree0_complex(model: EmpiricalModel) -> _Degree0Complex:
@@ -307,15 +376,16 @@ class ObstructionSolver:
     Vanishing of the class of a section s0 at context C0 is equivalent to the
     existence of a compatible family: a 0-cochain r in K = ker(delta0),
     restricting consistently on overlaps, whose component at C0 is the unit
-    combination at s0. K is computed once per ring, as the tails of the
-    sparse rows [delta0^T | I] whose head echelon reduces to zero; its
-    generators k_g stay sparse. The rows are eliminated from the last basis
-    position to the first, because fill-in was measured lower that way than
-    in cover order: the finished pivot rows hold 551 nonzeros instead of
-    1,239 on the Groetzsch 3-colouring, and 38,166 instead of 249,652 on
-    the Mycielski M6 4-colouring. Their tail keys still index the basis in
-    order. The nerve, the bases and the rows do not depend on the ring and
-    are shared by every solver of the model.
+    combination at s0. K is computed once per model, as the tails of the
+    sparse rows [delta0^T | I] whose head echelon over Z reduces to zero;
+    its generators k_g stay sparse. When every pivot of that integer form
+    is 1, the elimination is a unimodular U with U*delta0^T = [H; 0] and H
+    has pivot 1 in echelon, so mod n U stays invertible, H's rows stay
+    independent, and the kernel rows of U reduced mod n generate K over
+    Z_n: a solver over Z_n then runs no elimination of its own. Otherwise
+    it eliminates the rows over Z_n itself. The nerve, the bases, the rows
+    and the integer form do not depend on the ring and are shared by every
+    solver of the model.
 
     Per context, the rows (pi_C0(k_g) | e_g), with one tail column per
     generator, are brought to echelon form on the C0 columns: the unit
@@ -325,27 +395,15 @@ class ObstructionSolver:
     echelon gets only the generators with an entry at C0. That is exact:
     a generator without one gives the row (0 | e_g), whose head is zero
     from the start, so it goes straight to the echelon's kernel, never
-    becomes a pivot and never reaches the reduction of e_s0.
+    becomes a pivot and never reaches the reduction of e_s0. These
+    per-context echelons stay per ring.
     """
 
     def __init__(self, model: EmpiricalModel, ring: RingSpec):
         self.model = model
         self.ring = ring
-        cx = self._complex = _degree0_complex(model)
-        m = cx.compatibility_rows
-        self._kernel = [
-            {k - m: x for k, x in row.items()}
-            for row in echelon(ring, reversed(cx.rows), m).kernel
-        ]
-        offsets = cx.basis.offsets
-        self._parts: list[dict[int, Row]] = [{} for _ in range(len(offsets) - 1)]
-        for g, k in enumerate(self._kernel):
-            for j, x in k.items():
-                ci = cx.owner[j]
-                part = self._parts[ci].get(g)
-                if part is None:
-                    part = self._parts[ci][g] = {offsets[ci + 1] - offsets[ci] + g: 1}
-                part[j - offsets[ci]] = x
+        self._complex = _degree0_complex(model)
+        self._kernel, self._parts = self._complex.kernel(ring)
         self._decompositions: dict[int, Echelon] = {}
 
     def _context_index(self, context: Iterable[str]) -> int:

@@ -34,7 +34,8 @@ class EmpiricalModel:
 
     Construction with validate=False skips E1/E2 for diagnostic use (for
     example feeding a deliberately signalling table to check_no_signalling);
-    every ingestion path in the library validates.
+    every ingestion path in the library validates, and the model keeps the
+    verdict of that check.
 
     Each support is also stored once as outcome tuples in context order,
     aligned with `supports`; every restriction inside the library is a
@@ -80,6 +81,9 @@ class EmpiricalModel:
         object.__setattr__(self, "_lexicographic", key)
         object.__setattr__(self, "_restriction_cache", {})
         object.__setattr__(self, "_support_sets", tuple(frozenset(s) for s in self.supports))
+        # the E2 verdict of construction, when it ran; `check_no_signalling`
+        # returns it instead of checking again
+        object.__setattr__(self, "_no_signalling", None)
         if validate:
             for ctx, sup in zip(scn.contexts, self.supports):
                 if not sup:
@@ -93,6 +97,7 @@ class EmpiricalModel:
                     contexts=(scn.contexts[i], scn.contexts[j]),
                     section=t,
                 )
+            object.__setattr__(self, "_no_signalling", NoSignallingVerdict(True))
 
     # -- access ---------------------------------------------------------------
 
@@ -191,7 +196,11 @@ class NoSignallingVerdict:
 
 def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
     """Support-level E2 over every context pair; a false verdict carries the
-    first violating pair and overlap section in canonical order."""
+    first violating pair and overlap section in canonical order. A model
+    validated at construction passed this check there and is not checked
+    again."""
+    if model._no_signalling is not None:
+        return model._no_signalling
     w = _signalling_witness(model)
     if w is None:
         return NoSignallingVerdict(True)
@@ -501,8 +510,10 @@ def classify_contextuality(
 
     A section extends iff some global section restricts to it, since
     compatible families glue. Searches run in lexicographic order, so the
-    witnessing global section is the first one; budget exhaustion yields an
-    explicit undecided status, never a silent answer.
+    witnessing global section is the first one; every global section found
+    settles all the sections it restricts to, which then need no search of
+    their own. Budget exhaustion yields an explicit undecided status, never
+    a silent answer.
     """
     scn = model.scenario
     engine = _Restrictor(model, scn.measurements)
@@ -520,11 +531,22 @@ def classify_contextuality(
     else:
         sc = None
 
+    # per context, the outcome tuples of the sections known to extend: the
+    # restrictions of every global section found so far
+    extending: list[set[tuple[int, ...]]] = [set() for _ in scn.contexts]
+
+    def settle(g: Section) -> None:
+        values = g.as_dict()
+        for known, ctx in zip(extending, scn.contexts):
+            known.add(tuple(values[m] for m in ctx))
+
+    if witness is not None:
+        settle(witness)
     verdicts: list[SectionVerdict] = []
     for ci, sup in enumerate(model.supports):
         ctx = scn.contexts[ci]
-        for s in sup:
-            if witness is not None and witness.restrict(ctx) == s:
+        for s, v in zip(sup, model.support_values(ci)):
+            if v in extending[ci]:
                 verdicts.append(SectionVerdict(ci, ctx, s, True))
                 continue
             if sc is True:
@@ -535,6 +557,7 @@ def classify_contextuality(
             remaining -= nodes
             total_nodes += nodes
             if res:
+                settle(res[0])
                 extends: bool | None = True
             elif complete:
                 extends = False

@@ -110,6 +110,13 @@ class RingSpec:
 INTEGERS = RingSpec()
 
 
+def _all_canonical(ring: RingSpec, xs: tuple[int, ...]) -> bool:
+    """Whether every entry is canonical for the ring: the condition of
+    `contains_canonical`, checked through min and max."""
+    n = ring.modulus
+    return n is None or not xs or (min(xs) >= 0 and max(xs) < n)
+
+
 @dataclass(frozen=True)
 class RingHom:
     """A canonical ring homomorphism between supported rings.
@@ -155,7 +162,7 @@ class RingMatrix:
             raise RingError(
                 f"expected {self.nrows * self.ncols} entries, got {len(self.entries)}"
             )
-        if not all(self.ring.contains_canonical(e) for e in self.entries):
+        if not _all_canonical(self.ring, self.entries):
             raise RingError("matrix entries must be canonical for the ring")
 
     @classmethod
@@ -187,7 +194,7 @@ class LinearSystem:
             raise RingError(
                 f"rhs length {len(self.rhs)} does not match {self.matrix.nrows} rows"
             )
-        if not all(self.matrix.ring.contains_canonical(x) for x in self.rhs):
+        if not _all_canonical(self.matrix.ring, self.rhs):
             raise RingError("rhs entries must be canonical for the ring")
 
 
@@ -227,6 +234,26 @@ def _combine(n: int | None, a: int, u: Row, b: int, v: Row) -> Row:
         else:
             w.pop(k, None)
     return w
+
+
+def _subtract(n: int | None, v: Row, q: int, h: Row) -> None:
+    """v -= q*h in place for nonzero q, reduced mod n unless n is None
+    (over Z), without zeros."""
+    get = v.get
+    if n is None:
+        for k, y in h.items():
+            x = get(k, 0) - q * y
+            if x:
+                v[k] = x
+            else:
+                del v[k]  # q*y != 0, so v held k
+        return
+    for k, y in h.items():
+        x = (get(k, 0) - q * y) % n
+        if x:
+            v[k] = x
+        else:
+            v.pop(k, None)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -293,7 +320,7 @@ class Echelon:
             x = w[c]
             if h is None or x % h[c]:
                 return None
-            w = _combine(n, 1, w, -(x // h[c]), h)
+            _subtract(n, w, x // h[c], h)
         return w
 
 
@@ -304,12 +331,17 @@ def echelon(ring: RingSpec, rows: Iterable[Row], head: int) -> Echelon:
     pivot are replaced by an extended-gcd combination, which keeps the
     span. Over Z_n a new pivot row is scaled by a unit so its pivot p
     divides n, and its annihilator (n/p)*row, zero at the pivot, joins the
-    rows still to process: that gives the Howell property.
+    rows still to process: that gives the Howell property. The row being
+    reduced is always a fresh dict that nothing else holds, so a multiple
+    of a pivot row is subtracted from it in place.
     """
     n = ring.modulus
     pivots: dict[int, Row] = {}
     kernel: list[Row] = []
-    todo = [{k: y for k, x in row.items() if (y := ring.canon(x))} for row in rows]
+    if n is None:
+        todo = [{k: x for k, x in row.items() if x} for row in rows]
+    else:
+        todo = [{k: y for k, x in row.items() if (y := x % n)} for row in rows]
     todo.reverse()
     while todo:
         v = todo.pop()
@@ -321,7 +353,7 @@ def echelon(ring: RingSpec, rows: Iterable[Row], head: int) -> Echelon:
             h = pivots.get(c)
             x = v[c]
             if h is not None and x % h[c] == 0:
-                v = _combine(n, 1, v, -(x // h[c]), h)
+                _subtract(n, v, x // h[c], h)
                 continue
             if h is None:
                 h, v = _normalise(n, v, c), None

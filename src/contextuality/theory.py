@@ -141,20 +141,22 @@ def outcome_embedding(ring: RingSpec, outcomes: Iterable[int]) -> dict[int, int]
     return mapping
 
 
-def _kernel_equations(
+def _kernel_generators(
     ring: RingSpec,
-    context: tuple[str, ...],
+    width: int,
     values: Iterable[tuple[int, ...]],
     embedding: Mapping[int, int],
-) -> tuple[LinearEquation, ...]:
-    """Generators of the kernel of the matrix with one row
-    [v_1..v_k, -1] per outcome tuple v in context order, unknowns
-    (a_1..a_k, b), as equations over the context."""
+) -> list[list[int]]:
+    """Generators (a_1..a_width, b) of the kernel of the matrix with one
+    row [v_1..v_width, -1] per outcome tuple v in context order."""
     rows = [[embedding[o] for o in v] + [ring.canon(-1)] for v in values]
-    return tuple(
-        LinearEquation(ring, context, tuple(gen[:-1]), gen[-1])
-        for gen in linear_decomposition(ring, rows, len(context) + 1).kernel()
-    )
+    return linear_decomposition(ring, rows, width + 1).kernel()
+
+
+def _equations(
+    ring: RingSpec, context: tuple[str, ...], generators: Iterable[list[int]]
+) -> tuple[LinearEquation, ...]:
+    return tuple(LinearEquation(ring, context, tuple(gen[:-1]), gen[-1]) for gen in generators)
 
 
 def theory_of_sections(
@@ -173,21 +175,28 @@ def theory_of_sections(
     values = [s.values_on(context) for s in sections]
     if embedding is None:
         embedding = outcome_embedding(ring, sorted({o for v in values for o in v}))
-    return _kernel_equations(ring, context, values, embedding)
+    return _equations(ring, context, _kernel_generators(ring, len(context), values, embedding))
 
 
 def theory_of_model(model: EmpiricalModel, ring: RingSpec) -> Theory:
     """Per-context kernel generators, one batch per cover context, from the
-    stored outcome tuples of each support."""
+    stored outcome tuples of each support. Contexts with equal supports
+    (the same outcome tuples) share one kernel, and each labels its
+    equations with its own measurements."""
     if not ring.is_finite:
         raise UnsupportedRingError(
             "theory of a model needs a finite ring; the outcome alphabet "
             "must embed into it"
         )
     embedding = outcome_embedding(ring, model.scenario.outcomes)
+    kernels: dict[tuple, list[list[int]]] = {}
     equations: list[LinearEquation] = []
     for ci, ctx in enumerate(model.scenario.contexts):
-        equations.extend(_kernel_equations(ring, ctx, model.support_values(ci), embedding))
+        key = (len(ctx), model.support_values(ci))
+        generators = kernels.get(key)
+        if generators is None:
+            generators = kernels[key] = _kernel_generators(ring, *key, embedding)
+        equations.extend(_equations(ring, ctx, generators))
     return Theory(ring, tuple(equations))
 
 

@@ -21,6 +21,7 @@ from contextuality import (
     Section,
     SectionNotSupportedError,
     SectionObstruction,
+    Cochain,
     analyze,
     build_nerve,
     classify_cohomological,
@@ -30,8 +31,15 @@ from contextuality import (
     cochain_basis,
     connecting_hom_check,
     liar_cycle_model,
+    linear_decomposition,
+    parse_model,
+    print_model,
 )
-from contextuality.cohomology import cochain_to_vector, vector_to_cochain
+from contextuality.cohomology import (
+    coboundary_entries,
+    cochain_to_vector,
+    vector_to_cochain,
+)
 
 import contextuality.cohomology as cohomology_module
 from _random_models import random_contextual_models, random_models
@@ -306,6 +314,108 @@ def test_analyze_builds_one_degree0_complex_per_model(corpus_documents, monkeypa
     report = analyze(corpus_documents["ghz-mermin"], rings=(Z2, Z4, Z6))
     assert [entry.ring for entry in report.rings] == [Z2, Z4, Z6, INTEGERS]
     assert len(calls) == 1
+
+
+def per_ring_reference(model, ring):
+    """The verdicts of every section, from an elimination over the ring
+    itself: s0 at C0 vanishes exactly when some x has delta0*x = 0 and
+    restricts to the unit vector at s0 on C0's basis positions."""
+    basis = cochain_basis(model, 0)
+    delta = coboundary_matrix(model, 0, ring).rows()
+    width = len(basis)
+    verdicts = []
+    for ci, ctx in enumerate(model.scenario.contexts):
+        positions = range(basis.offsets[ci], basis.offsets[ci + 1])
+        pick = [[int(j == k) for j in range(width)] for k in positions]
+        solver = linear_decomposition(ring, delta + pick, width)
+        for k, s in enumerate(model.support(ci)):
+            rhs = [0] * len(delta) + [int(i == k) for i in range(len(positions))]
+            verdicts.append(SectionObstruction(ctx, s, solver.solve(rhs) is not None))
+    return tuple(verdicts), width, len(delta)
+
+
+def check_family_by_coboundary(model, ring, entries, ci, s0, family):
+    """delta0 of the family is zero, and its component at C0 is the unit
+    combination at s0."""
+    basis = cochain_basis(model, 0)
+    vec = cochain_to_vector(basis, Cochain(ring, 0, family))
+    image = {}
+    for row, col, sign in entries:
+        image[row] = image.get(row, 0) + sign * vec[col]
+    assert all(ring.canon(x) == 0 for x in image.values())
+    assert family[ci].weights == ((s0, 1),)
+
+
+def test_shared_integer_kernel_matches_per_ring_elimination(corpus_models):
+    models = list(corpus_models.values()) + [groetzsch_colouring(3)]
+    models += random_models(25, seed=20240818) + random_contextual_models(20, seed=20240824)
+    rings = tuple(RingSpec(n) for n in (2, 3, 4, 6, 8, 9, 12)) + (INTEGERS,)
+    non_vanishing = dict.fromkeys(rings, 0)
+    for model in models:
+        basis = cochain_basis(model, 0)
+        entries = list(coboundary_entries(basis, cochain_basis(model, 1)))
+        for ring in rings:
+            report = classify_cohomological(model, ring)
+            expected = per_ring_reference(model, ring)
+            assert (report.verdicts, report.unknowns, report.compatibility_rows) == expected
+            solver = ObstructionSolver(model, ring)
+            for v in report.verdicts:
+                family = solver.family(v.context, v.section)
+                assert (family is not None) == v.vanishes
+                if family is not None:
+                    ci = model.scenario.context_index(v.context)
+                    check_family_by_coboundary(model, ring, entries, ci, v.section, family)
+            non_vanishing[ring] += len(report.non_vanishing())
+    assert all(non_vanishing.values()), non_vanishing
+
+
+def test_finite_rings_fall_back_to_their_own_elimination(corpus_models, monkeypatch):
+    # an integer form with a pivot other than 1 cannot serve Z_n; forcing
+    # that report makes each finite ring eliminate [delta0^T | I] itself
+    eliminated = []
+    eliminate = cohomology_module._Degree0Complex._eliminate
+
+    def counted(self, ring):
+        eliminated.append(ring)
+        return eliminate(self, ring)
+
+    monkeypatch.setattr(cohomology_module._Degree0Complex, "_eliminate", counted)
+    rings = (Z2, Z3, Z4, Z6, RingSpec(12), INTEGERS)
+    models = [pr_box(), hardy_model(), corpus_models["ghz-mermin"], groetzsch_colouring(3)]
+    models += random_contextual_models(10, seed=20240824)
+    for model in models:
+        shared = [classify_cohomological(model, ring) for ring in rings]
+        forced = EmpiricalModel(model.scenario, model.supports)
+        complex_ = cohomology_module._degree0_complex(forced)
+        kernel, unit_pivots = complex_._integral
+        assert unit_pivots
+        complex_.__dict__["_integral"] = (kernel, False)
+        assert not complex_.unit_pivots
+        eliminated.clear()
+        assert [classify_cohomological(forced, ring) for ring in rings] == shared
+        assert eliminated == [ring for ring in rings if ring.is_finite]
+
+
+def test_analyze_eliminates_the_degree0_rows_once(corpus_documents, monkeypatch):
+    # Z2, Z4, Z6 and Z all read the one integer elimination of
+    # [delta0^T | I]; documents are re-parsed so that no model arrives with
+    # its complex already built
+    calls = []
+    original = cohomology_module.echelon
+
+    def recording(ring, rows, head):
+        rows = list(rows)
+        calls.append((ring, head, len(rows)))
+        return original(ring, rows, head)
+
+    monkeypatch.setattr(cohomology_module, "echelon", recording)
+    for name, doc in corpus_documents.items():
+        doc = parse_model(print_model(doc))
+        calls.clear()
+        report = analyze(doc, rings=(Z2, Z4, Z6))
+        obs = report.ring_entry(INTEGERS).obstructions
+        shape = (obs.compatibility_rows, obs.unknowns)
+        assert [call for call in calls if call[1:] == shape] == [(INTEGERS, *shape)], name
 
 
 # ---------------------------------------------------------------------------

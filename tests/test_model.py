@@ -19,11 +19,16 @@ from contextuality import (
     Section,
     SectionNotSupportedError,
     SignallingError,
+    analyze,
     check_no_signalling,
     classify_contextuality,
     model_restriction,
+    parse_model,
+    print_model,
     support_of_probability_table,
 )
+import contextuality.model as model_module
+from contextuality.model import _Restrictor
 
 from conftest import (
     ALL4,
@@ -35,7 +40,7 @@ from conftest import (
     hardy_model,
     pr_box,
 )
-from _random_models import random_models, random_scenario
+from _random_models import random_contextual_models, random_models, random_scenario
 
 
 def all_global_sections(model):
@@ -107,6 +112,45 @@ def test_check_no_signalling_witness_location():
 
 def test_pr_box_no_signalling():
     assert check_no_signalling(pr_box()).holds
+
+
+def counting_signalling_witness(monkeypatch):
+    calls = []
+    witness = model_module._signalling_witness
+
+    def counted(model):
+        calls.append(model)
+        return witness(model)
+
+    monkeypatch.setattr(model_module, "_signalling_witness", counted)
+    return calls
+
+
+def test_analyze_checks_no_signalling_once(corpus_documents, monkeypatch):
+    # the model is validated where the document is parsed (supports) or
+    # materialised (the other payloads); the no-signalling stage returns
+    # that verdict instead of checking again
+    texts = {name: print_model(doc) for name, doc in corpus_documents.items()}
+    calls = counting_signalling_witness(monkeypatch)
+    for name, text in texts.items():
+        calls.clear()
+        report = analyze(parse_model(text))
+        assert report.no_signalling is True
+        assert len(calls) == 1, name
+
+
+def test_unvalidated_models_are_still_checked(monkeypatch):
+    calls = counting_signalling_witness(monkeypatch)
+    tables = signalling_tables(10, seed=20240821)
+    for table in tables:
+        expected = reference_signalling_witnesses(table)[0]
+        w = check_no_signalling(table).witness
+        assert (w.context_a, w.context_b, w.section, w.present_in) == expected
+    assert calls == tables
+    unchecked = EmpiricalModel(pr_box().scenario, pr_box().supports, validate=False)
+    calls.clear()
+    assert check_no_signalling(unchecked).holds
+    assert calls == [unchecked]
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +430,45 @@ def test_classification_matches_oracle_on_random_models():
         for v in report.verdicts:
             expected = any(g.restrict(v.context) == v.section for g in globals_)
             assert v.extends == expected, (model.scenario, str(v.section))
+
+
+def test_every_global_section_found_settles_its_sections(corpus_models):
+    # the reference searches for every section on its own; the global
+    # sections found along the way may only spare searches, never change a
+    # verdict
+    models = list(corpus_models.values())
+    models += random_models(60, seed=20240817) + random_contextual_models(20, seed=20240824)
+    for model in models:
+        report = classify_contextuality(model)
+        engine = _Restrictor(model, model.scenario.measurements)
+        first = engine.search(None, 1, model_module.DEFAULT_SEARCH_BUDGET)[0]
+        assert report.global_section == (first[0] if first else None)
+        assert report.strongly_contextual == (not first)
+        expected = [
+            bool(engine.search(v.section, 1, model_module.DEFAULT_SEARCH_BUDGET)[0])
+            for v in report.verdicts
+        ]
+        assert [v.extends for v in report.verdicts] == expected
+        assert report.logically_contextual == (not all(expected))
+
+
+def test_settled_sections_spare_their_searches(corpus_models, monkeypatch):
+    # bell and hardy took 10 and 9 per-section searches when only the first
+    # global section settled sections
+    fixed = []
+    search = _Restrictor.search
+
+    def counted(self, section, limit, budget):
+        fixed.append(section)
+        return search(self, section, limit, budget)
+
+    monkeypatch.setattr(_Restrictor, "search", counted)
+    for name, searches, nodes in (("bell", 6, 32), ("hardy", 5, 37)):
+        fixed.clear()
+        report = classify_contextuality(corpus_models[name])
+        assert fixed[0] is None
+        assert len(fixed) - 1 == searches
+        assert report.nodes_used == nodes
 
 
 def test_section_extension_oracle_on_corpus(corpus_models):

@@ -20,7 +20,7 @@ from contextuality import (
     UnsupportedRingError,
     linear_decomposition,
 )
-from contextuality.rings import dense, echelon, sparse
+from contextuality.rings import _combine, _subtract, dense, echelon, sparse
 
 
 def mat_vec(ring, a, x):
@@ -265,6 +265,28 @@ def test_echelon_stores_only_nonzero_canonical_entries(modulus, seed):
         assert all(x != 0 and ring.contains_canonical(x) for x in row.values())
 
 
+@given(
+    modulus=st.sampled_from([None, 2, 3, 4, 6, 8, 9, 12]),
+    seed=st.integers(0, 5_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_subtract_in_place_matches_combine(modulus, seed):
+    # the in-place row update leaves the same entries, in the same key
+    # order, as the copying combination it replaced in `echelon`
+    rng = random.Random(seed)
+    ring = RingSpec(modulus)
+
+    def row():
+        keys = rng.sample(range(8), rng.randint(0, 8))
+        return {j: x for j in keys if (x := ring.canon(rng.randint(-12, 12)))}
+
+    v, h = row(), row()
+    q = rng.choice([x for x in range(-5, 6) if ring.canon(x)])
+    expected = _combine(modulus, 1, v, -q, h)
+    _subtract(modulus, v, q, h)
+    assert list(v.items()) == list(expected.items())
+
+
 # ---------------------------------------------------------------------------
 # solving: brute-force oracle over finite rings
 
@@ -395,3 +417,13 @@ def test_ring_matrix_validation():
         RingMatrix(INTEGERS, 2, 2, (1, 2, 3))  # wrong entry count
     with pytest.raises(RingError):
         LinearSystem(RingMatrix.from_rows(RingSpec(2), [[1, 0]]), (1, 0))
+    with pytest.raises(RingError, match="matrix entries must be canonical for the ring"):
+        RingMatrix(RingSpec(4), 1, 2, (-1, 0))
+    with pytest.raises(RingError, match="rhs entries must be canonical for the ring"):
+        LinearSystem(RingMatrix.from_rows(RingSpec(4), [[1]]), (4,))
+    with pytest.raises(RingError, match="rhs entries must be canonical for the ring"):
+        LinearSystem(RingMatrix.from_rows(RingSpec(4), [[1]]), (-1,))
+    # every integer is canonical over Z; empty matrices and systems pass
+    RingMatrix(INTEGERS, 1, 3, (-7, 0, 12))
+    LinearSystem(RingMatrix(RingSpec(3), 0, 2, ()), ())
+    assert RingMatrix(RingSpec(3), 1, 3, (0, 1, 2)).entries == (0, 1, 2)

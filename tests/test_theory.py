@@ -38,8 +38,17 @@ from contextuality import (
 import contextuality.theory as theory_module
 from contextuality.theory import equations_on_cover
 
-from _random_models import random_models
-from conftest import ALL4, ANTI, BIPARTITE, CORR, bipartite_model, hardy_model, pr_box
+from _random_models import random_contextual_models, random_models
+from conftest import (
+    ALL4,
+    ANTI,
+    BIPARTITE,
+    CORR,
+    bipartite_model,
+    groetzsch_colouring,
+    hardy_model,
+    pr_box,
+)
 
 
 def brute_affine_span(n, vectors):
@@ -152,6 +161,49 @@ def test_generators_hold_on_their_sections():
 def test_theory_of_model_requires_finite_ring():
     with pytest.raises(UnsupportedRingError):
         theory_of_model(pr_box(), INTEGERS)
+
+
+def test_theory_of_model_shares_kernels_between_equal_supports(corpus_models, monkeypatch):
+    # the reference computes one kernel per context; the equations, their
+    # order included, must not change
+    kernels = []
+    decomposition = theory_module.linear_decomposition
+
+    def counted(ring, rows, ncols=None):
+        kernels.append(ncols)
+        return decomposition(ring, rows, ncols)
+
+    models = list(corpus_models.values()) + [liar_cycle_model(48)]
+    models += random_models(40, seed=20240825) + random_contextual_models(20, seed=20240826)
+    checked = 0
+    for model in models:
+        scn = model.scenario
+        for n in range(2, 13):
+            ring = RingSpec(n)
+            try:
+                embedding = outcome_embedding(ring, scn.outcomes)
+            except OutcomeCoercionError:
+                continue
+            expected = tuple(
+                eq
+                for ci, ctx in enumerate(scn.contexts)
+                for eq in theory_of_sections(ring, ctx, model.support(ci), embedding)
+            )
+            monkeypatch.setattr(theory_module, "linear_decomposition", counted)
+            kernels.clear()
+            theory = theory_of_model(model, ring)
+            monkeypatch.setattr(theory_module, "linear_decomposition", decomposition)
+            assert theory.equations == Theory(ring, expected).equations
+            distinct = {model.support_values(ci) for ci in range(len(scn.contexts))}
+            assert len(kernels) == len(distinct)
+            checked += 1
+    assert checked > 300
+    # 48 contexts with 2 distinct supports, 20 with 1
+    assert len({liar_cycle_model(48).support_values(ci) for ci in range(48)}) == 2
+    kernels.clear()
+    monkeypatch.setattr(theory_module, "linear_decomposition", counted)
+    theory_of_model(groetzsch_colouring(3), RingSpec(3))
+    assert len(kernels) == 1
 
 
 def test_solutions_and_model_of_theory_round_trip():
