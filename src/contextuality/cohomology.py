@@ -164,6 +164,11 @@ def simplex_sections(model: EmpiricalModel, sigma: Simplex) -> tuple[Section, ..
 
 
 def cochain_basis(model: EmpiricalModel, q: int, nerve=None) -> CochainBasis:
+    """The canonical q-cochain basis, built from the nerve and the model's
+    restrictions. This is the reference construction in every degree: the
+    obstruction solvers build their degree-0 basis and the rows of delta0
+    straight from the supports (`_Degree0Complex`), and are checked against
+    it."""
     if nerve is None:
         nerve = build_nerve(model.scenario, q)
     simplices = nerve[q] if q < len(nerve) else ()
@@ -228,7 +233,12 @@ def coboundary_entries(
     `lower` to the (q+1)-basis `upper`. Each position comes once: a row's
     simplex and a column's simplex fix the deleted vertex, and the column's
     section fixes the row's section by restriction, a projection of its
-    outcome tuple."""
+    outcome tuple.
+
+    This is the reference construction of the coboundary, used by
+    `coboundary_matrix` and the connecting-homomorphism check; the
+    obstruction solvers build the same rows of delta0, in the same order,
+    in one pass over the cover's overlaps (`_Degree0Complex`)."""
     face_index = {sigma.contexts: i for i, sigma in enumerate(lower.simplices)}
     for ti, tau in enumerate(upper.simplices):
         start = upper.offsets[ti]
@@ -277,11 +287,19 @@ def _require_connected(model: EmpiricalModel) -> None:
 
 class _Degree0Complex:
     """The ring-independent part of a model's obstruction systems: the
-    nerve up to dimension 1, the 0-cochain basis, the number of 1-cochain
-    basis positions, the sparse rows [delta0^T | I] (row j holds column j
-    of delta0 on the keys below that number and a 1 at its own tail key)
-    and the context owning each basis position. Built once per model by
-    `_degree0_complex`.
+    0-cochain basis, the number of 1-cochain basis positions, the sparse
+    rows [delta0^T | I] (row j holds column j of delta0 on the keys below
+    that number and a 1 at its own tail key) and the context owning each
+    basis position. Built once per model by `_degree0_complex`.
+
+    The rows are built in one pass over the overlapping pairs (i, j) of the
+    cover, from the stored outcome tuples: the 0-basis is the supports
+    themselves, and each pair projects both supports onto its overlap,
+    numbers the image in lexicographic order after the rows of the pairs
+    before it, and gives context i's positions -1 and context j's +1 in the
+    row of their projection. That is the numbering, the signs and the key
+    order of `coboundary_entries` on the reference bases of `cochain_basis`,
+    without building their sections; the nerve is built only when read.
 
     The rows are eliminated once per model, over Z, on first use. That
     integer form also serves every Z_n when each of its pivots is 1. The
@@ -297,17 +315,46 @@ class _Degree0Complex:
 
     def __init__(self, model: EmpiricalModel):
         _require_connected(model)
-        self.nerve = build_nerve(model.scenario, 1)
-        self.basis = cochain_basis(model, 0, self.nerve)
-        upper = cochain_basis(model, 1, self.nerve)
-        m = self.compatibility_rows = len(upper)
-        self.rows = [{m + j: 1} for j in range(len(self.basis))]
-        for i, j, sign in coboundary_entries(self.basis, upper):
-            self.rows[j][i] = sign
-        offsets = self.basis.offsets
-        self.owner = [
-            ci for ci in range(len(offsets) - 1) for _ in range(offsets[ci], offsets[ci + 1])
-        ]
+        scenario = self._scenario = model.scenario
+        values = tuple(map(model.support_values, range(len(scenario.contexts))))
+        offsets = [0]
+        for vs in values:
+            offsets.append(offsets[-1] + len(vs))
+        self.basis = CochainBasis(
+            0,
+            tuple(Simplex((ci,), ctx) for ci, ctx in enumerate(scenario.contexts)),
+            model.supports,
+            values,
+            tuple(offsets),
+        )
+        # outcome tuples already sort lexicographically when the alphabet is
+        # declared in increasing order
+        outcomes = scenario.outcomes
+        key = None if outcomes == tuple(sorted(outcomes)) else model._lexicographic
+        # per overlapping pair, the row of each position of context i, then
+        # of context j; rows are numbered in nerve order
+        incidences = []
+        m = 0
+        for i, j, overlap in scenario.overlaps():
+            ci, cj = scenario.contexts[i], scenario.contexts[j]
+            left = list(map(projection([ci.index(x) for x in overlap]), values[i]))
+            right = list(map(projection([cj.index(x) for x in overlap]), values[j]))
+            image = sorted(set(left), key=key)
+            number = {v: m + k for k, v in enumerate(image)}
+            incidences.append((i, j, [number[v] for v in left], [number[v] for v in right]))
+            m += len(image)
+        self.compatibility_rows = m
+        rows = self.rows = [{m + k: 1} for k in range(offsets[-1])]
+        for i, j, left, right in incidences:
+            for row, r in zip(rows[offsets[i] : offsets[i + 1]], left):
+                row[r] = -1
+            for row, r in zip(rows[offsets[j] : offsets[j + 1]], right):
+                row[r] = 1
+        self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
+
+    @cached_property
+    def nerve(self) -> tuple[tuple[Simplex, ...], ...]:
+        return build_nerve(self._scenario, 1)
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,
@@ -383,9 +430,11 @@ class ObstructionSolver:
     has pivot 1 in echelon, so mod n U stays invertible, H's rows stay
     independent, and the kernel rows of U reduced mod n generate K over
     Z_n: a solver over Z_n then runs no elimination of its own. Otherwise
-    it eliminates the rows over Z_n itself. The nerve, the bases, the rows
-    and the integer form do not depend on the ring and are shared by every
-    solver of the model.
+    it eliminates the rows over Z_n itself. The 0-basis, the rows and the
+    integer form do not depend on the ring and are shared by every solver
+    of the model. The rows of delta0 come straight from the supports' outcome
+    tuples, one overlapping pair of contexts at a time, without a 1-cochain
+    basis or the nerve; the nerve is built only when `nerve` is read.
 
     Per context, the rows (pi_C0(k_g) | e_g), with one tail column per
     generator, are brought to echelon form on the C0 columns: the unit

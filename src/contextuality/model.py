@@ -370,9 +370,13 @@ class _Restrictor:
         checks: dict[str, list[tuple[tuple[str, ...], set[tuple[int, ...]]]]] = {
             m: [] for m in domain
         }
+        # the domain and every context are in declared order, so scanning
+        # the context keeps the overlap in the domain's order
         for ci, ctx in enumerate(model.scenario.contexts):
+            overlap = tuple(m for m in ctx if m in checks)
+            if not overlap:
+                continue
             where = {m: k for k, m in enumerate(ctx)}
-            overlap = tuple(m for m in domain if m in where)
             for t in range(1, len(overlap) + 1):
                 prefix = overlap[:t]
                 project = projection([where[m] for m in prefix])

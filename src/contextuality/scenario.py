@@ -90,8 +90,9 @@ class Scenario:
     outcomes: the shared alphabet O, declared order, integers.
 
     Construction also indexes the cover once: each measurement's position
-    in the declared order, the contexts containing each measurement, and
-    for each context the other contexts it overlaps.
+    in the declared order, the contexts containing each measurement, for
+    each context the other contexts it overlaps, and the overlapping pairs
+    with their overlaps.
     """
 
     measurements: tuple[str, ...]
@@ -136,6 +137,7 @@ class Scenario:
         # each context's neighbours in cover order finds the first violation
         sets = [set(c) for c in self.contexts]
         neighbours = []
+        overlaps = []
         for i, ctx in enumerate(self.contexts):
             near = sorted({j for m in ctx for j in containing[m]} - {i})
             for j in near:
@@ -145,10 +147,13 @@ class Scenario:
                         f"cover is not an antichain: context {self.contexts[i]} "
                         f"{kind} context {self.contexts[j]}"
                     )
+                if j > i:
+                    overlaps.append((i, j, tuple(m for m in ctx if m in sets[j])))
             neighbours.append(tuple(near))
         object.__setattr__(self, "_position", order)
         object.__setattr__(self, "_containing", {m: tuple(c) for m, c in containing.items()})
         object.__setattr__(self, "_neighbours", tuple(neighbours))
+        object.__setattr__(self, "_overlaps", tuple(overlaps))
         object.__setattr__(
             self, "_context_index", {c: i for i, c in enumerate(self.contexts)}
         )
@@ -186,12 +191,9 @@ class Scenario:
 
     def overlaps(self) -> Iterator[tuple[int, int, tuple[str, ...]]]:
         """The pairs (i, j), i < j, of contexts that share a measurement, in
-        lexicographic order, each with its overlap in declared order."""
-        for i, ctx in enumerate(self.contexts):
-            for j in self._neighbours[i]:
-                if j > i:
-                    other = set(self.contexts[j])
-                    yield i, j, tuple(m for m in ctx if m in other)
+        lexicographic order, each with its overlap in declared order. The
+        list is computed once, at construction."""
+        yield from self._overlaps
 
     def section(self, context: Iterable[str], values: Iterable[int]) -> Section:
         ms = self.sorted_measurements(context)

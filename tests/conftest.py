@@ -62,19 +62,18 @@ def bell_table() -> ProbabilityTable:
     )
 
 
-# colouring scale: the Groetzsch graph, 11 vertices and 20 edges
-GROETZSCH_EDGES = (
-    [(i, (i + 1) % 5) for i in range(5)]  # the 5-cycle
-    + [(i, 5 + j) for j in range(5) for i in ((j + 1) % 5, (j + 4) % 5)]  # shadows
-    + [(5 + j, 10) for j in range(5)]  # apex
-)
-
-
-def groetzsch_colouring(colours):
-    """Proper colourings of the Groetzsch graph: one context per edge,
-    supported on the pairs of distinct colours."""
-    names = tuple(f"v{i}" for i in range(11))
-    contexts = tuple((names[a], names[b]) for a, b in sorted(map(sorted, GROETZSCH_EDGES)))
+# colouring scale
+def mycielski_colouring(order, colours):
+    """Proper colourings of the Mycielski graph M_order (M3 = C5, M4 =
+    Groetzsch), triangle-free with chromatic number `order`: one context per
+    edge, supported on the pairs of distinct colours."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(order - 2):
+        shadow = [(a, n + b) for a, b in edges] + [(b, n + a) for a, b in edges]
+        apex = [(n + i, 2 * n) for i in range(n)]
+        n, edges = 2 * n + 1, edges + shadow + apex
+    names = tuple(f"v{i}" for i in range(n))
+    contexts = tuple((names[a], names[b]) for a, b in sorted(map(sorted, edges)))
     scn = Scenario(names, contexts, tuple(range(colours)))
     return EmpiricalModel(
         scn,
@@ -88,6 +87,11 @@ def groetzsch_colouring(colours):
             for ctx in contexts
         ),
     )
+
+
+def groetzsch_colouring(colours):
+    """Proper colourings of the Groetzsch graph M4: 11 vertices, 20 edges."""
+    return mycielski_colouring(4, colours)
 
 
 @pytest.fixture(scope="session")

@@ -50,6 +50,7 @@ from conftest import (
     bipartite_model,
     groetzsch_colouring,
     hardy_model,
+    mycielski_colouring,
     pr_box,
 )
 
@@ -301,19 +302,63 @@ def test_solver_reuses_context_decompositions():
 
 
 def test_analyze_builds_one_degree0_complex_per_model(corpus_documents, monkeypatch):
-    # four rings (Z is added by the pipeline) share one nerve, basis and
-    # set of coboundary rows
-    calls = []
-    entries = cohomology_module.coboundary_entries
+    # four rings (Z is added by the pipeline) share one degree-0 basis and
+    # one set of coboundary rows; the document is re-parsed so that its
+    # model arrives without a complex
+    built = []
 
-    def counted(lower, upper):
-        calls.append(len(lower))
-        return entries(lower, upper)
+    class Counted(cohomology_module._Degree0Complex):
+        def __init__(self, model):
+            built.append(model)
+            super().__init__(model)
 
-    monkeypatch.setattr(cohomology_module, "coboundary_entries", counted)
-    report = analyze(corpus_documents["ghz-mermin"], rings=(Z2, Z4, Z6))
+    monkeypatch.setattr(cohomology_module, "_Degree0Complex", Counted)
+    doc = parse_model(print_model(corpus_documents["ghz-mermin"]))
+    report = analyze(doc, rings=(Z2, Z4, Z6))
     assert [entry.ring for entry in report.rings] == [Z2, Z4, Z6, INTEGERS]
-    assert len(calls) == 1
+    assert len(built) == 1
+
+
+def reference_degree0_rows(model):
+    """The rows [delta0^T | I] read off the reference bases: column j of
+    delta0 in `coboundary_entries` order, then a 1 at tail key m + j."""
+    basis = cochain_basis(model, 0)
+    upper = cochain_basis(model, 1)
+    m = len(upper)
+    rows = [{m + j: 1} for j in range(len(basis))]
+    for i, j, sign in coboundary_entries(basis, upper):
+        rows[j][i] = sign
+    return basis, m, rows
+
+
+def reorder_declarations(model):
+    """The same model with its measurements and outcomes declared in reverse
+    order, which changes every lexicographic numbering."""
+    scn = model.scenario
+    return EmpiricalModel(
+        Scenario(scn.measurements[::-1], scn.contexts, scn.outcomes[::-1]), model.supports
+    )
+
+
+def test_degree0_complex_matches_the_reference_construction(corpus_models):
+    models = list(corpus_models.values())
+    models += [reorder_declarations(model) for model in corpus_models.values()]
+    models += random_models(60, seed=20261018) + random_contextual_models(30, seed=20261019)
+    models += [groetzsch_colouring(3), mycielski_colouring(5, 3)]
+    models.append(reorder_declarations(mycielski_colouring(4, 3)))
+    for model in models:
+        basis, m, rows = reference_degree0_rows(model)
+        complex_ = cohomology_module._Degree0Complex(model)
+        assert complex_.compatibility_rows == m
+        assert [list(row.items()) for row in complex_.rows] == [
+            list(row.items()) for row in rows
+        ]
+        assert complex_.basis.offsets == basis.offsets
+        assert complex_.basis.values == basis.values
+        assert complex_.basis.sections == basis.sections
+        assert complex_.basis.simplices == basis.simplices
+        solver = ObstructionSolver(model, Z2)
+        assert solver.nerve == build_nerve(model.scenario, 1)
 
 
 def per_ring_reference(model, ring):
