@@ -30,7 +30,14 @@ from .rings import (
     echelon,
     linear_decomposition,
 )
-from .scenario import Section, Simplex, build_nerve, connected_components, projection
+from .scenario import (
+    Section,
+    Simplex,
+    build_nerve,
+    connected_components,
+    projection,
+    sections_over,
+)
 
 # ---------------------------------------------------------------------------
 # formal linear combinations and cochains
@@ -287,10 +294,12 @@ def _require_connected(model: EmpiricalModel) -> None:
 
 class _Degree0Complex:
     """The ring-independent part of a model's obstruction systems: the
-    0-cochain basis, the number of 1-cochain basis positions, the sparse
-    rows [delta0^T | I] (row j holds column j of delta0 on the keys below
-    that number and a 1 at its own tail key) and the context owning each
-    basis position. Built once per model by `_degree0_complex`.
+    offsets of each context's positions in the 0-cochain basis, the number
+    of 1-cochain basis positions, the sparse rows [delta0^T | I] (row j
+    holds column j of delta0 on the keys below that number and a 1 at its
+    own tail key) and the context owning each basis position. Built once
+    per model by `_degree0_complex`; the basis itself, with its sections,
+    is built only when read.
 
     The rows are built in one pass over the overlapping pairs (i, j) of the
     cover, from the stored outcome tuples: the 0-basis is the supports
@@ -316,21 +325,12 @@ class _Degree0Complex:
     def __init__(self, model: EmpiricalModel):
         _require_connected(model)
         scenario = self._scenario = model.scenario
-        values = tuple(map(model.support_values, range(len(scenario.contexts))))
+        values = self._values = tuple(map(model.support_values, range(len(scenario.contexts))))
         offsets = [0]
         for vs in values:
             offsets.append(offsets[-1] + len(vs))
-        self.basis = CochainBasis(
-            0,
-            tuple(Simplex((ci,), ctx) for ci, ctx in enumerate(scenario.contexts)),
-            model.supports,
-            values,
-            tuple(offsets),
-        )
-        # outcome tuples already sort lexicographically when the alphabet is
-        # declared in increasing order
-        outcomes = scenario.outcomes
-        key = None if outcomes == tuple(sorted(outcomes)) else model._lexicographic
+        self.offsets = tuple(offsets)
+        key = model._lexicographic
         # per overlapping pair, the row of each position of context i, then
         # of context j; rows are numbered in nerve order
         incidences = []
@@ -356,6 +356,19 @@ class _Degree0Complex:
     def nerve(self) -> tuple[tuple[Simplex, ...], ...]:
         return build_nerve(self._scenario, 1)
 
+    @cached_property
+    def basis(self) -> CochainBasis:
+        """The 0-cochain basis: the supports, as sections built from their
+        outcome tuples when first read."""
+        contexts = self._scenario.contexts
+        return CochainBasis(
+            0,
+            tuple(Simplex((ci,), ctx) for ci, ctx in enumerate(contexts)),
+            tuple(map(sections_over, contexts, self._values)),
+            self._values,
+            self.offsets,
+        )
+
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,
         and whether every pivot of the form is 1. The rows are eliminated
@@ -372,7 +385,7 @@ class _Degree0Complex:
     def _split(self, kernel: list[Row]) -> list[dict[int, Row]]:
         """Per context, the part of each generator g with an entry there, as
         its local entries plus a 1 at tail key (support size + g)."""
-        offsets = self.basis.offsets
+        offsets = self.offsets
         parts: list[dict[int, Row]] = [{} for _ in range(len(offsets) - 1)]
         for g, k in enumerate(kernel):
             for j, x in k.items():
@@ -461,18 +474,19 @@ class ObstructionSolver:
     def _decomposition(self, ci: int) -> Echelon:
         form = self._decompositions.get(ci)
         if form is None:
-            head = len(self.model.support(ci))
+            head = len(self.model.support_values(ci))
             form = self._decompositions[ci] = echelon(self.ring, self._parts[ci].values(), head)
         return form
 
     def _reduce(self, ci: int, s0: Section) -> dict[int, int] | None:
         """The tail left by reducing e_s0 at context ci, or None when the
         obstruction does not vanish."""
-        if s0 not in self.model.support_set(ci):
+        position = self.model.support_position(ci, s0)
+        if position is None:
             raise SectionNotSupportedError(
                 f"{s0} is not supported at context {self.model.scenario.contexts[ci]}"
             )
-        return self._decomposition(ci).reduce({self.model.support(ci).index(s0): 1})
+        return self._decomposition(ci).reduce({position: 1})
 
     def vanishes(self, context: Iterable[str], s0: Section) -> bool:
         return self._reduce(self._context_index(context), s0) is not None
@@ -486,8 +500,8 @@ class ObstructionSolver:
         tail = self._reduce(ci, s0)
         if tail is None:
             return None
-        head = len(self.model.support(ci))
-        witness = [0] * len(self.basis)
+        head = len(self.model.support_values(ci))
+        witness = [0] * self.unknowns
         for g, t in tail.items():
             for j, x in self._kernel[g - head].items():
                 witness[j] -= t * x
@@ -503,7 +517,7 @@ class ObstructionSolver:
 
     @property
     def unknowns(self) -> int:
-        return len(self.basis)
+        return self._complex.offsets[-1]
 
     @property
     def compatibility_rows(self) -> int:

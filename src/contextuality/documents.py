@@ -22,7 +22,7 @@ from .model import EmpiricalModel, ProbabilityTable, support_of_probability_tabl
 from .paradox import LiarCycle, liar_cycle_model
 from .pauli import PauliOperator, generate_subgroup, theory_of_subgroup
 from .rings import RingSpec
-from .scenario import Scenario, Section
+from .scenario import Scenario, Section, projection
 from .theory import LinearEquation, Theory, equations_on_cover, model_of_theory
 
 SCHEMA = "contextuality-model/1"
@@ -138,23 +138,38 @@ def _parse_section(
 
 
 def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
+    """The model of a supports payload, read straight into outcome tuples.
+
+    A section passes in one check: an object whose keys are the context's
+    measurements and whose values are integers of the alphabet; its tuple
+    is read in context order. Anything else goes through `_parse_section`,
+    which reports the offence."""
     rows = _expect(obj, list, "a list of support rows", path)
     if len(rows) != len(scenario.contexts):
         raise DocumentError(
             f"expected {len(scenario.contexts)} rows (one per context), got {len(rows)}",
             path=path,
         )
-    supports = []
+    alphabet = set(scenario.outcomes)
+    integers = {int}
+    values = []
     for i, (ctx, row) in enumerate(zip(scenario.contexts, rows)):
         _expect(row, list, "a list of sections", f"{path}[{i}]")
-        labels = tuple(sorted(ctx))
-        supports.append(
-            tuple(
-                _parse_section(s, scenario, ctx, labels, f"{path}[{i}][{j}]")
-                for j, s in enumerate(row)
-            )
-        )
-    return EmpiricalModel(scenario, tuple(supports))
+        keys = set(ctx)
+        # a projection reads a section object's keys as it reads positions
+        read = projection(list(ctx))
+        found = []
+        for j, s in enumerate(row):
+            if isinstance(s, dict) and s.keys() == keys:
+                v = read(s)
+                # booleans and floats equal to an outcome fail the type check
+                if integers.issuperset(map(type, v)) and alphabet.issuperset(v):
+                    found.append(v)
+                    continue
+            section = _parse_section(s, scenario, ctx, tuple(sorted(ctx)), f"{path}[{i}][{j}]")
+            found.append(section.values_on(ctx))
+        values.append(found)
+    return EmpiricalModel.from_values(scenario, values)
 
 
 def _parse_fraction(value: Any, path: str) -> Fraction:
@@ -401,11 +416,31 @@ def _section_json(section: Section) -> dict:
     return dict(section.items)
 
 
+def _supports_json(model: EmpiricalModel) -> str:
+    """The supports payload as `canonical_json` writes it two levels deep,
+    straight from the outcome tuples: each context has one template, its
+    measurements sorted and quoted, with a field for each outcome. The
+    fields format as integers, so an outcome given as a boolean in a
+    section built in code prints as the integer it equals."""
+    rows = []
+    for ci, ctx in enumerate(model.scenario.contexts):
+        values = model.support_values(ci)
+        if not values:
+            rows.append("[]")
+            continue
+        fields = ",".join(
+            "\n        " + encode_basestring(ctx[k]).replace("{", "{{").replace("}", "}}")
+            + f": {{{k}:d}}"
+            for k in sorted(range(len(ctx)), key=ctx.__getitem__)
+        )
+        template = "{{" + fields + "\n      }}"
+        rows.append(
+            "[\n      " + ",\n      ".join(template.format(*v) for v in values) + "\n    ]"
+        )
+    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+
+
 def _payload_json(doc: ModelDocument) -> Any:
-    if doc.payload_kind == "supports":
-        return [
-            [_section_json(s) for s in sup] for sup in doc.model.supports
-        ]
     if doc.payload_kind == "probabilities":
         return [
             [{"section": _section_json(s), "p": str(p)} for s, p in row]
@@ -427,13 +462,22 @@ def _payload_json(doc: ModelDocument) -> Any:
 def print_model(doc: ModelDocument) -> str:
     """Canonical rendering: sorted keys, two-space indent, trailing newline.
     Printing then parsing is the identity on documents, and parsing then
-    printing is the identity on canonical text."""
+    printing is the identity on canonical text.
+
+    The text is `json.dumps(..., indent=2, sort_keys=True,
+    ensure_ascii=False)` of the document's JSON object. A supports payload
+    is written from the model's outcome tuples without building sections;
+    "supports" sorts after every other top-level key, so it closes the
+    object."""
     data: dict[str, Any] = {"format": SCHEMA}
     for field in ("name", "notes", "provenance"):
         value = getattr(doc, field)
         if value is not None:
             data[field] = value
     data["scenario"] = _scenario_json(doc)
+    if doc.payload_kind == "supports":
+        head = canonical_json(data, ensure_ascii=False)[: -len("\n}")]
+        return head + ',\n  "supports": ' + _supports_json(doc.model) + "\n}\n"
     data[doc.payload_kind] = _payload_json(doc)
     return canonical_json(data, ensure_ascii=False) + "\n"
 

@@ -10,8 +10,9 @@ model is strongly contextual when no global assignment exists at all.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import FrozenInstanceError, InitVar, dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Mapping
 
@@ -20,47 +21,46 @@ from .errors import (
     ModelError,
     NormalisationError,
     ScenarioError,
+    SectionNotSupportedError,
     SelfCheckError,
     SignallingError,
 )
-from .scenario import Scenario, Section, projection
+from .scenario import Scenario, Section, projection, sections_over
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
-@dataclass(frozen=True)
 class EmpiricalModel:
     """Supports S(C) for each cover context, E1 and E2 enforced on entry.
+
+    The stored form of a support is its outcome tuples in context order,
+    without repeats and in lexicographic order (`support_values`); every
+    solver and every restriction inside the library reads those tuples.
+    `Section`s are the API boundary: `EmpiricalModel(scenario, supports)`
+    keeps the sections it is given, while a model built from outcome tuples
+    (`from_values`, which parsing and theories use) builds a context's
+    sections the first time `support`, `supports` or `support_set` reads
+    them. Either way two models are equal when their scenarios and supports
+    are, and the model is immutable.
 
     Construction with validate=False skips E1/E2 for diagnostic use (for
     example feeding a deliberately signalling table to check_no_signalling);
     every ingestion path in the library validates, and the model keeps the
     verdict of that check.
-
-    Each support is also stored once as outcome tuples in context order,
-    aligned with `supports`; every restriction inside the library is a
-    projection of those tuples.
     """
 
-    scenario: Scenario
-    supports: tuple[tuple[Section, ...], ...]
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate: bool):
-        scn = self.scenario
-        if len(self.supports) != len(scn.contexts):
-            raise ModelError(
-                f"expected {len(scn.contexts)} supports, got {len(self.supports)}"
-            )
-        position = {o: i for i, o in enumerate(scn.outcomes)}
-
-        def key(v: tuple[int, ...]) -> tuple[int, ...]:
-            return tuple(map(position.__getitem__, v))
-
+    def __init__(
+        self,
+        scenario: Scenario,
+        supports: Iterable[Iterable[Section]],
+        validate: bool = True,
+    ):
+        supports = tuple(supports)
+        _check_count(scenario, supports)
+        alphabet = set(scenario.outcomes)
         label, outcome = itemgetter(0), itemgetter(1)
-        normalised = []
-        values = []
-        for ctx, sup in zip(scn.contexts, self.supports):
+        given = []
+        for ctx, sup in zip(scenario.contexts, supports):
             # items are label-sorted: the domain is the context exactly when
             # the labels match, and `in_context_order` reorders the outcomes
             labels = tuple(sorted(ctx))
@@ -70,47 +70,137 @@ class EmpiricalModel:
                 if tuple(map(label, s.items)) != labels:
                     raise ModelError(f"section {s} is not a section over context {ctx}")
                 v = in_context_order(tuple(map(outcome, s.items)))
-                if not all(map(position.__contains__, v)):
+                if not alphabet.issuperset(v):
                     raise ModelError(f"section {s} uses outcome outside the alphabet")
                 seen[v] = s
-            ordered = sorted(seen, key=key)
-            normalised.append(tuple(seen[v] for v in ordered))
-            values.append(tuple(ordered))
-        object.__setattr__(self, "supports", tuple(normalised))
-        object.__setattr__(self, "_values", tuple(values))
+            given.append(seen)
+        self._store(scenario, given, validate)
+        object.__setattr__(
+            self,
+            "_sections",
+            [tuple(map(seen.__getitem__, vs)) for seen, vs in zip(given, self._values)],
+        )
+
+    @classmethod
+    def from_values(
+        cls, scenario: Scenario, values: Iterable[Iterable[tuple[int, ...]]]
+    ) -> "EmpiricalModel":
+        """The model whose support at each context holds the given outcome
+        tuples, in context order; repeats and order do not matter. E1 and
+        E2 are checked; sections are built only when read."""
+        values = tuple(map(tuple, values))
+        _check_count(scenario, values)
+        alphabet = set(scenario.outcomes)
+        for ctx, rows in zip(scenario.contexts, values):
+            # one pass over the widths and one over the outcomes; the rows
+            # are scanned one by one only to name the first offence
+            widths = set(map(len, rows))
+            if widths - {len(ctx)} or not alphabet.issuperset(chain.from_iterable(rows)):
+                for v in rows:
+                    if len(v) != len(ctx):
+                        raise ModelError(
+                            f"outcome tuple {v} does not have one outcome per "
+                            f"measurement of context {ctx}"
+                        )
+                    if not alphabet.issuperset(v):
+                        raise ModelError(f"outcome tuple {v} uses outcome outside the alphabet")
+        model = cls.__new__(cls)
+        model._store(scenario, map(set, values), True)
+        object.__setattr__(model, "_sections", [None] * len(scenario.contexts))
+        return model
+
+    def _store(self, scenario: Scenario, given, validate: bool) -> None:
+        """Sort each context's distinct outcome tuples and run E1 and E2."""
+        object.__setattr__(self, "scenario", scenario)
+        # the sort key of outcome tuples in lexicographic order; None when
+        # the alphabet is declared in increasing order, as tuples then
+        # already sort that way
+        outcomes = scenario.outcomes
+        key = None
+        if outcomes != tuple(sorted(outcomes)):
+            position = {o: i for i, o in enumerate(outcomes)}
+
+            def key(v: tuple[int, ...]) -> tuple[int, ...]:
+                return tuple(map(position.__getitem__, v))
+
         object.__setattr__(self, "_lexicographic", key)
+        object.__setattr__(self, "_values", tuple(tuple(sorted(vs, key=key)) for vs in given))
+        object.__setattr__(self, "_support_sets", [None] * len(scenario.contexts))
+        object.__setattr__(self, "_positions", [None] * len(scenario.contexts))
         object.__setattr__(self, "_restriction_cache", {})
-        object.__setattr__(self, "_support_sets", tuple(frozenset(s) for s in self.supports))
         # the E2 verdict of construction, when it ran; `check_no_signalling`
         # returns it instead of checking again
         object.__setattr__(self, "_no_signalling", None)
         if validate:
-            for ctx, sup in zip(scn.contexts, self.supports):
-                if not sup:
+            for ctx, vs in zip(scenario.contexts, self._values):
+                if not vs:
                     raise EmptySupportError(f"context {ctx} has empty support (E1)")
             witness = _signalling_witness(self)
             if witness is not None:
                 (i, j), t, side = witness
                 raise SignallingError(
-                    f"supports of {scn.contexts[i]} and {scn.contexts[j]} disagree "
+                    f"supports of {scenario.contexts[i]} and {scenario.contexts[j]} disagree "
                     f"on overlap section {t} (E2)",
-                    contexts=(scn.contexts[i], scn.contexts[j]),
+                    contexts=(scenario.contexts[i], scenario.contexts[j]),
                     section=t,
                 )
             object.__setattr__(self, "_no_signalling", NoSignallingVerdict(True))
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.scenario == other.scenario and self._values == other._values
+
+    def __hash__(self):
+        return hash((self.scenario, self._values))
+
+    def __repr__(self) -> str:
+        return f"EmpiricalModel(scenario={self.scenario!r}, supports={self.supports!r})"
+
     # -- access ---------------------------------------------------------------
 
+    @property
+    def supports(self) -> tuple[tuple[Section, ...], ...]:
+        return tuple(map(self.support, range(len(self._values))))
+
     def support(self, index: int) -> tuple[Section, ...]:
-        return self.supports[index]
+        found = self._sections[index]
+        if found is None:
+            found = self._sections[index] = sections_over(
+                self.scenario.contexts[index], self._values[index]
+            )
+        return found
 
     def support_set(self, index: int) -> frozenset[Section]:
-        return self._support_sets[index]
+        found = self._support_sets[index]
+        if found is None:
+            found = self._support_sets[index] = frozenset(self.support(index))
+        return found
 
     def support_values(self, index: int) -> tuple[tuple[int, ...], ...]:
         """S(C_index) as outcome tuples in context order, aligned with
         `support(index)`."""
         return self._values[index]
+
+    def support_position(self, index: int, section: Section) -> int | None:
+        """Position of the section in `support(index)`, or None when it is
+        not a supported section over that context."""
+        positions = self._positions[index]
+        if positions is None:
+            positions = self._positions[index] = {
+                v: k for k, v in enumerate(self._values[index])
+            }
+        ctx = self.scenario.contexts[index]
+        assignment = section.as_dict()
+        if len(assignment) != len(ctx):
+            return None
+        return positions.get(tuple(map(assignment.get, ctx)))
 
     def restricted_support(self, index: int, subset: Iterable[str]) -> tuple[Section, ...]:
         """Image of S(C_index) under restriction to the subset, ordered
@@ -130,14 +220,14 @@ class EmpiricalModel:
         if found is None:
             ctx = scn.contexts[index]
             if sub == ctx:
-                found = self.supports[index], self._values[index]
+                found = self.support(index), self._values[index]
             else:
                 where = {m: k for k, m in enumerate(ctx)}
                 if not all(m in where for m in sub):
                     raise ModelError(f"{sub} is not beneath context {ctx}")
                 project = projection([where[m] for m in sub])
                 image = sorted(set(map(project, self._values[index])), key=self._lexicographic)
-                found = _sections(sub, image), tuple(image)
+                found = sections_over(sub, image), tuple(image)
             cache[(index, sub)] = found
         return found
 
@@ -145,21 +235,16 @@ class EmpiricalModel:
         """Index of the cover context equal to the section's domain; the
         section must be supported there."""
         idx = self.scenario.context_index(s.domain)
-        if s not in self._support_sets[idx]:
-            from .errors import SectionNotSupportedError
-
+        if self.support_position(idx, s) is None:
             raise SectionNotSupportedError(
                 f"{s} is not in the support of {self.scenario.contexts[idx]}"
             )
         return idx
 
 
-def _sections(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
-    """Sections over the measurements with the given outcome tuples (in the
-    measurements' order), unchecked."""
-    order = sorted(range(len(measurements)), key=measurements.__getitem__)
-    labels = [measurements[k] for k in order]
-    return tuple(Section(tuple(zip(labels, [v[k] for k in order]))) for v in rows)
+def _check_count(scenario: Scenario, supports: tuple) -> None:
+    if len(supports) != len(scenario.contexts):
+        raise ModelError(f"expected {len(scenario.contexts)} supports, got {len(supports)}")
 
 
 def _signalling_witness(model: EmpiricalModel):
@@ -176,7 +261,7 @@ def _signalling_witness(model: EmpiricalModel):
         if left != right:
             t = min(left.symmetric_difference(right), key=model._lexicographic)
             side = "first" if t in left else "second"
-            return (i, j), _sections(overlap, [t])[0], side
+            return (i, j), sections_over(overlap, [t])[0], side
     return None
 
 

@@ -385,18 +385,18 @@ def _pair_model(
     for key, ctx in zip(order, contexts):
         found = []
         for values in product((0, 1), repeat=len(ctx)):
-            s = Section.of(zip(ctx, values))
+            s = dict(zip(ctx, values))
             if all(
                 (s[a] != s[b]) == anti if a != b else (anti is False)
                 for a, b, anti in grouped[key]
             ):
-                found.append(s)
+                found.append(values)
         if not found:
             raise DegenerateModelError(
                 f"contradictory constraints on context {ctx}", context=ctx
             )
-        supports.append(tuple(found))
-    return EmpiricalModel(scenario, tuple(supports))
+        supports.append(found)
+    return EmpiricalModel.from_values(scenario, supports)
 
 
 def liar_cycle_model(cycle: LiarCycle | int) -> EmpiricalModel:

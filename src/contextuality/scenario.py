@@ -80,6 +80,14 @@ def projection(positions: list[int]):
     return itemgetter(*positions)
 
 
+def sections_over(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
+    """Sections over the measurements with the given outcome tuples (in the
+    measurements' order), unchecked."""
+    order = sorted(range(len(measurements)), key=measurements.__getitem__)
+    labels = [measurements[k] for k in order]
+    return tuple(Section(tuple(zip(labels, [v[k] for k in order]))) for v in rows)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A measurement scenario <X, M, O>.

@@ -200,6 +200,26 @@ def theory_of_model(model: EmpiricalModel, ring: RingSpec) -> Theory:
     return Theory(ring, tuple(equations))
 
 
+def _solution_values(
+    theory: Theory, context: tuple[str, ...], alphabet: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """Outcome tuples over the context, in the alphabet's product order,
+    satisfying every equation whose context is contained in it. Each
+    equation is checked by the positions of its nonzero coefficients."""
+    where = {m: k for k, m in enumerate(context)}
+    checks = [
+        (tuple((where[m], a) for m, a in zip(eq.context, eq.coefficients) if a), eq.constant)
+        for eq in theory.equations
+        if all(m in where for m in eq.context)
+    ]
+    canon = theory.ring.canon
+    return [
+        v
+        for v in product(alphabet, repeat=len(context))
+        if all(canon(sum(a * v[k] for k, a in terms)) == b for terms, b in checks)
+    ]
+
+
 def solutions(
     theory: Theory,
     context: Iterable[str],
@@ -213,16 +233,9 @@ def solutions(
         if not ring.is_finite:
             raise UnsupportedRingError("cannot enumerate sections over an infinite ring")
         alphabet = tuple(ring.elements())
-    else:
-        alphabet = tuple(alphabet)
-    ctx_set = set(ctx)
-    applicable = [eq for eq in theory.equations if set(eq.context) <= ctx_set]
-    found = []
-    for values in product(alphabet, repeat=len(ctx)):
-        s = Section.of(zip(ctx, values))
-        if all(satisfies(s, eq) for eq in applicable):
-            found.append(s)
-    return tuple(found)
+    return tuple(
+        Section.of(zip(ctx, v)) for v in _solution_values(theory, ctx, tuple(alphabet))
+    )
 
 
 def model_of_theory(theory: Theory, scenario: Scenario) -> EmpiricalModel:
@@ -236,13 +249,13 @@ def model_of_theory(theory: Theory, scenario: Scenario) -> EmpiricalModel:
     outcome_embedding(theory.ring, scenario.outcomes)
     supports = []
     for ctx in scenario.contexts:
-        sols = solutions(theory, ctx, scenario.outcomes)
-        if not sols:
+        found = _solution_values(theory, ctx, scenario.outcomes)
+        if not found:
             raise DegenerateModelError(
                 f"theory admits no section over context {ctx}", context=ctx
             )
-        supports.append(sols)
-    return EmpiricalModel(scenario, tuple(supports))
+        supports.append(found)
+    return EmpiricalModel.from_values(scenario, supports)
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +395,12 @@ def affine_closure_model(model: EmpiricalModel, ring: RingSpec) -> EmpiricalMode
         raise UnsupportedRingError("affine closure over the integers may be infinite")
     embedding = outcome_embedding(ring, model.scenario.outcomes).__getitem__
     spans = [
-        sorted(affine_span(ring, {tuple(map(embedding, v)) for v in model.support_values(ci)}))
-        for ci in range(len(model.supports))
+        affine_span(ring, {tuple(map(embedding, v)) for v in model.support_values(ci)})
+        for ci in range(len(model.scenario.contexts))
     ]
     scenario = Scenario(
         model.scenario.measurements,
         model.scenario.contexts,
         tuple(sorted({x for span in spans for v in span for x in v})),
     )
-    supports = tuple(
-        tuple(Section(tuple(sorted(zip(ctx, v)))) for v in span)
-        for ctx, span in zip(scenario.contexts, spans)
-    )
-    return EmpiricalModel(scenario, supports)
+    return EmpiricalModel.from_values(scenario, spans)

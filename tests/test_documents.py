@@ -206,6 +206,30 @@ def test_support_payload_errors():
         parse_model(doc('{"supports": [[{"a1": 0}]]}'))
     with pytest.raises(DocumentError, match="not in the alphabet"):
         parse_model(doc('{"supports": [[{"a1": 0, "b1": 7}]]}'))
+    # every section that fails the one-check read of a supports payload is
+    # reported exactly as the field-by-field check reports it; the valid
+    # section first makes the offence the second one of its row
+    valid = {"a1": 0, "b1": 0}
+    offences = [
+        ([0, 1], "$.supports[0][1]", "expected a section object, got list"),
+        ({"a1": True, "b1": 0}, "$.supports[0][1].a1", "expected an integer outcome, got a boolean"),
+        ({"a1": 0, "b1": "0"}, "$.supports[0][1].b1", "expected an integer outcome, got str"),
+        ({"a1": 0.0, "b1": 0}, "$.supports[0][1].a1", "expected an integer outcome, got float"),
+        ({}, "$.supports[0][1]", "missing value for 'a1'"),
+        ({"a1": 0, "zz": 0}, "$.supports[0][1].zz", "'zz' is not a measurement of context ('a1', 'b1')"),
+        ({"zz": 0, "a1": 0}, "$.supports[0][1].zz", "'zz' is not a measurement of context ('a1', 'b1')"),
+        ({"a1": 2, "b1": 0}, "$.supports[0][1].a1", "outcome 2 is not in the alphabet (0, 1)"),
+    ]
+    for section, path, message in offences:
+        with pytest.raises(DocumentError) as err:
+            parse_model(doc({"supports": [[valid, section]]}))
+        assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+    with pytest.raises(DocumentError) as err:
+        parse_model(doc({"supports": [valid]}))
+    assert (err.value.path, str(err.value)) == (
+        "$.supports[0]",
+        "$.supports[0]: expected a list of sections, got dict",
+    )
 
 
 def test_probability_payload_errors():
