@@ -7,6 +7,13 @@ before reporting, and renders the result as text or JSON. A hierarchy
 violation means the library contradicts itself on this input and is
 reported as a self-check failure, never silently.
 
+The linear algebra runs before the LC/SC search and settles what it can.
+AvN_R or CSC_R for some ring means no global section, so SC and LC hold
+and nothing is searched. Otherwise a section with a non-vanishing
+obstruction over some ring extends to no global section, so LC holds and
+only the remaining sections, and the global section, are searched. The
+report names the rule behind each verdict (`decided_by`).
+
 Strong contextuality of the affine closure is reported as the AvN verdict
 itself. Over Z_n the affine span of a context's support is the solution set
 of that context's linear theory (Z_n is a Frobenius ring, so every submodule
@@ -27,8 +34,8 @@ from .model import (
     DEFAULT_SEARCH_BUDGET,
     ContextualityReport,
     EmpiricalModel,
+    _classify,
     check_no_signalling,
-    classify_contextuality,
 )
 from .rings import INTEGERS, RingSpec
 from .theory import AvnReport, is_avn
@@ -75,6 +82,10 @@ class AnalysisReport:
     rings: tuple[RingAnalysis, ...]
     budget: int
     timings: tuple[StageTiming, ...]
+    # the rule that decided each verdict: "search", or a ring verdict such
+    # as "AvN over Z2", "CSC over Z" or "CLC over Z4"; None when undecided
+    lc_decided_by: str | None
+    sc_decided_by: str | None
 
     @property
     def lc(self) -> bool | None:
@@ -137,6 +148,23 @@ def _check_hierarchy(report: AnalysisReport) -> None:
         )
 
 
+def _strong_rule(entries: list[RingAnalysis]) -> str | None:
+    """The first ring verdict, in report order, that leaves no global
+    section; within a ring AvN comes before CSC."""
+    for entry in entries:
+        if entry.avn:
+            return f"AvN over {entry.ring}"
+        if entry.csc:
+            return f"CSC over {entry.ring}"
+    return None
+
+
+def _decided_by(rule: str | None, verdict: bool | None) -> str | None:
+    if rule is not None:
+        return rule
+    return None if verdict is None else "search"
+
+
 def analyze(
     doc: ModelDocument,
     rings: tuple[RingSpec, ...] | None = None,
@@ -153,7 +181,6 @@ def analyze(
 
     model = timed("materialise", lambda: materialize(doc))
     ns = timed("no-signalling", lambda: check_no_signalling(model))
-    classification = timed("classify", lambda: classify_contextuality(model, budget=budget))
 
     requested = tuple(rings) if rings is not None else default_rings(doc)
     ordered: list[RingSpec] = []
@@ -189,6 +216,24 @@ def analyze(
             )
         )
 
+    # what the linear algebra settles, the search need not: AvN_R or CSC_R
+    # leaves no global section, and a non-vanishing obstruction leaves none
+    # through its section
+    strong_rule = _strong_rule(entries)
+    logical_rule = strong_rule or next(
+        (f"CLC over {entry.ring}" for entry in entries if entry.clc), None
+    )
+    non_extending = set()
+    if strong_rule is None:
+        for entry in entries:
+            non_extending.update(
+                k for k, v in enumerate(entry.obstructions.verdicts) if not v.vanishes
+            )
+    classification = timed(
+        "classify",
+        lambda: _classify(model, budget, strong_rule is not None, non_extending),
+    )
+
     report = AnalysisReport(
         name=doc.name,
         payload_kind=doc.payload_kind,
@@ -199,6 +244,8 @@ def analyze(
         rings=tuple(entries),
         budget=budget,
         timings=tuple(timings),
+        lc_decided_by=_decided_by(logical_rule, classification.logically_contextual),
+        sc_decided_by=_decided_by(strong_rule, classification.strongly_contextual),
     )
     _check_hierarchy(report)
     return report
@@ -214,6 +261,10 @@ def _verdict(value: bool | None) -> str:
     return "yes" if value else "no"
 
 
+def _decided(value: bool | None, rule: str | None) -> str:
+    return _verdict(value) if rule is None else f"{_verdict(value)} ({rule})"
+
+
 def render_text(report: AnalysisReport) -> str:
     model = report.model
     scn = model.scenario
@@ -227,7 +278,10 @@ def render_text(report: AnalysisReport) -> str:
     )
     lines.append(f"no-signalling: {_verdict(report.no_signalling)}")
     cls = report.classification
-    lines.append(f"logically contextual (LC): {_verdict(cls.logically_contextual)}")
+    lines.append(
+        f"logically contextual (LC): "
+        f"{_decided(cls.logically_contextual, report.lc_decided_by)}"
+    )
     failing = cls.failing_sections()
     if failing:
         shown = ", ".join(
@@ -235,7 +289,10 @@ def render_text(report: AnalysisReport) -> str:
         )
         more = "" if len(failing) <= 4 else f" and {len(failing) - 4} more"
         lines.append(f"  non-extending: {shown}{more}")
-    lines.append(f"strongly contextual (SC): {_verdict(cls.strongly_contextual)}")
+    lines.append(
+        f"strongly contextual (SC): "
+        f"{_decided(cls.strongly_contextual, report.sc_decided_by)}"
+    )
     if cls.global_section is not None:
         lines.append(f"  global section: {cls.global_section}")
     if not cls.decided:
@@ -314,6 +371,7 @@ def report_json(report: AnalysisReport) -> dict:
             for entry in report.rings
         ],
         "budget": report.budget,
+        "decided_by": {"lc": report.lc_decided_by, "sc": report.sc_decided_by},
         "nodes": cls.nodes_used,
         "timings": {t.stage: t.seconds for t in report.timings},
         "hierarchy": "ok",

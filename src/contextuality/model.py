@@ -14,7 +14,7 @@ from dataclasses import FrozenInstanceError, InitVar, dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .errors import (
     EmptySupportError,
@@ -604,21 +604,43 @@ def classify_contextuality(
     their own. Budget exhaustion yields an explicit undecided status, never
     a silent answer.
     """
+    return _classify(model, budget)
+
+
+def _classify(
+    model: EmpiricalModel,
+    budget: int,
+    strongly: bool = False,
+    non_extending: Collection[int] = (),
+) -> ContextualityReport:
+    """The search of `classify_contextuality`, told what is already known.
+
+    `strongly` says the model has no global section: then nothing is
+    searched and every section is non-extending. `non_extending` holds the
+    positions, in the order of the report's verdicts, of sections known to
+    extend to no global section; they take no search of their own. A global
+    section found that restricts to one of them contradicts what was known
+    and raises `SelfCheckError`.
+    """
     scn = model.scenario
-    engine = _Restrictor(model, scn.measurements)
     remaining = budget
     total_nodes = 0
-
-    found, nodes, complete = engine.search(None, 1, remaining)
-    remaining -= nodes
-    total_nodes += nodes
-    witness = found[0] if found else None
-    if witness is not None:
-        sc: bool | None = False
-    elif complete:
-        sc = True
+    witness = None
+    if strongly:
+        engine = None
+        sc: bool | None = True
     else:
-        sc = None
+        engine = _Restrictor(model, scn.measurements)
+        found, nodes, complete = engine.search(None, 1, remaining)
+        remaining -= nodes
+        total_nodes += nodes
+        witness = found[0] if found else None
+        if witness is not None:
+            sc = False
+        elif complete:
+            sc = True
+        else:
+            sc = None
 
     # per context, the outcome tuples of the sections known to extend: the
     # restrictions of every global section found so far
@@ -635,11 +657,17 @@ def classify_contextuality(
     for ci, sup in enumerate(model.supports):
         ctx = scn.contexts[ci]
         for s, v in zip(sup, model.support_values(ci)):
+            known_to_fail = len(verdicts) in non_extending
             if v in extending[ci]:
+                if known_to_fail:
+                    raise SelfCheckError(
+                        f"{s} at {ctx} is known to extend to no global section, "
+                        "but the search found one"
+                    )
                 verdicts.append(SectionVerdict(ci, ctx, s, True))
                 continue
-            if sc is True:
-                # no global section: nothing extends
+            if sc is True or known_to_fail:
+                # no global section at all, or none through this section
                 verdicts.append(SectionVerdict(ci, ctx, s, False))
                 continue
             res, nodes, complete = engine.search(s, 1, max(remaining, 0))

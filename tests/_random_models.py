@@ -11,6 +11,10 @@ None of those reaches a non-vanishing obstruction over Z4, Z6 or Z, so a
 second stream, `random_contextual_models`, builds All-vs-Nothing models
 over Z_k by design: a cycle of contexts whose parity-like relations
 compose to a map without a fixed point.
+
+`tseitin_model` builds Tseitin parity models: All-vs-Nothing over Z2 by
+construction, and out of reach of a backtracking search from a few dozen
+contexts on.
 """
 
 from __future__ import annotations
@@ -222,3 +226,41 @@ def random_contextual_model(rng: random.Random) -> EmpiricalModel:
 def random_contextual_models(count: int, seed: int) -> list[EmpiricalModel]:
     rng = random.Random(seed)
     return [random_contextual_model(rng) for _ in range(count)]
+
+
+
+def tseitin_model(contexts: int, seed: int) -> EmpiricalModel:
+    """The Tseitin parity model of a random simple connected 3-regular
+    graph on `contexts` vertices: one binary measurement per edge, one
+    context per vertex on its three edges, whose support is the four
+    assignments with the vertex's charge as parity. The charges sum to 1
+    mod 2, so adding every context's equation gives 0 = 1: the model is
+    All-vs-Nothing over Z2 and strongly contextual, while a search for a
+    global section needs exponentially many nodes (Urquhart, "Hard
+    examples for resolution", JACM 1987). The graph pairs three stubs per
+    vertex at random until the pairing has no loop, no repeated edge and
+    one component; the cover is connected exactly when the graph is."""
+    if contexts < 4 or contexts % 2:
+        raise ValueError("a 3-regular graph needs an even number of at least 4 vertices")
+    rng = random.Random(seed)
+    while True:
+        stubs = [v for v in range(contexts) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = sorted({tuple(sorted(pair)) for pair in zip(stubs[::2], stubs[1::2])})
+        if len(edges) < len(stubs) // 2 or any(u == v for u, v in edges):
+            continue
+        names = tuple(f"e{u}_{v}" for u, v in edges)
+        cover = tuple(
+            tuple(name for name, edge in zip(names, edges) if v in edge)
+            for v in range(contexts)
+        )
+        scenario = Scenario(names, cover, (0, 1))
+        if is_connected(scenario):
+            break
+    charges = [rng.randrange(2) for _ in range(contexts - 1)]
+    charges.append((1 + sum(charges)) % 2)
+    supports = [
+        [bits for bits in product((0, 1), repeat=3) if sum(bits) % 2 == charge]
+        for charge in charges
+    ]
+    return EmpiricalModel.from_values(scenario, supports)

@@ -1,6 +1,7 @@
 """The aggregate analyzer: ring selection, verdict aggregation, the built-in
 hierarchy self-check, and both renderings of the report."""
 
+import dataclasses
 import gc
 import json
 import types
@@ -15,6 +16,7 @@ from contextuality import (
     Scenario,
     SelfCheckError,
     analyze,
+    classify_contextuality,
     default_rings,
     document_from_liar_cycle,
     document_from_model,
@@ -23,9 +25,18 @@ from contextuality import (
     report_json,
 )
 from contextuality import analysis as analysis_module
+from contextuality.model import _Restrictor
 
-from _random_models import random_contextual_models, random_models
-from conftest import ALL4, CORR, bell_table, bipartite_model, hardy_model, pr_box
+from _random_models import random_contextual_models, random_models, tseitin_model
+from conftest import (
+    ALL4,
+    CORR,
+    bell_table,
+    bipartite_model,
+    hardy_model,
+    mycielski_colouring,
+    pr_box,
+)
 from contextuality import document_from_table
 
 Z2 = RingSpec(2)
@@ -166,14 +177,20 @@ def test_render_json_is_valid_and_faithful(corpus_documents):
     assert rings["Z"]["avn"] is None
     assert rings["Z"]["avn_skipped"]
     assert set(data["timings"]) >= {"materialise", "no-signalling", "classify"}
+    assert data["decided_by"] == {"lc": "AvN over Z2", "sc": "AvN over Z2"}
+    assert data["nodes"] == 0
 
 
 def test_timings_cover_every_stage():
     report = analyze(document_from_model(pr_box()), rings=(Z2,))
     stages = [t.stage for t in report.timings]
-    assert stages[:3] == ["materialise", "no-signalling", "classify"]
+    # the linear algebra runs before the search, which it may spare
+    assert stages[:2] == ["materialise", "no-signalling"]
+    assert stages[-1] == "classify"
     assert any(s.startswith("avn") for s in stages)
     assert any(s.startswith("cohomology") for s in stages)
+    ring_stages = stages[2:-1]
+    assert ring_stages and all(s.startswith(("avn ", "cohomology ")) for s in ring_stages)
     assert all(t.seconds >= 0 for t in report.timings)
 
 
@@ -185,6 +202,185 @@ def test_contradictory_verdicts_raise_a_self_check_error(monkeypatch):
     bell = document_from_model(bipartite_model(CORR, ALL4, ALL4, ALL4))
     with pytest.raises(SelfCheckError, match="hierarchy violation"):
         analyze(bell, rings=(Z2,))
+
+
+def test_a_lying_obstruction_route_cannot_produce_a_derived_sc(monkeypatch):
+    # report every obstruction over Z2 as non-vanishing on a non-contextual
+    # model: SC would follow by CSC over Z2 with no search, so the
+    # independent elimination over Z must refuse it
+    honest = analysis_module.classify_cohomological
+
+    def lying(model, ring):
+        report = honest(model, ring)
+        if ring != Z2:
+            return report
+        verdicts = tuple(dataclasses.replace(v, vanishes=False) for v in report.verdicts)
+        return dataclasses.replace(report, verdicts=verdicts, clc=True, csc=True)
+
+    monkeypatch.setattr(analysis_module, "classify_cohomological", lying)
+    bell = document_from_model(bipartite_model(CORR, ALL4, ALL4, ALL4))
+    with pytest.raises(SelfCheckError, match="hierarchy violation.*CSC_Z2 must imply CSC_Z"):
+        analyze(bell, rings=(Z2,))
+
+
+def test_a_section_settled_as_failing_that_extends_is_a_self_check_error(monkeypatch):
+    # report only a1=0,b1=0 as non-vanishing over Z2: the first global
+    # section restricts to it, so the search contradicts the settled fact
+    honest = analysis_module.classify_cohomological
+
+    def lying(model, ring):
+        report = honest(model, ring)
+        if ring != Z2:
+            return report
+        first = dataclasses.replace(report.verdicts[0], vanishes=False)
+        return dataclasses.replace(report, verdicts=(first,) + report.verdicts[1:], clc=True)
+
+    monkeypatch.setattr(analysis_module, "classify_cohomological", lying)
+    bell = document_from_model(bipartite_model(CORR, ALL4, ALL4, ALL4))
+    with pytest.raises(SelfCheckError, match="a1=0,b1=0 .* extend to no global section"):
+        analyze(bell, rings=(Z2,))
+
+
+# ---------------------------------------------------------------------------
+# what the linear algebra settles before the search
+
+
+def _ring_verdict(report, rule: str) -> bool | None:
+    name, _, ring = rule.partition(" over ")
+    entry = next(e for e in report.rings if str(e.ring) == ring)
+    return {"AvN": entry.avn, "CSC": entry.csc, "CLC": entry.clc}[name]
+
+
+def _assert_agrees_with_the_search(report):
+    """Wherever the pure search decides, analyze reaches its verdicts, its
+    global section and its non-extending sections; every rule named in
+    `decided_by` is a ring verdict that holds."""
+    pure = classify_contextuality(report.model)
+    cls = report.classification
+    if pure.strongly_contextual is not None:
+        assert report.sc == pure.strongly_contextual
+        assert cls.global_section == pure.global_section
+    if pure.logically_contextual is not None:
+        assert report.lc == pure.logically_contextual
+    assert len(cls.verdicts) == len(pure.verdicts)
+    for mine, searched in zip(cls.verdicts, pure.verdicts):
+        assert (mine.context, mine.section) == (searched.context, searched.section)
+        if searched.extends is not None:
+            assert mine.extends == searched.extends, (mine.context, str(mine.section))
+    for verdict, rule in ((report.lc, report.lc_decided_by), (report.sc, report.sc_decided_by)):
+        if rule is None:
+            assert verdict is None
+        elif rule != "search":
+            assert verdict is True and _ring_verdict(report, rule) is True, rule
+    return pure
+
+
+@pytest.mark.parametrize("rings", [None, (RingSpec(4), RingSpec(6))], ids=["default", "Z4-Z6"])
+def test_analyze_agrees_with_the_pure_search_on_the_corpus(corpus_documents, rings):
+    for doc in corpus_documents.values():
+        _assert_agrees_with_the_search(analyze(doc, rings=rings))
+
+
+def test_analyze_agrees_with_the_pure_search_on_random_models():
+    models = random_models(40, seed=20240817) + random_contextual_models(40, seed=20240824)
+    rules = set()
+    for model in models:
+        for rings in (None, (Z3, RingSpec(4), RingSpec(6))):
+            report = analyze(document_from_model(model), rings=rings)
+            _assert_agrees_with_the_search(report)
+            rules.add(report.lc_decided_by.partition(" ")[0])
+    # every kind of rule is exercised
+    assert rules == {"search", "AvN", "CSC", "CLC"}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        mycielski_colouring(4, 3),
+        mycielski_colouring(4, 4),
+        tseitin_model(12, seed=1),
+        tseitin_model(18, seed=1),
+    ],
+    ids=["M4-3col", "M4-4col", "tseitin-12", "tseitin-18"],
+)
+def test_analyze_agrees_with_the_pure_search_at_scale(model):
+    pure = _assert_agrees_with_the_search(analyze(document_from_model(model)))
+    assert pure.decided
+
+
+def test_sections_settled_by_an_obstruction_are_not_searched(monkeypatch):
+    # a = b = c with a + c = 2 over Z4: the global sections are a = 1 and
+    # a = 3, and each context's other two sections have non-vanishing
+    # obstructions over Z4 (CLC without CSC)
+    scenario = Scenario(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")), (0, 1, 2, 3))
+    model = EmpiricalModel.from_values(
+        scenario,
+        (
+            [(x, x) for x in range(4)],
+            [(x, x) for x in range(4)],
+            [(x, (2 - x) % 4) for x in range(4)],
+        ),
+    )
+    searched = []
+    search = _Restrictor.search
+
+    def counted(self, section, limit, budget):
+        searched.append(None if section is None else str(section))
+        return search(self, section, limit, budget)
+
+    monkeypatch.setattr(_Restrictor, "search", counted)
+    report = analyze(document_from_model(model))
+    z4 = report.ring_entry(RingSpec(4))
+    assert z4.clc and not z4.csc and z4.avn is False
+    assert (report.lc_decided_by, report.sc_decided_by) == ("CLC over Z4", "search")
+    failing = [str(v.section) for v in report.classification.failing_sections()]
+    assert failing == ["a=0,b=0", "a=2,b=2", "b=0,c=0", "b=2,c=2", "a=0,c=2", "a=2,c=0"]
+    # the global search, then the one section its witness left open
+    assert searched == [None, "a=3,b=3"]
+
+    searched.clear()
+    pure = _assert_agrees_with_the_search(report)
+    assert searched[:1] == [None] and set(failing) < set(searched)
+    assert report.classification.nodes_used < pure.nodes_used
+
+
+def test_budget_exhaustion_under_the_new_order(corpus_documents):
+    # nothing linear settles bell, so the search runs and runs out
+    report = analyze(corpus_documents["bell"], budget=3)
+    assert report.lc is None and report.sc is None
+    assert (report.lc_decided_by, report.sc_decided_by) == (None, None)
+    text = render_text(report)
+    assert "search budget exhausted after 3 nodes" in text
+    assert "strongly contextual (SC): undecided\n" in text
+
+    # AvN over Z2 settles pr-box before the search, which never starts
+    report = analyze(corpus_documents["pr-box"], budget=3)
+    assert report.lc is True and report.sc is True
+    assert report.classification.nodes_used == 0
+    assert report.classification.decided
+    assert (report.lc_decided_by, report.sc_decided_by) == ("AvN over Z2", "AvN over Z2")
+    text = render_text(report)
+    assert "budget exhausted" not in text
+    assert "strongly contextual (SC): yes (AvN over Z2)" in text
+    assert "logically contextual (LC): yes (AvN over Z2)" in text
+
+
+@pytest.mark.parametrize("contexts", [30, 40])
+def test_tseitin_parity_is_settled_by_avn_without_search(contexts):
+    model = tseitin_model(contexts, seed=1)
+    report = analyze(document_from_model(model))
+    assert report.sc is True and report.lc is True
+    assert report.classification.nodes_used == 0
+    assert report.classification.global_section is None
+    assert (report.lc_decided_by, report.sc_decided_by) == ("AvN over Z2", "AvN over Z2")
+    assert all(v.extends is False for v in report.classification.verdicts)
+
+
+def test_tseitin_parity_is_out_of_reach_of_the_search():
+    # the rule decides, not the search: 20,000 nodes settle nothing here
+    report = classify_contextuality(tseitin_model(30, seed=1), budget=20_000)
+    assert report.strongly_contextual is None
+    assert report.nodes_used == 20_000
 
 
 def test_hierarchy_self_check_passes_on_random_models():
