@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import islice
+from typing import Iterator
 
 from .cohomology import ObstructionReport, classify_cohomological
 from .documents import ModelDocument, canonical_json, document_hash, materialize
@@ -38,6 +40,7 @@ from .model import (
     check_no_signalling,
 )
 from .rings import INTEGERS, RingSpec
+from .scenario import section_text
 from .theory import AvnReport, is_avn
 
 _INTEGER_RING = INTEGERS
@@ -227,7 +230,7 @@ def analyze(
     if strong_rule is None:
         for entry in entries:
             non_extending.update(
-                k for k, v in enumerate(entry.obstructions.verdicts) if not v.vanishes
+                k for k, vanishes in enumerate(entry.obstructions.vanishes) if not vanishes
             )
     classification = timed(
         "classify",
@@ -265,6 +268,20 @@ def _decided(value: bool | None, rule: str | None) -> str:
     return _verdict(value) if rule is None else f"{_verdict(value)} ({rule})"
 
 
+def _non_extending(report: AnalysisReport) -> Iterator[tuple[tuple[str, ...], str]]:
+    """The context and the text of each section that extends to no global
+    section, in support order, written from its outcome tuple with one
+    formatter per context."""
+    model = report.model
+    flags = iter(report.classification.extends)
+    for ci, ctx in enumerate(model.scenario.contexts):
+        text = None
+        for v, extends in zip(model.support_values(ci), flags):
+            if extends is False:
+                text = text or section_text(ctx)
+                yield ctx, text(v)
+
+
 def render_text(report: AnalysisReport) -> str:
     model = report.model
     scn = model.scenario
@@ -282,12 +299,12 @@ def render_text(report: AnalysisReport) -> str:
         f"logically contextual (LC): "
         f"{_decided(cls.logically_contextual, report.lc_decided_by)}"
     )
-    failing = cls.failing_sections()
+    failing = cls.extends.count(False)
     if failing:
         shown = ", ".join(
-            f"{v.section} at ({', '.join(v.context)})" for v in failing[:4]
+            f"{text} at ({', '.join(ctx)})" for ctx, text in islice(_non_extending(report), 4)
         )
-        more = "" if len(failing) <= 4 else f" and {len(failing) - 4} more"
+        more = "" if failing <= 4 else f" and {failing - 4} more"
         lines.append(f"  non-extending: {shown}{more}")
     lines.append(
         f"strongly contextual (SC): "
@@ -315,8 +332,8 @@ def render_text(report: AnalysisReport) -> str:
         elif entry.aff_skipped is not None:
             lines.append(f"  SC of affine closure: skipped ({entry.aff_skipped})")
         obs = entry.obstructions
-        total = len(obs.verdicts)
-        non_vanishing = len(obs.non_vanishing())
+        total = len(obs.vanishes)
+        non_vanishing = obs.vanishes.count(False)
         lines.append(
             f"  obstructions: {non_vanishing} of {total} non-vanishing "
             f"(system {obs.unknowns} unknowns, {obs.compatibility_rows} "
@@ -344,8 +361,7 @@ def report_json(report: AnalysisReport) -> dict:
         "strongly_contextual": cls.strongly_contextual,
         "global_section": str(cls.global_section) if cls.global_section else None,
         "non_extending": [
-            {"context": list(v.context), "section": str(v.section)}
-            for v in cls.failing_sections()
+            {"context": list(ctx), "section": text} for ctx, text in _non_extending(report)
         ],
         "rings": [
             {
@@ -361,8 +377,8 @@ def report_json(report: AnalysisReport) -> dict:
                 "aff_skipped": entry.aff_skipped,
                 "clc": entry.clc,
                 "csc": entry.csc,
-                "non_vanishing": len(entry.obstructions.non_vanishing()),
-                "sections": len(entry.obstructions.verdicts),
+                "non_vanishing": entry.obstructions.vanishes.count(False),
+                "sections": len(entry.obstructions.vanishes),
                 "system": {
                     "unknowns": entry.obstructions.unknowns,
                     "compatibility_rows": entry.obstructions.compatibility_rows,

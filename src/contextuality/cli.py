@@ -116,7 +116,7 @@ def _cmd_obstruction(args) -> int:
     context = _parse_context_text(args.context)
     section = _parse_section_text(args.section)
     solver = ObstructionSolver(model, ring)
-    family = solver.family(context, section)
+    family = solver.family_text(context, section)
     vanishes = family is not None
     if args.json:
         payload = {
@@ -125,10 +125,7 @@ def _cmd_obstruction(args) -> int:
             "ring": str(ring),
             "vanishes": vanishes,
             "family": (
-                {
-                    " ".join(model.scenario.contexts[i]): str(comp)
-                    for i, comp in enumerate(family)
-                }
+                dict(zip(map(" ".join, model.scenario.contexts), family))
                 if family is not None
                 else None
             ),
@@ -145,8 +142,7 @@ def _cmd_obstruction(args) -> int:
     )
     if family is not None:
         sys.stdout.write("compatible family of coefficients:\n")
-        for i, comp in enumerate(family):
-            ctx = model.scenario.contexts[i]
+        for ctx, comp in zip(model.scenario.contexts, family):
             sys.stdout.write(f"  ({', '.join(ctx)}): {comp}\n")
     return 0
 

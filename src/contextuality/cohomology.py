@@ -10,7 +10,7 @@ ring, solvable exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -36,6 +36,7 @@ from .scenario import (
     build_nerve,
     connected_components,
     projection,
+    section_text,
     sections_over,
 )
 
@@ -491,11 +492,10 @@ class ObstructionSolver:
     def vanishes(self, context: Iterable[str], s0: Section) -> bool:
         return self._reduce(self._context_index(context), s0) is not None
 
-    def family(
-        self, context: Iterable[str], s0: Section
-    ) -> tuple[FormalLinearCombination, ...] | None:
-        """The witnessing compatible family, one combination per context, or
-        None when the obstruction does not vanish."""
+    def _witness(self, context: Iterable[str], s0: Section) -> list[int] | None:
+        """The witnessing compatible family as one vector over the 0-basis
+        positions, canonical for the ring, or None when the obstruction does
+        not vanish."""
         ci = self._context_index(context)
         tail = self._reduce(ci, s0)
         if tail is None:
@@ -505,7 +505,39 @@ class ObstructionSolver:
         for g, t in tail.items():
             for j, x in self._kernel[g - head].items():
                 witness[j] -= t * x
-        return vector_to_cochain(self.ring, self.basis, map(self.ring.canon, witness)).components
+        return list(map(self.ring.canon, witness))
+
+    def family(
+        self, context: Iterable[str], s0: Section
+    ) -> tuple[FormalLinearCombination, ...] | None:
+        """The witnessing compatible family, one combination per context, or
+        None when the obstruction does not vanish."""
+        witness = self._witness(context, s0)
+        if witness is None:
+            return None
+        return vector_to_cochain(self.ring, self.basis, witness).components
+
+    def family_text(self, context: Iterable[str], s0: Section) -> tuple[str, ...] | None:
+        """`str` of each combination of `family(context, s0)`, written from
+        the witness vector and the supports' outcome tuples without building
+        a section: per context the nonzero weights in the order of their
+        outcome tuples, as `w*[s]` with `1*` dropped, or `0` when none."""
+        witness = self._witness(context, s0)
+        if witness is None:
+            return None
+        model, offsets = self.model, self._complex.offsets
+        texts = []
+        for ci, ctx in enumerate(model.scenario.contexts):
+            weights = witness[offsets[ci] : offsets[ci + 1]]
+            terms = sorted((v, w) for v, w in zip(model.support_values(ci), weights) if w)
+            if not terms:
+                texts.append("0")
+                continue
+            text = section_text(ctx)
+            texts.append(
+                " + ".join(f"[{text(v)}]" if w == 1 else f"{w}*[{text(v)}]" for v, w in terms)
+            )
+        return tuple(texts)
 
     @property
     def nerve(self) -> tuple[tuple[Simplex, ...], ...]:
@@ -543,17 +575,33 @@ class SectionObstruction:
 class ObstructionReport:
     """Vanishing verdicts for every supported section.
 
+    `vanishes` holds one flag per supported section, context by context in
+    cover order and in support order within a context, aligned with the
+    model's `support_values`. `verdicts`, `vanishing()` and
+    `non_vanishing()` pair the flags with their contexts and sections,
+    built when first read.
+
     clc: some section has non-vanishing obstruction (a cohomological witness
     of logical contextuality). csc: every section does (the cohomological
     strengthening of strong contextuality).
     """
 
     ring: RingSpec
-    verdicts: tuple[SectionObstruction, ...]
+    model: EmpiricalModel = field(repr=False)
+    vanishes: tuple[bool, ...]
     clc: bool
     csc: bool
     unknowns: int
     compatibility_rows: int
+
+    @cached_property
+    def verdicts(self) -> tuple[SectionObstruction, ...]:
+        model = self.model
+        contexts = model.scenario.contexts
+        pairs = ((ctx, s) for ci, ctx in enumerate(contexts) for s in model.support(ci))
+        return tuple(
+            SectionObstruction(ctx, s, flag) for (ctx, s), flag in zip(pairs, self.vanishes)
+        )
 
     def vanishing(self) -> tuple[SectionObstruction, ...]:
         return tuple(v for v in self.verdicts if v.vanishes)
@@ -564,18 +612,18 @@ class ObstructionReport:
 
 def classify_cohomological(model: EmpiricalModel, ring: RingSpec) -> ObstructionReport:
     solver = ObstructionSolver(model, ring)
-    verdicts = []
-    for ci, ctx in enumerate(model.scenario.contexts):
-        form = solver._decomposition(ci)
-        for j, s in enumerate(model.support(ci)):
-            verdicts.append(SectionObstruction(ctx, s, form.reduce({j: 1}) is not None))
-    clc = any(not v.vanishes for v in verdicts)
-    csc = all(not v.vanishes for v in verdicts)
+    vanishes: list[bool] = []
+    for ci in range(len(model.scenario.contexts)):
+        reduce = solver._decomposition(ci).reduce
+        vanishes.extend(
+            reduce({j: 1}) is not None for j in range(len(model.support_values(ci)))
+        )
     return ObstructionReport(
         ring,
-        tuple(verdicts),
-        clc,
-        csc,
+        model,
+        tuple(vanishes),
+        False in vanishes,
+        True not in vanishes,
         solver.unknowns,
         solver.compatibility_rows,
     )

@@ -10,8 +10,9 @@ model is strongly contextual when no global assignment exists at all.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, InitVar, dataclass
+from dataclasses import FrozenInstanceError, InitVar, dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping
@@ -25,7 +26,7 @@ from .errors import (
     SelfCheckError,
     SignallingError,
 )
-from .scenario import Scenario, Section, projection, sections_over
+from .scenario import Scenario, Section, projection, section_text, sections_over
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -472,14 +473,15 @@ class _Restrictor:
 
     def search(
         self,
-        fixed: Section | None,
+        fixed: Mapping[str, int] | None,
         limit: int | None,
         budget: int,
     ) -> tuple[list[Section], int, bool]:
-        """Returns (sections found, nodes visited, search completed)."""
+        """Returns (sections found, nodes visited, search completed). Each
+        measurement in `fixed` takes only its outcome there."""
         order = self.order
         k = len(order)
-        fixed_vals = fixed.as_dict() if fixed is not None else {}
+        fixed = fixed or {}
         values: dict[str, int] = {}
         results: list[Section] = []
         nodes = 0
@@ -498,9 +500,7 @@ class _Restrictor:
                 results.append(Section.of(values.copy()))
                 return True
             m = order[depth]
-            candidates = (
-                (fixed_vals[m],) if m in fixed_vals else self.outcomes
-            )
+            candidates = (fixed[m],) if m in fixed else self.outcomes
             for o in candidates:
                 if nodes >= budget:
                     complete = False
@@ -568,24 +568,43 @@ class SectionVerdict:
 class ContextualityReport:
     """Per-section extension flags plus the aggregate LC/SC verdicts.
 
+    `extends` holds one flag per supported section, context by context in
+    cover order and in support order within a context, aligned with the
+    model's `support_values`; None marks a section undecided at the budget.
+    `verdicts` and `failing_sections()` pair the flags with their contexts
+    and sections, built when first read.
+
     logically_contextual: some supported section extends to no compatible
     family. strongly_contextual: no global section at all (equivalently all
     sections fail). None marks verdicts undecided at the search budget.
     """
 
-    verdicts: tuple[SectionVerdict, ...]
+    model: EmpiricalModel = field(repr=False)
+    extends: tuple[bool | None, ...]
     logically_contextual: bool | None
     strongly_contextual: bool | None
     global_section: Section | None
     nodes_used: int
     budget: int
 
+    @cached_property
+    def verdicts(self) -> tuple[SectionVerdict, ...]:
+        model = self.model
+        contexts = model.scenario.contexts
+        sections = (
+            (ci, ctx, s) for ci, ctx in enumerate(contexts) for s in model.support(ci)
+        )
+        return tuple(
+            SectionVerdict(ci, ctx, s, flag)
+            for (ci, ctx, s), flag in zip(sections, self.extends)
+        )
+
     @property
     def decided(self) -> bool:
         return (
             self.logically_contextual is not None
             and self.strongly_contextual is not None
-            and all(v.extends is not None for v in self.verdicts)
+            and None not in self.extends
         )
 
     def failing_sections(self) -> tuple[SectionVerdict, ...]:
@@ -617,30 +636,33 @@ def _classify(
 
     `strongly` says the model has no global section: then nothing is
     searched and every section is non-extending. `non_extending` holds the
-    positions, in the order of the report's verdicts, of sections known to
+    positions, in the order of the report's flags, of sections known to
     extend to no global section; they take no search of their own. A global
     section found that restricts to one of them contradicts what was known
     and raises `SelfCheckError`.
     """
     scn = model.scenario
-    remaining = budget
-    total_nodes = 0
-    witness = None
     if strongly:
-        engine = None
-        sc: bool | None = True
+        return ContextualityReport(
+            model=model,
+            extends=(False,) * sum(map(len, model._values)),
+            logically_contextual=True,
+            strongly_contextual=True,
+            global_section=None,
+            nodes_used=0,
+            budget=budget,
+        )
+    engine = _Restrictor(model, scn.measurements)
+    found, nodes, complete = engine.search(None, 1, budget)
+    remaining = budget - nodes
+    total_nodes = nodes
+    witness = found[0] if found else None
+    if witness is not None:
+        sc: bool | None = False
+    elif complete:
+        sc = True
     else:
-        engine = _Restrictor(model, scn.measurements)
-        found, nodes, complete = engine.search(None, 1, remaining)
-        remaining -= nodes
-        total_nodes += nodes
-        witness = found[0] if found else None
-        if witness is not None:
-            sc = False
-        elif complete:
-            sc = True
-        else:
-            sc = None
+        sc = None
 
     # per context, the outcome tuples of the sections known to extend: the
     # restrictions of every global section found so far
@@ -653,50 +675,47 @@ def _classify(
 
     if witness is not None:
         settle(witness)
-    verdicts: list[SectionVerdict] = []
-    for ci, sup in enumerate(model.supports):
-        ctx = scn.contexts[ci]
-        for s, v in zip(sup, model.support_values(ci)):
-            known_to_fail = len(verdicts) in non_extending
+    extends: list[bool | None] = []
+    for ci, ctx in enumerate(scn.contexts):
+        for v in model.support_values(ci):
+            known_to_fail = len(extends) in non_extending
             if v in extending[ci]:
                 if known_to_fail:
                     raise SelfCheckError(
-                        f"{s} at {ctx} is known to extend to no global section, "
-                        "but the search found one"
+                        f"{section_text(ctx)(v)} at {ctx} is known to extend to no "
+                        "global section, but the search found one"
                     )
-                verdicts.append(SectionVerdict(ci, ctx, s, True))
+                extends.append(True)
                 continue
             if sc is True or known_to_fail:
                 # no global section at all, or none through this section
-                verdicts.append(SectionVerdict(ci, ctx, s, False))
+                extends.append(False)
                 continue
-            res, nodes, complete = engine.search(s, 1, max(remaining, 0))
+            res, nodes, complete = engine.search(dict(zip(ctx, v)), 1, max(remaining, 0))
             remaining -= nodes
             total_nodes += nodes
             if res:
                 settle(res[0])
-                extends: bool | None = True
-            elif complete:
-                extends = False
+                extends.append(True)
             else:
-                extends = None
-            verdicts.append(SectionVerdict(ci, ctx, s, extends))
+                extends.append(False if complete else None)
 
-    if any(v.extends is False for v in verdicts):
+    if False in extends:
         lc: bool | None = True
-    elif all(v.extends is True for v in verdicts):
+    elif None not in extends:
         lc = False
     else:
         lc = None
 
-    if sc is None and all(v.extends is False for v in verdicts):
+    if sc is None and None not in extends and True not in extends:
         # every section failed, decided: there can be no global section
         sc = True
-    if sc is True and any(v.extends is True for v in verdicts):
+    if sc is True and True in extends:
         raise SelfCheckError("global search found nothing but a section extends")
 
     return ContextualityReport(
-        verdicts=tuple(verdicts),
+        model=model,
+        extends=tuple(extends),
         logically_contextual=lc,
         strongly_contextual=sc,
         global_section=witness,

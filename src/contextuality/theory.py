@@ -9,9 +9,10 @@ set, so consistency questions (AvN) reduce to finite linear systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DegenerateModelError,
@@ -25,6 +26,7 @@ from .rings import (
     LinearSystem,
     RingMatrix,
     RingSpec,
+    Row,
     dense,
     echelon,
     linear_decomposition,
@@ -154,7 +156,7 @@ def _kernel_generators(
 
 
 def _equations(
-    ring: RingSpec, context: tuple[str, ...], generators: Iterable[list[int]]
+    ring: RingSpec, context: tuple[str, ...], generators: Iterable[Sequence[int]]
 ) -> tuple[LinearEquation, ...]:
     return tuple(LinearEquation(ring, context, tuple(gen[:-1]), gen[-1]) for gen in generators)
 
@@ -178,26 +180,53 @@ def theory_of_sections(
     return _equations(ring, context, _kernel_generators(ring, len(context), values, embedding))
 
 
-def theory_of_model(model: EmpiricalModel, ring: RingSpec) -> Theory:
-    """Per-context kernel generators, one batch per cover context, from the
-    stored outcome tuples of each support. Contexts with equal supports
-    (the same outcome tuples) share one kernel, and each labels its
-    equations with its own measurements."""
+def _support_kernels(
+    model: EmpiricalModel, ring: RingSpec
+) -> tuple[dict[int, int], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """The outcome embedding and, per cover context, the kernel generators
+    (a_1..a_k, b) of its support, from the stored outcome tuples. Contexts
+    with equal supports (the same outcome tuples) share one kernel, and a
+    generator repeated within a kernel is kept once, as `Theory` keeps an
+    equation once."""
     if not ring.is_finite:
         raise UnsupportedRingError(
             "theory of a model needs a finite ring; the outcome alphabet "
             "must embed into it"
         )
     embedding = outcome_embedding(ring, model.scenario.outcomes)
-    kernels: dict[tuple, list[list[int]]] = {}
-    equations: list[LinearEquation] = []
+    kernels: dict[tuple, tuple[tuple[int, ...], ...]] = {}
+    per_context = []
     for ci, ctx in enumerate(model.scenario.contexts):
         key = (len(ctx), model.support_values(ci))
         generators = kernels.get(key)
         if generators is None:
-            generators = kernels[key] = _kernel_generators(ring, *key, embedding)
-        equations.extend(_equations(ring, ctx, generators))
-    return Theory(ring, tuple(equations))
+            found = _kernel_generators(ring, *key, embedding)
+            generators = kernels[key] = tuple(dict.fromkeys(map(tuple, found)))
+        per_context.append(generators)
+    return embedding, tuple(per_context)
+
+
+def _theory(
+    ring: RingSpec, scenario: Scenario, kernels: Iterable[tuple[tuple[int, ...], ...]]
+) -> Theory:
+    """The theory whose equations are each context's kernel generators,
+    labelled with its own measurements, in cover order."""
+    return Theory(
+        ring,
+        tuple(
+            eq
+            for ctx, generators in zip(scenario.contexts, kernels)
+            for eq in _equations(ring, ctx, generators)
+        ),
+    )
+
+
+def theory_of_model(model: EmpiricalModel, ring: RingSpec) -> Theory:
+    """Per-context kernel generators, one batch per cover context, from the
+    stored outcome tuples of each support. Contexts with equal supports
+    (the same outcome tuples) share one kernel, and each labels its
+    equations with its own measurements."""
+    return _theory(ring, model.scenario, _support_kernels(model, ring)[1])
 
 
 def _solution_values(
@@ -273,70 +302,90 @@ class AvnReport:
     substitution with the free unknowns set to 0. An unsolvable one carries
     that Howell form itself as `reduced_system`; its last row then has zero
     coefficients and a nonzero constant.
+
+    The report keeps each context's kernel generators and the sparse rows
+    of the Howell form; `theory` and the dense `reduced_system` are built
+    from them when first read.
     """
 
     ring: RingSpec
     avn: bool
-    theory: Theory
     solution: Section | None
-    reduced_system: LinearSystem | None
-    fixed: Section | None = None
+    fixed: Section | None
+    scenario: Scenario = field(repr=False)
+    kernels: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
+    # a function of the fields above, so left out of equality and hashing
+    howell_rows: tuple[Row, ...] | None = field(repr=False, compare=False)
+
+    @cached_property
+    def theory(self) -> Theory:
+        return _theory(self.ring, self.scenario, self.kernels)
+
+    @cached_property
+    def reduced_system(self) -> LinearSystem | None:
+        if self.howell_rows is None:
+            return None
+        width = len(self.scenario.measurements)
+        kept = [dense(row, width + 1) for row in self.howell_rows]
+        matrix = RingMatrix(
+            self.ring, len(kept), width, tuple(x for row in kept for x in row[:-1])
+        )
+        return LinearSystem(matrix, tuple(row[-1] for row in kept))
 
 
-def _decide(
-    model: EmpiricalModel, theory: Theory, s0: Section | None = None
-) -> tuple[bool, Section | None, LinearSystem | None]:
+def _decide(model: EmpiricalModel, ring: RingSpec, s0: Section | None = None) -> AvnReport:
     """Verdict, solution and certificate from one Howell form of [A | b].
 
-    The rows are the theory's equations over the declared measurements,
-    then, for s0, one row m = s0(m) per measurement of its domain in
-    declared order. Over Z_n the system is unsolvable exactly when some y
-    has y*A = 0 and y*b != 0 (Z_n is self-injective), and the Howell
-    property puts such a row (0 | y*b) among the form's rows: a pivot in
-    the b column. Without one, back substitution from the last pivot
-    solves the form. A row with pivot p at column c needs
-    p*x_c = r, where r is its constant minus its terms in the unknowns
-    already fixed, and p divides r: (n/p)*row is zero at c, so it is a
-    combination of later rows, which x satisfies, hence (n/p)*r = 0.
+    The rows are each context's kernel generators over the declared
+    measurements, in cover order, then, for s0, one row m = s0(m) per
+    measurement of its domain in declared order. Over Z_n the system is
+    unsolvable exactly when some y has y*A = 0 and y*b != 0 (Z_n is
+    self-injective), and the Howell property puts such a row (0 | y*b)
+    among the form's rows: a pivot in the b column. Without one, back
+    substitution from the last pivot solves the form. A row with pivot p
+    at column c needs p*x_c = r, where r is its constant minus its terms
+    in the unknowns already fixed, and p divides r: (n/p)*row is zero at
+    c, so it is a combination of later rows, which x satisfies, hence
+    (n/p)*r = 0.
     """
-    ring, n = theory.ring, theory.ring.modulus
-    measurements = model.scenario.measurements
+    embedding, kernels = _support_kernels(model, ring)
+    n = ring.modulus
+    scenario = model.scenario
+    measurements = scenario.measurements
     width = len(measurements)
-    index = model.scenario.measurement_index
+    index = scenario.measurement_index
     rows = []
-    for eq in theory.equations:
-        row = {index(m): a for m, a in zip(eq.context, eq.coefficients) if a}
-        row[width] = eq.constant
-        rows.append(row)
+    for ctx, generators in zip(scenario.contexts, kernels):
+        columns = list(map(index, ctx))
+        for gen in generators:
+            row = {c: a for c, a in zip(columns, gen) if a}
+            row[width] = gen[-1]
+            rows.append(row)
     if s0 is not None:
-        embedding = outcome_embedding(ring, model.scenario.outcomes)
-        for m in model.scenario.sorted_measurements(s0.domain):
-            rows.append({index(m): 1, width: embedding[s0[m]]})
+        values = s0.as_dict()
+        for m in scenario.sorted_measurements(values):
+            rows.append({index(m): 1, width: embedding[values[m]]})
     form = echelon(ring, rows, width + 1)
     if width in form.rows:
-        kept = [dense(row, width + 1) for row in form.rows.values()]
-        matrix = RingMatrix(ring, len(kept), width, tuple(x for row in kept for x in row[:-1]))
-        return True, None, LinearSystem(matrix, tuple(row[-1] for row in kept))
-    x = [0] * width
-    for c, row in reversed(form.rows.items()):
-        r = row.get(width, 0) - sum(a * x[j] for j, a in row.items() if c < j < width)
-        x[c] = r % n // row[c]
-    return False, Section.of(zip(measurements, x)), None
+        avn, solution, howell_rows = True, None, tuple(form.rows.values())
+    else:
+        x = [0] * width
+        for c, row in reversed(form.rows.items()):
+            r = row.get(width, 0) - sum(a * x[j] for j, a in row.items() if c < j < width)
+            x[c] = r % n // row[c]
+        avn, solution, howell_rows = False, Section.of(zip(measurements, x)), None
+    return AvnReport(ring, avn, solution, s0, scenario, kernels, howell_rows)
 
 
 def is_avn(model: EmpiricalModel, ring: RingSpec) -> AvnReport:
     """All-vs-Nothing over the ring: the model's theory has no global solution."""
-    theory = theory_of_model(model, ring)
-    avn, solution, reduced = _decide(model, theory)
-    return AvnReport(ring, avn, theory, solution, reduced)
+    return _decide(model, ring)
 
 
 def is_avn_at(model: EmpiricalModel, s0: Section, ring: RingSpec) -> AvnReport:
     """AvN relative to a section: no theory solution extends s0."""
     model.context_of_section(s0)
-    theory = theory_of_model(model, ring)
-    avn, solution, reduced = _decide(model, theory, s0)
-    return AvnReport(ring, avn, theory, solution, reduced, fixed=s0)
+    return _decide(model, ring, s0)
 
 
 # ---------------------------------------------------------------------------

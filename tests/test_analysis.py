@@ -14,6 +14,7 @@ from contextuality import (
     INTEGERS,
     RingSpec,
     Scenario,
+    Section,
     SelfCheckError,
     analyze,
     classify_contextuality,
@@ -214,8 +215,8 @@ def test_a_lying_obstruction_route_cannot_produce_a_derived_sc(monkeypatch):
         report = honest(model, ring)
         if ring != Z2:
             return report
-        verdicts = tuple(dataclasses.replace(v, vanishes=False) for v in report.verdicts)
-        return dataclasses.replace(report, verdicts=verdicts, clc=True, csc=True)
+        vanishes = (False,) * len(report.vanishes)
+        return dataclasses.replace(report, vanishes=vanishes, clc=True, csc=True)
 
     monkeypatch.setattr(analysis_module, "classify_cohomological", lying)
     bell = document_from_model(bipartite_model(CORR, ALL4, ALL4, ALL4))
@@ -232,8 +233,8 @@ def test_a_section_settled_as_failing_that_extends_is_a_self_check_error(monkeyp
         report = honest(model, ring)
         if ring != Z2:
             return report
-        first = dataclasses.replace(report.verdicts[0], vanishes=False)
-        return dataclasses.replace(report, verdicts=(first,) + report.verdicts[1:], clc=True)
+        vanishes = (False,) + report.vanishes[1:]
+        return dataclasses.replace(report, vanishes=vanishes, clc=True)
 
     monkeypatch.setattr(analysis_module, "classify_cohomological", lying)
     bell = document_from_model(bipartite_model(CORR, ALL4, ALL4, ALL4))
@@ -325,7 +326,7 @@ def test_sections_settled_by_an_obstruction_are_not_searched(monkeypatch):
     search = _Restrictor.search
 
     def counted(self, section, limit, budget):
-        searched.append(None if section is None else str(section))
+        searched.append(None if section is None else str(Section.of(section)))
         return search(self, section, limit, budget)
 
     monkeypatch.setattr(_Restrictor, "search", counted)

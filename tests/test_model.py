@@ -445,7 +445,7 @@ def test_every_global_section_found_settles_its_sections(corpus_models):
         assert report.global_section == (first[0] if first else None)
         assert report.strongly_contextual == (not first)
         expected = [
-            bool(engine.search(v.section, 1, model_module.DEFAULT_SEARCH_BUDGET)[0])
+            bool(engine.search(v.section.as_dict(), 1, model_module.DEFAULT_SEARCH_BUDGET)[0])
             for v in report.verdicts
         ]
         assert [v.extends for v in report.verdicts] == expected
