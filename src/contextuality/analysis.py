@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .cohomology import ObstructionReport, classify_cohomological
 from .documents import ModelDocument, canonical_json, document_hash, materialize
@@ -40,7 +40,6 @@ from .model import (
     check_no_signalling,
 )
 from .rings import INTEGERS, RingSpec
-from .scenario import section_text
 from .theory import AvnReport, is_avn
 
 _INTEGER_RING = INTEGERS
@@ -268,17 +267,28 @@ def _decided(value: bool | None, rule: str | None) -> str:
     return _verdict(value) if rule is None else f"{_verdict(value)} ({rule})"
 
 
+def _section_text(measurements: tuple[str, ...]) -> Callable[[tuple[int, ...]], str]:
+    """The map taking an outcome tuple over the measurements to
+    `str(Section)` of that section, without building it: one format
+    template with the labels sorted and their braces escaped."""
+    template = ",".join(
+        measurements[k].replace("{", "{{").replace("}", "}}") + f"={{{k}}}"
+        for k in sorted(range(len(measurements)), key=measurements.__getitem__)
+    )
+    return lambda v: template.format(*v)
+
+
 def _non_extending(report: AnalysisReport) -> Iterator[tuple[tuple[str, ...], str]]:
     """The context and the text of each section that extends to no global
     section, in support order, written from its outcome tuple with one
-    formatter per context."""
+    template per context."""
     model = report.model
     flags = iter(report.classification.extends)
     for ci, ctx in enumerate(model.scenario.contexts):
         text = None
         for v, extends in zip(model.support_values(ci), flags):
             if extends is False:
-                text = text or section_text(ctx)
+                text = text or _section_text(ctx)
                 yield ctx, text(v)
 
 

@@ -116,7 +116,7 @@ def _cmd_obstruction(args) -> int:
     context = _parse_context_text(args.context)
     section = _parse_section_text(args.section)
     solver = ObstructionSolver(model, ring)
-    family = solver.family_text(context, section)
+    family = solver.family(context, section)
     vanishes = family is not None
     if args.json:
         payload = {
@@ -125,7 +125,10 @@ def _cmd_obstruction(args) -> int:
             "ring": str(ring),
             "vanishes": vanishes,
             "family": (
-                dict(zip(map(" ".join, model.scenario.contexts), family))
+                {
+                    " ".join(model.scenario.contexts[i]): str(comp)
+                    for i, comp in enumerate(family)
+                }
                 if family is not None
                 else None
             ),
@@ -142,7 +145,8 @@ def _cmd_obstruction(args) -> int:
     )
     if family is not None:
         sys.stdout.write("compatible family of coefficients:\n")
-        for ctx, comp in zip(model.scenario.contexts, family):
+        for i, comp in enumerate(family):
+            ctx = model.scenario.contexts[i]
             sys.stdout.write(f"  ({', '.join(ctx)}): {comp}\n")
     return 0
 

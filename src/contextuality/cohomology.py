@@ -36,7 +36,6 @@ from .scenario import (
     build_nerve,
     connected_components,
     projection,
-    section_text,
     sections_over,
 )
 
@@ -492,10 +491,11 @@ class ObstructionSolver:
     def vanishes(self, context: Iterable[str], s0: Section) -> bool:
         return self._reduce(self._context_index(context), s0) is not None
 
-    def _witness(self, context: Iterable[str], s0: Section) -> list[int] | None:
-        """The witnessing compatible family as one vector over the 0-basis
-        positions, canonical for the ring, or None when the obstruction does
-        not vanish."""
+    def family(
+        self, context: Iterable[str], s0: Section
+    ) -> tuple[FormalLinearCombination, ...] | None:
+        """The witnessing compatible family, one combination per context, or
+        None when the obstruction does not vanish."""
         ci = self._context_index(context)
         tail = self._reduce(ci, s0)
         if tail is None:
@@ -505,39 +505,7 @@ class ObstructionSolver:
         for g, t in tail.items():
             for j, x in self._kernel[g - head].items():
                 witness[j] -= t * x
-        return list(map(self.ring.canon, witness))
-
-    def family(
-        self, context: Iterable[str], s0: Section
-    ) -> tuple[FormalLinearCombination, ...] | None:
-        """The witnessing compatible family, one combination per context, or
-        None when the obstruction does not vanish."""
-        witness = self._witness(context, s0)
-        if witness is None:
-            return None
-        return vector_to_cochain(self.ring, self.basis, witness).components
-
-    def family_text(self, context: Iterable[str], s0: Section) -> tuple[str, ...] | None:
-        """`str` of each combination of `family(context, s0)`, written from
-        the witness vector and the supports' outcome tuples without building
-        a section: per context the nonzero weights in the order of their
-        outcome tuples, as `w*[s]` with `1*` dropped, or `0` when none."""
-        witness = self._witness(context, s0)
-        if witness is None:
-            return None
-        model, offsets = self.model, self._complex.offsets
-        texts = []
-        for ci, ctx in enumerate(model.scenario.contexts):
-            weights = witness[offsets[ci] : offsets[ci + 1]]
-            terms = sorted((v, w) for v, w in zip(model.support_values(ci), weights) if w)
-            if not terms:
-                texts.append("0")
-                continue
-            text = section_text(ctx)
-            texts.append(
-                " + ".join(f"[{text(v)}]" if w == 1 else f"{w}*[{text(v)}]" for v, w in terms)
-            )
-        return tuple(texts)
+        return vector_to_cochain(self.ring, self.basis, map(self.ring.canon, witness)).components
 
     @property
     def nerve(self) -> tuple[tuple[Simplex, ...], ...]:

@@ -26,7 +26,7 @@ from .errors import (
     SelfCheckError,
     SignallingError,
 )
-from .scenario import Scenario, Section, projection, section_text, sections_over
+from .scenario import Scenario, Section, projection, sections_over
 
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
@@ -682,7 +682,7 @@ def _classify(
             if v in extending[ci]:
                 if known_to_fail:
                     raise SelfCheckError(
-                        f"{section_text(ctx)(v)} at {ctx} is known to extend to no "
+                        f"{Section.of(zip(ctx, v))} at {ctx} is known to extend to no "
                         "global section, but the search found one"
                     )
                 extends.append(True)

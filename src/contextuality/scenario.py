@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ScenarioError, SectionDomainError
 
@@ -86,18 +86,6 @@ def sections_over(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
     order = sorted(range(len(measurements)), key=measurements.__getitem__)
     labels = [measurements[k] for k in order]
     return tuple(Section(tuple(zip(labels, [v[k] for k in order]))) for v in rows)
-
-
-def section_text(measurements: tuple[str, ...]) -> Callable[[tuple[int, ...]], str]:
-    """The map taking an outcome tuple over the measurements (in their
-    order) to the text of its section, `str(Section)`, without building
-    the section: one template, the labels sorted, braces escaped and a
-    field per outcome."""
-    template = ",".join(
-        measurements[k].replace("{", "{{").replace("}", "}}") + f"={{{k}}}"
-        for k in sorted(range(len(measurements)), key=measurements.__getitem__)
-    )
-    return lambda v: template.format(*v)
 
 
 @dataclass(frozen=True)

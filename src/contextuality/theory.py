@@ -312,20 +312,20 @@ class AvnReport:
     avn: bool
     solution: Section | None
     fixed: Section | None
-    scenario: Scenario = field(repr=False)
+    model: EmpiricalModel = field(repr=False)
     kernels: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False)
     # a function of the fields above, so left out of equality and hashing
     howell_rows: tuple[Row, ...] | None = field(repr=False, compare=False)
 
     @cached_property
     def theory(self) -> Theory:
-        return _theory(self.ring, self.scenario, self.kernels)
+        return _theory(self.ring, self.model.scenario, self.kernels)
 
     @cached_property
     def reduced_system(self) -> LinearSystem | None:
         if self.howell_rows is None:
             return None
-        width = len(self.scenario.measurements)
+        width = len(self.model.scenario.measurements)
         kept = [dense(row, width + 1) for row in self.howell_rows]
         matrix = RingMatrix(
             self.ring, len(kept), width, tuple(x for row in kept for x in row[:-1])
@@ -374,7 +374,7 @@ def _decide(model: EmpiricalModel, ring: RingSpec, s0: Section | None = None) ->
             r = row.get(width, 0) - sum(a * x[j] for j, a in row.items() if c < j < width)
             x[c] = r % n // row[c]
         avn, solution, howell_rows = False, Section.of(zip(measurements, x)), None
-    return AvnReport(ring, avn, solution, s0, scenario, kernels, howell_rows)
+    return AvnReport(ring, avn, solution, s0, model, kernels, howell_rows)
 
 
 def is_avn(model: EmpiricalModel, ring: RingSpec) -> AvnReport:

@@ -1,7 +1,7 @@
 """Per-section verdicts kept as flags aligned with the supports' outcome
 tuples, against the Section-level views built from them when read: the
 obstruction and extension verdicts, the AvN theory and certificate, and the
-text that `analyze` and `obstruction` write without building a section."""
+text that `analyze` writes from the flags without building a section."""
 
 import pytest
 
@@ -12,6 +12,7 @@ from contextuality import (
     OutcomeCoercionError,
     RingSpec,
     Scenario,
+    Section,
     SectionObstruction,
     SectionVerdict,
     analyze,
@@ -29,8 +30,8 @@ from contextuality import (
     theory_of_model,
 )
 from contextuality.rings import LinearSystem, RingMatrix, dense, echelon
-from contextuality.scenario import section_text, sections_over
 
+import contextuality.analysis as analysis_module
 import contextuality.theory as theory_module
 
 from _random_models import random_contextual_models, random_models
@@ -86,10 +87,10 @@ def _sections(model: EmpiricalModel):
             yield ci, ctx, s
 
 
-def test_section_text_is_the_text_of_the_section():
-    for labels in (LABELS, ("中", "}b", "α{"), ("b", "a", "c", "{}", "{1}")):
+def test_the_report_writes_a_section_as_its_text():
+    for labels in (LABELS, ("中", "}b", "α{"), ("b", "a", "c", "{}", "{1}"), ("{", "}", "z,=")):
         for v in ((0, 1, 2, 3, 4)[: len(labels)], (-1, 10, 0, 7, 2)[: len(labels)]):
-            assert section_text(labels)(v) == str(sections_over(labels, [v])[0])
+            assert analysis_module._section_text(labels)(v) == str(Section.of(zip(labels, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -244,19 +245,6 @@ def test_non_extending_sections_render_as_their_sections(corpus_documents, corpu
         shown = ", ".join(f"{v.section} at ({', '.join(v.context)})" for v in failing[:4])
         more = "" if len(failing) <= 4 else f" and {len(failing) - 4} more"
         assert lines == [f"  non-extending: {shown}{more}"]
-
-
-def test_obstruction_family_text_is_the_text_of_the_family(corpus_models):
-    vanishing = 0
-    for model in _models(corpus_models):
-        for ring in (Z2, Z4, INTEGERS):
-            solver = ObstructionSolver(model, ring)
-            for _, ctx, s in _sections(model):
-                family = solver.family(ctx, s)
-                text = solver.family_text(ctx, s)
-                assert text == (None if family is None else tuple(map(str, family)))
-                vanishing += family is not None
-    assert vanishing
 
 
 @pytest.mark.parametrize("name", ["liar-48", "pr-box"])
