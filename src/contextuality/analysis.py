@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator
 
-from .cohomology import ObstructionReport, classify_cohomological
+from .cohomology import ObstructionReport, _degree0_complex, classify_cohomological
 from .documents import ModelDocument, canonical_json, document_hash, materialize
 from .errors import OutcomeCoercionError, SelfCheckError
 from .model import (
@@ -139,6 +139,9 @@ def _check_hierarchy(report: AnalysisReport) -> None:
         if ring.is_integers:
             continue
         _implies(violations, entry.avn, entry.csc, f"AvN_{ring} must imply CSC_{ring}")
+        # every Z_n obstruction form is read from the integer one, so these
+        # two compare routes that share it; the tests' per-ring oracle
+        # checks that shared route
         _implies(violations, entry.csc, integral.csc, f"CSC_{ring} must imply CSC_Z")
         _implies(violations, entry.clc, integral.clc, f"CLC_{ring} must imply CLC_Z")
         _implies(violations, entry.csc, entry.clc, f"CSC_{ring} must imply CLC_{ring}")
@@ -190,6 +193,9 @@ def analyze(
         if ring not in ordered:
             ordered.append(ring)
 
+    # every ring's obstructions read the degree-0 complex, the integer
+    # kernel and the integer block form
+    timed("cohomology integer form", lambda: _degree0_complex(model).form(INTEGERS))
     entries = []
     for ring in ordered:
         avn_report = None

@@ -293,33 +293,36 @@ def _require_connected(model: EmpiricalModel) -> None:
 
 
 class _Degree0Complex:
-    """The ring-independent part of a model's obstruction systems: the
-    offsets of each context's positions in the 0-cochain basis, the number
-    of 1-cochain basis positions, the sparse rows [delta0^T | I] (row j
-    holds column j of delta0 on the keys below that number and a 1 at its
-    own tail key) and the context owning each basis position. Built once
-    per model by `_degree0_complex`; the basis itself, with its sections,
-    is built only when read.
+    """The ring-independent part of a model's obstruction systems, built
+    once per model by `_degree0_complex`: the offsets of each context's
+    positions in the 0-cochain basis, the number m of 1-cochain basis
+    positions, the sparse rows [delta0^T | I] (row j holds column j of
+    delta0 below key m and a 1 at tail key m + j) and the context owning
+    each basis position. The basis, with its sections, and the nerve are
+    built only when read.
 
-    The rows are built in one pass over the overlapping pairs (i, j) of the
-    cover, from the stored outcome tuples: the 0-basis is the supports
-    themselves, and each pair projects both supports onto its overlap,
-    numbers the image in lexicographic order after the rows of the pairs
+    The rows come from one pass over the overlapping pairs (i, j) of the
+    cover: each pair projects both supports' outcome tuples onto its
+    overlap, numbers the image in lexicographic order after the pairs
     before it, and gives context i's positions -1 and context j's +1 in the
-    row of their projection. That is the numbering, the signs and the key
-    order of `coboundary_entries` on the reference bases of `cochain_basis`,
-    without building their sections; the nerve is built only when read.
+    row of their projection, as `coboundary_entries` does on the reference
+    bases, in the same key order.
 
-    The rows are eliminated once per model, over Z, on first use. That
-    integer form also serves every Z_n when each of its pivots is 1. The
-    elimination is a unimodular transform U, recorded in the tails, with
-    U*delta0^T = [H; 0], and H is in echelon form with pivots 1. Mod n, U
-    stays invertible and the rows of H stay independent, because each has
-    a 1 where the rows after it are zero. So x*delta0^T = 0 mod n forces
-    the coefficients of x*U^-1 on H to vanish, and x is a combination of
-    the kernel rows of U: their reductions mod n generate ker delta0 over
-    Z_n. If some pivot is not 1, each finite ring eliminates the rows
-    itself.
+    The rows are eliminated once per model over Z: a unimodular U, recorded
+    in the tails, with U*delta0^T = [H; 0], whose kernel rows generate
+    K = ker delta0. Each generator g's part at each context, at its basis
+    positions with a 1 at tail key (unknowns + g), is one row; parts at
+    different contexts share no head column, so their one echelon (`form`)
+    is block diagonal and holds every context's form of pi_C(K).
+
+    When every pivot of H is 1, mod n U stays invertible and the rows of H
+    stay independent (each has a 1 where the rows after it are zero), so
+    x*delta0^T = 0 mod n makes x a combination of the kernel rows of U:
+    K_n = K mod n. Then pi_C(K_n) is spanned by the integer parts reduced
+    mod n, and so by the integer form's pivot rows reduced mod n, its other
+    rows having a zero head. Their Howell form is the Z_n form, and their
+    tails stay coefficients over the integer generators. Otherwise each
+    finite ring eliminates the rows itself, once per ring.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -351,6 +354,9 @@ class _Degree0Complex:
             for row, r in zip(rows[offsets[j] : offsets[j + 1]], right):
                 row[r] = 1
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
+        # the integer forms by context, under None the whole block form
+        self._forms: dict[int | None, Echelon] = {}
+        self._kernels: dict[RingSpec, list[Row]] = {}
 
     @cached_property
     def nerve(self) -> tuple[tuple[Simplex, ...], ...]:
@@ -371,30 +377,14 @@ class _Degree0Complex:
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,
-        and whether every pivot of the form is 1. The rows are eliminated
-        from the last basis position to the first, because fill-in was
-        measured lower that way than in cover order: the finished pivot
-        rows hold 551 nonzeros instead of 1,239 on the Groetzsch
-        3-colouring, and 38,166 instead of 249,652 on the Mycielski M6
-        4-colouring."""
+        and whether every pivot is 1. The rows are eliminated from the last
+        basis position to the first, which was measured to cut fill-in: the
+        pivot rows hold 551 nonzeros instead of 1,239 on the Groetzsch
+        3-colouring, and 38,166 instead of 249,652 on M6 with 4 colours."""
         m = self.compatibility_rows
         form = echelon(ring, reversed(self.rows), m)
         kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
         return kernel, all(h[c] == 1 for c, h in form.rows.items())
-
-    def _split(self, kernel: list[Row]) -> list[dict[int, Row]]:
-        """Per context, the part of each generator g with an entry there, as
-        its local entries plus a 1 at tail key (support size + g)."""
-        offsets = self.offsets
-        parts: list[dict[int, Row]] = [{} for _ in range(len(offsets) - 1)]
-        for g, k in enumerate(kernel):
-            for j, x in k.items():
-                ci = self.owner[j]
-                part = parts[ci].get(g)
-                if part is None:
-                    part = parts[ci][g] = {offsets[ci + 1] - offsets[ci] + g: 1}
-                part[j - offsets[ci]] = x
-        return parts
 
     @cached_property
     def _integral(self) -> tuple[list[Row], bool]:
@@ -405,18 +395,47 @@ class _Degree0Complex:
         """Whether every pivot of the integer form is 1."""
         return self._integral[1]
 
-    def kernel(self, ring: RingSpec) -> tuple[list[Row], list[dict[int, Row]]]:
-        """Generators of ker delta0 over the ring and their per-context
-        parts. Over Z, and over Z_n when the integer form has unit pivots,
-        the generators are read off the integer form."""
+    def kernel(self, ring: RingSpec) -> list[Row]:
+        """The generators of ker delta0 that the tails of the ring's forms
+        refer to: the integer ones unless the fallback applies."""
         kernel, unit_pivots = self._integral
-        if ring.is_finite:
-            n = ring.modulus
-            if unit_pivots:
-                kernel = [{j: y for j, x in k.items() if (y := x % n)} for k in kernel]
-            else:
-                kernel = self._eliminate(ring)[0]
-        return kernel, self._split(kernel)
+        if ring.is_finite and not unit_pivots:
+            kernel = self._kernels.get(ring)
+            if kernel is None:
+                kernel = self._kernels[ring] = self._eliminate(ring)[0]
+        return kernel
+
+    def _parts(self, kernel: list[Row], ci: int | None) -> list[Row]:
+        """Each generator's part at every context, or at context ci only, in
+        generator order, with a 1 at tail key (unknowns + g)."""
+        tail = self.offsets[-1]
+        lo, hi = (0, tail) if ci is None else self.offsets[ci : ci + 2]
+        owner = self.owner
+        parts = []
+        for g, k in enumerate(kernel):
+            split: dict[int, Row] = {}
+            for j, x in k.items():
+                if lo <= j < hi:
+                    part = split.get(owner[j])
+                    if part is None:
+                        part = split[owner[j]] = {tail + g: 1}
+                    part[j] = x
+            parts.extend(split.values())
+        return parts
+
+    def form(self, ring: RingSpec, ci: int | None = None) -> Echelon:
+        """The ring's echelon form of the generators' parts at every context,
+        or at context ci only. The integer forms are kept."""
+        head = self.offsets[-1]
+        if ring.is_finite and not self.unit_pivots:
+            return echelon(ring, self._parts(self.kernel(ring), ci), head)
+        form = self._forms.get(None) or self._forms.get(ci)
+        if form is None:
+            form = self._forms[ci] = echelon(INTEGERS, self._parts(self._integral[0], ci), head)
+        if ring.is_integers:
+            return form
+        lo, hi = (0, head) if ci is None else self.offsets[ci : ci + 2]
+        return echelon(ring, (h for c, h in form.rows.items() if lo <= c < hi), head)
 
 
 def _degree0_complex(model: EmpiricalModel) -> _Degree0Complex:
@@ -436,46 +455,25 @@ class ObstructionSolver:
     Vanishing of the class of a section s0 at context C0 is equivalent to the
     existence of a compatible family: a 0-cochain r in K = ker(delta0),
     restricting consistently on overlaps, whose component at C0 is the unit
-    combination at s0. K is computed once per model, as the tails of the
-    sparse rows [delta0^T | I] whose head echelon over Z reduces to zero;
-    its generators k_g stay sparse. When every pivot of that integer form
-    is 1, the elimination is a unimodular U with U*delta0^T = [H; 0] and H
-    has pivot 1 in echelon, so mod n U stays invertible, H's rows stay
-    independent, and the kernel rows of U reduced mod n generate K over
-    Z_n: a solver over Z_n then runs no elimination of its own. Otherwise
-    it eliminates the rows over Z_n itself. The 0-basis, the rows and the
-    integer form do not depend on the ring and are shared by every solver
-    of the model. The rows of delta0 come straight from the supports' outcome
-    tuples, one overlapping pair of contexts at a time, without a 1-cochain
-    basis or the nerve; the nerve is built only when `nerve` is read.
-
-    Per context, the rows (pi_C0(k_g) | e_g), with one tail column per
-    generator, are brought to echelon form on the C0 columns: the unit
-    vector e_s0 reduces to a zero head exactly when the obstruction
-    vanishes, and with t the tail left over the family is -sum_g t_g*k_g.
-    Each k_g is split into its per-context parts in one pass, and C0's
-    echelon gets only the generators with an entry at C0. That is exact:
-    a generator without one gives the row (0 | e_g), whose head is zero
-    from the start, so it goes straight to the echelon's kernel, never
-    becomes a pivot and never reaches the reduction of e_s0. These
-    per-context echelons stay per ring.
+    combination at s0. In the echelon form of the rows (pi_C0(k_g) | e_g),
+    over K's generators k_g with an entry at C0, e_s0 reduces to a zero
+    head exactly when the obstruction vanishes, and with t the tail left
+    over the family is -sum_g t_g*k_g; the rows (0 | e_g) of the other
+    generators would never reach that reduction. The forms come from the
+    model's `_Degree0Complex`, only for the contexts asked about.
     """
 
     def __init__(self, model: EmpiricalModel, ring: RingSpec):
         self.model = model
         self.ring = ring
         self._complex = _degree0_complex(model)
-        self._kernel, self._parts = self._complex.kernel(ring)
+        self._kernel = self._complex.kernel(ring)
         self._decompositions: dict[int, Echelon] = {}
-
-    def _context_index(self, context: Iterable[str]) -> int:
-        return self.model.scenario.context_index(context)
 
     def _decomposition(self, ci: int) -> Echelon:
         form = self._decompositions.get(ci)
         if form is None:
-            head = len(self.model.support_values(ci))
-            form = self._decompositions[ci] = echelon(self.ring, self._parts[ci].values(), head)
+            form = self._decompositions[ci] = self._complex.form(self.ring, ci)
         return form
 
     def _reduce(self, ci: int, s0: Section) -> dict[int, int] | None:
@@ -486,22 +484,21 @@ class ObstructionSolver:
             raise SectionNotSupportedError(
                 f"{s0} is not supported at context {self.model.scenario.contexts[ci]}"
             )
-        return self._decomposition(ci).reduce({position: 1})
+        return self._decomposition(ci).reduce({self._complex.offsets[ci] + position: 1})
 
     def vanishes(self, context: Iterable[str], s0: Section) -> bool:
-        return self._reduce(self._context_index(context), s0) is not None
+        return self._reduce(self.model.scenario.context_index(context), s0) is not None
 
     def family(
         self, context: Iterable[str], s0: Section
     ) -> tuple[FormalLinearCombination, ...] | None:
         """The witnessing compatible family, one combination per context, or
         None when the obstruction does not vanish."""
-        ci = self._context_index(context)
-        tail = self._reduce(ci, s0)
+        tail = self._reduce(self.model.scenario.context_index(context), s0)
         if tail is None:
             return None
-        head = len(self.model.support_values(ci))
-        witness = [0] * self.unknowns
+        head = self.unknowns
+        witness = [0] * head
         for g, t in tail.items():
             for j, x in self._kernel[g - head].items():
                 witness[j] -= t * x
@@ -579,21 +576,24 @@ class ObstructionReport:
 
 
 def classify_cohomological(model: EmpiricalModel, ring: RingSpec) -> ObstructionReport:
-    solver = ObstructionSolver(model, ring)
+    """Every section's verdict from the ring's one form of every context:
+    none vanishes without a pivot 1 at its position, all do where every
+    pivot of their context is 1, and otherwise one reduction decides."""
+    complex_ = _degree0_complex(model)
+    form = complex_.form(ring)
     vanishes: list[bool] = []
-    for ci in range(len(model.scenario.contexts)):
-        reduce = solver._decomposition(ci).reduce
-        vanishes.extend(
-            reduce({j: 1}) is not None for j in range(len(model.support_values(ci)))
-        )
+    for lo, hi in zip(complex_.offsets, complex_.offsets[1:]):
+        units = [(h := form.rows.get(j)) is not None and h[j] == 1 for j in range(lo, hi)]
+        every = all(units)
+        vanishes += (every or u and form.reduce({j: 1}) is not None for j, u in enumerate(units, lo))
     return ObstructionReport(
         ring,
         model,
         tuple(vanishes),
         False in vanishes,
         True not in vanishes,
-        solver.unknowns,
-        solver.compatibility_rows,
+        complex_.offsets[-1],
+        complex_.compatibility_rows,
     )
 
 

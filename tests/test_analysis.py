@@ -186,7 +186,7 @@ def test_timings_cover_every_stage():
     report = analyze(document_from_model(pr_box()), rings=(Z2,))
     stages = [t.stage for t in report.timings]
     # the linear algebra runs before the search, which it may spare
-    assert stages[:2] == ["materialise", "no-signalling"]
+    assert stages[:3] == ["materialise", "no-signalling", "cohomology integer form"]
     assert stages[-1] == "classify"
     assert any(s.startswith("avn") for s in stages)
     assert any(s.startswith("cohomology") for s in stages)

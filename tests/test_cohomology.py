@@ -42,6 +42,7 @@ from contextuality.cohomology import (
 )
 
 import contextuality.cohomology as cohomology_module
+from _obstruction_oracle import oracle_flags, reference_degree0_rows
 from _random_models import random_contextual_models, random_models
 from conftest import (
     ALL4,
@@ -319,18 +320,6 @@ def test_analyze_builds_one_degree0_complex_per_model(corpus_documents, monkeypa
     assert len(built) == 1
 
 
-def reference_degree0_rows(model):
-    """The rows [delta0^T | I] read off the reference bases: column j of
-    delta0 in `coboundary_entries` order, then a 1 at tail key m + j."""
-    basis = cochain_basis(model, 0)
-    upper = cochain_basis(model, 1)
-    m = len(upper)
-    rows = [{m + j: 1} for j in range(len(basis))]
-    for i, j, sign in coboundary_entries(basis, upper):
-        rows[j][i] = sign
-    return basis, m, rows
-
-
 def reorder_declarations(model):
     """The same model with its measurements and outcomes declared in reverse
     order, which changes every lexicographic numbering."""
@@ -392,6 +381,9 @@ def check_family_by_coboundary(model, ring, entries, ci, s0, family):
 
 
 def test_shared_integer_kernel_matches_per_ring_elimination(corpus_models):
+    # every ring's verdicts come from the one integer form; both references
+    # eliminate over the ring itself: a dense solve per context, and the
+    # oracle's echelon of each context's kernel parts
     models = list(corpus_models.values()) + [groetzsch_colouring(3)]
     models += random_models(25, seed=20240818) + random_contextual_models(20, seed=20240824)
     rings = tuple(RingSpec(n) for n in (2, 3, 4, 6, 8, 9, 12)) + (INTEGERS,)
@@ -403,6 +395,7 @@ def test_shared_integer_kernel_matches_per_ring_elimination(corpus_models):
             report = classify_cohomological(model, ring)
             expected = per_ring_reference(model, ring)
             assert (report.verdicts, report.unknowns, report.compatibility_rows) == expected
+            assert report.vanishes == oracle_flags(model, ring)
             solver = ObstructionSolver(model, ring)
             for v in report.verdicts:
                 family = solver.family(v.context, v.section)
@@ -415,52 +408,90 @@ def test_shared_integer_kernel_matches_per_ring_elimination(corpus_models):
 
 
 def test_finite_rings_fall_back_to_their_own_elimination(corpus_models, monkeypatch):
-    # an integer form with a pivot other than 1 cannot serve Z_n; forcing
-    # that report makes each finite ring eliminate [delta0^T | I] itself
+    # an integer form with a pivot other than 1 cannot serve Z_n (no known
+    # model has one); forcing that report makes each finite ring eliminate
+    # [delta0^T | I] itself, once per model and ring however many solvers
+    # read it, and the verdicts must not change
+    rings = (Z2, Z3, Z4, Z6, RingSpec(8), RingSpec(12))
+    models = list(corpus_models.values()) + [groetzsch_colouring(3)]
+    models += random_models(60, seed=7) + random_contextual_models(10, seed=20240824)
+    shared = [[classify_cohomological(model, ring).vanishes for ring in rings] for model in models]
     eliminated = []
     eliminate = cohomology_module._Degree0Complex._eliminate
+    integral = cohomology_module._Degree0Complex._integral
 
     def counted(self, ring):
         eliminated.append(ring)
         return eliminate(self, ring)
 
     monkeypatch.setattr(cohomology_module._Degree0Complex, "_eliminate", counted)
-    rings = (Z2, Z3, Z4, Z6, RingSpec(12), INTEGERS)
-    models = [pr_box(), hardy_model(), corpus_models["ghz-mermin"], groetzsch_colouring(3)]
-    models += random_contextual_models(10, seed=20240824)
-    for model in models:
-        shared = [classify_cohomological(model, ring) for ring in rings]
+    monkeypatch.setattr(
+        cohomology_module._Degree0Complex,
+        "_integral",
+        property(lambda self: (integral.__get__(self)[0], False)),
+    )
+    for model, expected in zip(models, shared):
         forced = EmpiricalModel(model.scenario, model.supports)
-        complex_ = cohomology_module._degree0_complex(forced)
-        kernel, unit_pivots = complex_._integral
-        assert unit_pivots
-        complex_.__dict__["_integral"] = (kernel, False)
-        assert not complex_.unit_pivots
+        entries = list(coboundary_entries(cochain_basis(forced, 0), cochain_basis(forced, 1)))
         eliminated.clear()
-        assert [classify_cohomological(forced, ring) for ring in rings] == shared
-        assert eliminated == [ring for ring in rings if ring.is_finite]
+        for ring, flags in zip(rings, expected):
+            report = classify_cohomological(forced, ring)
+            assert report.vanishes == flags
+            solver = ObstructionSolver(forced, ring)
+            for v, flag in zip(report.verdicts, flags):
+                family = solver.family(v.context, v.section)
+                assert (family is not None) == flag
+                if flag:
+                    ci = forced.scenario.context_index(v.context)
+                    check_family_by_coboundary(forced, ring, entries, ci, v.section, family)
+        assert not cohomology_module._degree0_complex(forced).unit_pivots
+        assert eliminated == [INTEGERS, *rings]
 
 
 def test_analyze_eliminates_the_degree0_rows_once(corpus_documents, monkeypatch):
     # Z2, Z4, Z6 and Z all read the one integer elimination of
-    # [delta0^T | I]; documents are re-parsed so that no model arrives with
-    # its complex already built
+    # [delta0^T | I] and the one integer block form of every context; each
+    # Z_n adds one Howell form of that form's pivot rows. Documents are
+    # re-parsed so that no model arrives with its complex already built
+    calls = []
+    original = cohomology_module.echelon
+    eliminate = cohomology_module._Degree0Complex._eliminate
+
+    def recording(ring, rows, head):
+        calls.append(ring)
+        return original(ring, rows, head)
+
+    def counted(self, ring):
+        calls.append(("eliminate", ring))
+        return eliminate(self, ring)
+
+    monkeypatch.setattr(cohomology_module, "echelon", recording)
+    monkeypatch.setattr(cohomology_module._Degree0Complex, "_eliminate", counted)
+    for name, doc in corpus_documents.items():
+        doc = parse_model(print_model(doc))
+        calls.clear()
+        analyze(doc, rings=(Z2, Z4, Z6))
+        assert calls == [("eliminate", INTEGERS), INTEGERS, INTEGERS, Z2, Z4, Z6], name
+
+
+def test_a_point_query_builds_only_its_context_form(corpus_models, monkeypatch):
+    # an obstruction query echelons only the parts at its own context:
+    # over Z, then for Z_n the pivot rows of that form reduced mod n
+    model = EmpiricalModel(corpus_models["ks-18"].scenario, corpus_models["ks-18"].supports)
+    solver = ObstructionSolver(model, Z4)
+    lo, hi = cohomology_module._degree0_complex(model).offsets[3:5]
     calls = []
     original = cohomology_module.echelon
 
     def recording(ring, rows, head):
         rows = list(rows)
-        calls.append((ring, head, len(rows)))
+        calls.append((ring, all(lo <= k < hi for row in rows for k in row if k < head)))
         return original(ring, rows, head)
 
     monkeypatch.setattr(cohomology_module, "echelon", recording)
-    for name, doc in corpus_documents.items():
-        doc = parse_model(print_model(doc))
-        calls.clear()
-        report = analyze(doc, rings=(Z2, Z4, Z6))
-        obs = report.ring_entry(INTEGERS).obstructions
-        shape = (obs.compatibility_rows, obs.unknowns)
-        assert [call for call in calls if call[1:] == shape] == [(INTEGERS, *shape)], name
+    for s in model.support(3):
+        solver.vanishes(model.scenario.contexts[3], s)
+    assert calls == [(INTEGERS, True), (Z4, True)]
 
 
 # ---------------------------------------------------------------------------
@@ -535,32 +566,47 @@ def test_vanishing_families_certify_random_models():
     assert all(non_vanishing.values()), non_vanishing
 
 
-def test_composite_moduli_need_the_howell_annihilator_rows():
-    # Kochen-Specker style supports, exactly one outcome 1 per context.
-    # Over Z6 and Z10 the per-context echelon meets a pivot 2 whose
-    # annihilator row 3*row (5*row) combines with a later pivot 2 into a
-    # unit pivot; without those rows the obstruction of m2=1,m5=0,m6=0
-    # looks non-vanishing, although it vanishes over Z2 and over Z3, and
-    # so over Z6 by the Chinese remainder theorem.
-    contexts = (("m1", "m4", "m5"), ("m1", "m2", "m3"), ("m2", "m5", "m6"), ("m0", "m5"), ("m3", "m4"))
-    scn = Scenario(tuple(f"m{i}" for i in range(7)), contexts, (0, 1))
-    model = EmpiricalModel(
+def kochen_specker_style(contexts):
+    """Supports with exactly one outcome 1 per context."""
+    scn = Scenario(tuple(sorted(set().union(*contexts))), contexts, (0, 1))
+    return EmpiricalModel(
         scn,
         tuple(
             tuple(scn.section(ctx, [int(i == j) for i in range(len(ctx))]) for j in range(len(ctx)))
             for ctx in contexts
         ),
     )
+
+
+def test_composite_moduli_need_the_howell_annihilator_rows():
+    # In the first model, over Z6 and Z10, an echelon of each context's
+    # kernel parts over the ring itself (the fallback's and the oracle's
+    # route) meets a pivot 2 whose annihilator row 3*row (5*row) combines
+    # with a later pivot 2 into a unit pivot; without those rows the
+    # obstruction of m2=1,m5=0,m6=0 looks non-vanishing, although it
+    # vanishes over Z2 and over Z3, and so over Z6 by the Chinese remainder
+    # theorem. In the second, the integer form at (m0, m1, m2, m3) holds
+    # the row 2*[m1=1] - [m0=1]. Mod an even n, reducing m3=1 through it
+    # leaves (n/2)*[m0=1], which only its annihilator row (n/2)*row clears,
+    # although the obstruction vanishes over Z and so over every Z_n.
+    contexts = (("m1", "m4", "m5"), ("m1", "m2", "m3"), ("m2", "m5", "m6"), ("m0", "m5"), ("m3", "m4"))
+    model = kochen_specker_style(contexts)
     ctx, s0 = contexts[2], Section.of({"m2": 1, "m5": 0, "m6": 0})
     assert ObstructionSolver(model, Z2).vanishes(ctx, s0)
     assert ObstructionSolver(model, Z3).vanishes(ctx, s0)
-    for ring in (Z6, RingSpec(10)):
-        solver = ObstructionSolver(model, ring)
-        for ci, c in enumerate(contexts):
-            for s in model.support(ci):
-                assert solver.vanishes(c, s) == connecting_hom_check(model, c, s, ring)
-        assert solver.vanishes(ctx, s0)
-        check_family(model, ring, ctx, s0, solver.family(ctx, s0))
+    cases = [(model, ctx, s0, (Z6, RingSpec(10)))]
+    contexts = (("m1", "m2", "m4"), ("m2", "m3", "m5"), ("m0", "m1", "m4", "m5"), ("m0", "m1", "m2", "m3"))
+    ctx, s0 = contexts[3], Section.of({"m0": 0, "m1": 0, "m2": 0, "m3": 1})
+    cases.append((kochen_specker_style(contexts), ctx, s0, (Z4, Z6, RingSpec(8), RingSpec(10))))
+    for model, ctx, s0, rings in cases:
+        for ring in rings:
+            solver = ObstructionSolver(model, ring)
+            for ci, c in enumerate(model.scenario.contexts):
+                for s in model.support(ci):
+                    assert solver.vanishes(c, s) == connecting_hom_check(model, c, s, ring)
+            assert solver.vanishes(ctx, s0)
+            assert classify_cohomological(model, ring).vanishes == oracle_flags(model, ring)
+            check_family(model, ring, ctx, s0, solver.family(ctx, s0))
 
 
 def monotone_under_hom(model, hom):
