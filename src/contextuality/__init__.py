@@ -16,7 +16,6 @@ from .errors import (
     DocumentError,
     EmptySupportError,
     FormulaError,
-    HomomorphismError,
     ModelError,
     NormalisationError,
     OutcomeCoercionError,
@@ -33,7 +32,6 @@ from .errors import (
 from .rings import (
     INTEGERS,
     LinearSystem,
-    RingHom,
     RingMatrix,
     RingSpec,
     linear_decomposition,
@@ -48,7 +46,6 @@ from .scenario import (
 )
 from .model import (
     DEFAULT_SEARCH_BUDGET,
-    CompatibleFamily,
     ContextualityReport,
     EmpiricalModel,
     NoSignallingVerdict,
@@ -57,7 +54,6 @@ from .model import (
     SignallingWitness,
     check_no_signalling,
     classify_contextuality,
-    model_restriction,
     support_of_probability_table,
 )
 from .theory import (
@@ -87,7 +83,6 @@ from .cohomology import (
     coboundary_matrix,
     cochain_basis,
     connecting_hom_check,
-    obstruction_vanishes,
 )
 from .pauli import (
     GHZ_TRIPLE,

@@ -521,14 +521,6 @@ class ObstructionSolver:
         return self._complex.compatibility_rows
 
 
-def obstruction_vanishes(
-    model: EmpiricalModel, context: Iterable[str], s0: Section, ring: RingSpec
-) -> bool:
-    """Whether the cohomological obstruction of s0 at the context vanishes
-    over the ring."""
-    return ObstructionSolver(model, ring).vanishes(context, s0)
-
-
 @dataclass(frozen=True)
 class SectionObstruction:
     context: tuple[str, ...]

@@ -60,10 +60,6 @@ class UnsupportedRingError(RingError):
     """The requested ring is outside the supported family (Z and Z_n)."""
 
 
-class HomomorphismError(RingError):
-    """No canonical ring homomorphism exists between the given rings."""
-
-
 class OutcomeCoercionError(RingError):
     """Outcome values do not embed injectively into the requested ring."""
 

@@ -21,7 +21,6 @@ from .errors import (
     EmptySupportError,
     ModelError,
     NormalisationError,
-    ScenarioError,
     SectionNotSupportedError,
     SelfCheckError,
     SignallingError,
@@ -399,161 +398,75 @@ def support_of_probability_table(table: ProbabilityTable) -> EmpiricalModel:
 
 
 # ---------------------------------------------------------------------------
-# compatible families
-
-
-@dataclass(frozen=True)
-class CompatibleFamily:
-    """One supported section per cover context, pairwise agreeing on overlaps."""
-
-    model: EmpiricalModel
-    sections: tuple[Section, ...]
-
-    def __post_init__(self):
-        scn = self.model.scenario
-        if len(self.sections) != len(scn.contexts):
-            raise ModelError("one section per cover context required")
-        for idx, (ctx, s) in enumerate(zip(scn.contexts, self.sections)):
-            if s not in self.model.support_set(idx):
-                raise ModelError(f"{s} not supported in context {ctx}")
-        for i, j, overlap in scn.overlaps():
-            if self.sections[i].restrict(overlap) != self.sections[j].restrict(overlap):
-                raise ModelError(
-                    f"sections for {scn.contexts[i]} and {scn.contexts[j]} "
-                    "disagree on their overlap"
-                )
-
-    def glue(self) -> Section:
-        """The unique global section restricting to every member."""
-        values: dict[str, int] = {}
-        for s in self.sections:
-            for m, o in s.items:
-                values.setdefault(m, o)
-        glued = Section.of(values)
-        for ctx, s in zip(self.model.scenario.contexts, self.sections):
-            if glued.restrict(ctx) != s:
-                raise SelfCheckError("glued section does not restrict to the family")
-        return glued
-
-
-# ---------------------------------------------------------------------------
 # global-section search
 
 class _Restrictor:
-    """Depth-first enumeration of S(U) in lexicographic order.
+    """Depth-first search for the first global section.
 
-    Measurements of U are assigned in declared order; after each assignment
-    every context is forward-checked: the partial tuple over the context's
-    already-assigned overlap must be a projection of some supported section.
-    Visiting order coincides with exhaustive lexicographic enumeration, so
-    witnesses are canonical.
+    An assignment holds one outcome per measurement, in declared order.
+    The search assigns measurements in that order and tries outcomes in
+    alphabet order, so it meets global sections in lexicographic order and
+    the first one it finds is the canonical witness. Each outcome tried is
+    one node; a search whose nodes have reached the budget stops,
+    incomplete, before trying another. After assigning a measurement, each
+    context containing it must admit the outcomes assigned so far at its
+    measurements as a prefix of a supported section: a check pairs an
+    itemgetter over those columns with the context's set of supported
+    prefixes (bare outcomes for a prefix of length one).
+    `tests/_reference_search.py` is the same search as a plain recursion.
     """
 
-    def __init__(self, model: EmpiricalModel, domain: tuple[str, ...]):
-        self.model = model
-        self.order = domain
-        self.outcomes = model.scenario.outcomes
-        checks: dict[str, list[tuple[tuple[str, ...], set[tuple[int, ...]]]]] = {
-            m: [] for m in domain
-        }
-        # the domain and every context are in declared order, so scanning
-        # the context keeps the overlap in the domain's order
-        for ci, ctx in enumerate(model.scenario.contexts):
-            overlap = tuple(m for m in ctx if m in checks)
-            if not overlap:
-                continue
-            where = {m: k for k, m in enumerate(ctx)}
-            for t in range(1, len(overlap) + 1):
-                prefix = overlap[:t]
-                project = projection([where[m] for m in prefix])
-                checks[overlap[t - 1]].append(
-                    (prefix, set(map(project, model.support_values(ci))))
+    def __init__(self, model: EmpiricalModel):
+        scn = model.scenario
+        self.outcomes = scn.outcomes
+        position = {m: k for k, m in enumerate(scn.measurements)}
+        # per context, its measurements' positions in the assignment; the
+        # context is in declared order, so its supported prefixes are the
+        # prefixes of its outcome tuples
+        self.columns = [[position[m] for m in ctx] for ctx in scn.contexts]
+        self.checks: list[list] = [[] for _ in scn.measurements]
+        for ci, columns in enumerate(self.columns):
+            rows = model.support_values(ci)
+            self.checks[columns[0]].append((itemgetter(columns[0]), {v[0] for v in rows}))
+            for t in range(2, len(columns) + 1):
+                self.checks[columns[t - 1]].append(
+                    (itemgetter(*columns[:t]), {v[:t] for v in rows})
                 )
-        self.checks = [checks[m] for m in domain]
 
-    def search(
-        self,
-        fixed: Mapping[str, int] | None,
-        limit: int | None,
-        budget: int,
-    ) -> tuple[list[Section], int, bool]:
-        """Returns (sections found, nodes visited, search completed). Each
-        measurement in `fixed` takes only its outcome there."""
-        order = self.order
-        k = len(order)
-        fixed = fixed or {}
-        values: dict[str, int] = {}
-        results: list[Section] = []
+    def first(
+        self, fixed: Mapping[int, int], budget: int
+    ) -> tuple[tuple[int, ...] | None, int, bool]:
+        """Returns (the first global section or None, nodes visited, search
+        completed). The measurement at each position in `fixed` takes only
+        its outcome there."""
+        checks = self.checks
+        k = len(checks)
+        candidates = [(fixed[d],) if d in fixed else self.outcomes for d in range(k)]
+        values = [None] * k
+        # per depth, the position in its candidates of the next outcome to try
+        tried = [0] * k
         nodes = 0
-        complete = True
-
-        def admissible(depth: int) -> bool:
-            for prefix, proj in self.checks[depth]:
-                if tuple(values[m] for m in prefix) not in proj:
-                    return False
-            return True
-
-        def dfs(depth: int) -> bool:
-            """Returns False when the budget ran out."""
-            nonlocal nodes, complete
-            if depth == k:
-                results.append(Section.of(values.copy()))
-                return True
-            m = order[depth]
-            candidates = (fixed[m],) if m in fixed else self.outcomes
-            for o in candidates:
-                if nodes >= budget:
-                    complete = False
-                    return False
-                nodes += 1
-                values[m] = o
-                if admissible(depth):
-                    if not dfs(depth + 1):
-                        del values[m]
-                        return False
-                    if limit is not None and len(results) >= limit:
-                        del values[m]
-                        return True
-                del values[m]
-            return True
-
-        try:
-            dfs(0)
-        finally:
-            # dfs reaches itself through its closure cell; clearing the cell
-            # lets reference counting free the search and the model it holds
-            del dfs
-        if limit is not None and len(results) >= limit:
-            complete = True
-        return results, nodes, complete
-
-
-def model_restriction(
-    model: EmpiricalModel, subset: Iterable[str], budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[Section, ...]:
-    """S(U) for arbitrary U: sections over U whose restriction to every
-    context overlap is admitted by that context's support.
-
-    For U beneath the cover this equals the restriction image of any
-    containing context (E2); for larger U it is the set of partial global
-    assignments, computed by pruned depth-first search in lexicographic
-    order.
-    """
-    scn = model.scenario
-    sub = scn.sorted_measurements(subset)
-    if len(set(subset)) != len(sub):
-        raise ScenarioError(f"duplicate measurements in {tuple(subset)}")
-    for ci, ctx in enumerate(scn.contexts):
-        if set(sub) <= set(ctx):
-            return model.restricted_support(ci, sub)
-    results, _, complete = _Restrictor(model, sub).search(None, None, budget)
-    if not complete:
-        from .errors import BudgetExceededError
-
-        raise BudgetExceededError(
-            f"restriction to {sub} exceeded the search budget of {budget} nodes"
-        )
-    return tuple(results)
+        depth = 0
+        while depth >= 0:
+            options = candidates[depth]
+            i = tried[depth]
+            if i == len(options):
+                tried[depth] = 0
+                depth -= 1
+                continue
+            if nodes >= budget:
+                return None, nodes, False
+            nodes += 1
+            tried[depth] = i + 1
+            values[depth] = options[i]
+            for get, supported in checks[depth]:
+                if get(values) not in supported:
+                    break
+            else:
+                depth += 1
+                if depth == k:
+                    return tuple(values), nodes, True
+        return None, nodes, True
 
 
 @dataclass(frozen=True)
@@ -652,12 +565,10 @@ def _classify(
             nodes_used=0,
             budget=budget,
         )
-    engine = _Restrictor(model, scn.measurements)
-    found, nodes, complete = engine.search(None, 1, budget)
-    remaining = budget - nodes
-    total_nodes = nodes
-    witness = found[0] if found else None
-    if witness is not None:
+    engine = _Restrictor(model)
+    found, nodes, complete = engine.first({}, budget)
+    used = nodes
+    if found is not None:
         sc: bool | None = False
     elif complete:
         sc = True
@@ -667,14 +578,16 @@ def _classify(
     # per context, the outcome tuples of the sections known to extend: the
     # restrictions of every global section found so far
     extending: list[set[tuple[int, ...]]] = [set() for _ in scn.contexts]
+    restrictions = [projection(columns) for columns in engine.columns]
 
-    def settle(g: Section) -> None:
-        values = g.as_dict()
-        for known, ctx in zip(extending, scn.contexts):
-            known.add(tuple(values[m] for m in ctx))
+    def settle(g: tuple[int, ...]) -> None:
+        for known, restrict in zip(extending, restrictions):
+            known.add(restrict(g))
 
-    if witness is not None:
-        settle(witness)
+    witness = None
+    if found is not None:
+        settle(found)
+        witness = sections_over(scn.measurements, [found])[0]
     extends: list[bool | None] = []
     for ci, ctx in enumerate(scn.contexts):
         for v in model.support_values(ci):
@@ -691,11 +604,11 @@ def _classify(
                 # no global section at all, or none through this section
                 extends.append(False)
                 continue
-            res, nodes, complete = engine.search(dict(zip(ctx, v)), 1, max(remaining, 0))
-            remaining -= nodes
-            total_nodes += nodes
-            if res:
-                settle(res[0])
+            fixed = dict(zip(engine.columns[ci], v))
+            found, nodes, complete = engine.first(fixed, max(budget - used, 0))
+            used += nodes
+            if found is not None:
+                settle(found)
                 extends.append(True)
             else:
                 extends.append(False if complete else None)
@@ -719,6 +632,6 @@ def _classify(
         logically_contextual=lc,
         strongly_contextual=sc,
         global_section=witness,
-        nodes_used=total_nodes,
+        nodes_used=used,
         budget=budget,
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
-from .errors import HomomorphismError, RingError, UnsupportedRingError
+from .errors import RingError, UnsupportedRingError
 
 Matrix = list[list[int]]
 Row = dict[int, int]  # column -> nonzero canonical entry
@@ -52,10 +52,6 @@ class RingSpec:
                 raise RingError(f"modulus must be at least 2, got {self.modulus}")
 
     @property
-    def kind(self) -> str:
-        return "integers" if self.modulus is None else "integers-mod-n"
-
-    @property
     def is_integers(self) -> bool:
         return self.modulus is None
 
@@ -73,9 +69,6 @@ class RingSpec:
 
     def add(self, x: int, y: int) -> int:
         return self.canon(x + y)
-
-    def sub(self, x: int, y: int) -> int:
-        return self.canon(x - y)
 
     def mul(self, x: int, y: int) -> int:
         return self.canon(x * y)
@@ -115,35 +108,6 @@ def _all_canonical(ring: RingSpec, xs: tuple[int, ...]) -> bool:
     `contains_canonical`, checked through min and max."""
     n = ring.modulus
     return n is None or not xs or (min(xs) >= 0 and max(xs) < n)
-
-
-@dataclass(frozen=True)
-class RingHom:
-    """A canonical ring homomorphism between supported rings.
-
-    The supported family: the identity, the quotient Z -> Z_n, and the
-    quotient Z_n -> Z_m for m dividing n. On canonical representatives every
-    one of these acts by reduction into the target.
-    """
-
-    source: RingSpec
-    target: RingSpec
-
-    def __post_init__(self):
-        s, t = self.source, self.target
-        if s == t:
-            return
-        if s.is_integers:
-            return  # Z is initial: unique hom into any ring
-        if t.is_integers:
-            raise HomomorphismError(f"no homomorphism {s} -> Z")
-        if s.modulus % t.modulus != 0:
-            raise HomomorphismError(
-                f"no homomorphism {s} -> {t}: {t.modulus} does not divide {s.modulus}"
-            )
-
-    def apply(self, x: int) -> int:
-        return self.target.canon(x)
 
 
 @dataclass(frozen=True)

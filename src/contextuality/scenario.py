@@ -66,9 +66,6 @@ class Section:
         return ",".join(f"{m}={o}" for m, o in self.items)
 
 
-EMPTY_SECTION = Section(())
-
-
 def projection(positions: list[int]):
     """Restriction on outcome tuples: the map taking a tuple to its entries
     at the given positions, as a tuple."""

@@ -89,6 +89,25 @@ def mycielski_colouring(order, colours):
     )
 
 
+def shifted_colouring(order, colours):
+    """`mycielski_colouring(order, colours)` plus a measurement w and two
+    contexts, (v0, w) supported on w = v0 + 1 and (v1, w) on w = v1 (mod
+    colours): together they ask v1 = v0 + 1 of the colouring, which some of
+    its sections at the edge v0-v1 cannot meet, so their obstructions do
+    not vanish."""
+    base = mycielski_colouring(order, colours)
+    scn = base.scenario
+    shifted = Scenario(
+        scn.measurements + ("w",),
+        scn.contexts + (("v0", "w"), ("v1", "w")),
+        scn.outcomes,
+    )
+    values = [base.support_values(ci) for ci in range(len(scn.contexts))]
+    values.append([(x, (x + 1) % colours) for x in range(colours)])
+    values.append([(x, x) for x in range(colours)])
+    return EmpiricalModel.from_values(shifted, values)
+
+
 def groetzsch_colouring(colours):
     """Proper colourings of the Groetzsch graph M4: 11 vertices, 20 edges."""
     return mycielski_colouring(4, colours)

@@ -17,6 +17,7 @@ from contextuality import (
     INTEGERS,
     EmpiricalModel,
     LinearEquation,
+    ObstructionSolver,
     OutcomeCoercionError,
     RingMatrix,
     RingSpec,
@@ -40,7 +41,6 @@ from contextuality import (
     logical_bell_bound,
     materialize,
     model_isomorphic,
-    obstruction_vanishes,
     satisfies,
     theory_of_subgroup,
     triple_scenario,
@@ -235,10 +235,8 @@ def _strongly_contextual(model: EmpiricalModel, budget: int) -> bool | None:
     """SC from one search for a global section, which is how
     `classify_contextuality` decides it, without that function's
     per-section searches: None when the budget runs out first."""
-    found, _, complete = _Restrictor(model, model.scenario.measurements).search(
-        None, 1, budget
-    )
-    if found:
+    found, _, complete = _Restrictor(model).first({}, budget)
+    if found is not None:
         return False
     return True if complete else None
 
@@ -299,15 +297,15 @@ def test_criterion_7_oracle_equivalences():
         for ring in (Z2, INTEGERS):
             for ci, ctx in enumerate(model.scenario.contexts):
                 for s in model.supports[ci]:
-                    assert obstruction_vanishes(
-                        model, ctx, s, ring
+                    assert ObstructionSolver(model, ring).vanishes(
+                        ctx, s
                     ) == connecting_hom_check(model, ctx, s, ring)
     for model in random_models(200, seed=20250820):
         ctx = model.scenario.contexts[0]
         for s in model.supports[0][:4]:
             for ring in (Z2, INTEGERS):
-                assert obstruction_vanishes(
-                    model, ctx, s, ring
+                assert ObstructionSolver(model, ring).vanishes(
+                    ctx, s
                 ) == connecting_hom_check(model, ctx, s, ring)
 
     rng = random.Random(20250821)

@@ -323,13 +323,14 @@ def test_sections_settled_by_an_obstruction_are_not_searched(monkeypatch):
         ),
     )
     searched = []
-    search = _Restrictor.search
+    first = _Restrictor.first
 
-    def counted(self, section, limit, budget):
-        searched.append(None if section is None else str(Section.of(section)))
-        return search(self, section, limit, budget)
+    def counted(self, fixed, budget):
+        assignment = ((scenario.measurements[p], o) for p, o in fixed.items())
+        searched.append(str(Section.of(assignment)) if fixed else None)
+        return first(self, fixed, budget)
 
-    monkeypatch.setattr(_Restrictor, "search", counted)
+    monkeypatch.setattr(_Restrictor, "first", counted)
     report = analyze(document_from_model(model))
     z4 = report.ring_entry(RingSpec(4))
     assert z4.clc and not z4.csc and z4.avn is False

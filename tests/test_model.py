@@ -8,7 +8,6 @@ from itertools import combinations, product
 import pytest
 
 from contextuality import (
-    CompatibleFamily,
     EmpiricalModel,
     EmptySupportError,
     ModelError,
@@ -22,7 +21,6 @@ from contextuality import (
     analyze,
     check_no_signalling,
     classify_contextuality,
-    model_restriction,
     parse_model,
     print_model,
     support_of_probability_table,
@@ -40,7 +38,8 @@ from conftest import (
     hardy_model,
     pr_box,
 )
-from _random_models import random_contextual_models, random_models, random_scenario
+from _random_models import random_contextual_models, random_models, random_scenario, tseitin_model
+from _reference_search import reference_classify
 
 
 def all_global_sections(model):
@@ -330,57 +329,6 @@ def test_uniform_table_on_pr_box_is_no_signalling():
 
 
 # ---------------------------------------------------------------------------
-# compatible families and restriction
-
-
-def test_compatible_family_glues():
-    model = bipartite_model(ALL4, ALL4, ALL4, ALL4)
-    family = CompatibleFamily(
-        model,
-        tuple(
-            BIPARTITE.section(ctx, (0, 1) if "b2" in ctx else (0, 0))
-            for ctx in BIPARTITE.contexts
-        ),
-    )
-    glued = family.glue()
-    assert glued.as_dict() == {"a1": 0, "a2": 0, "b1": 0, "b2": 1}
-
-
-def test_compatible_family_rejects_overlap_disagreement():
-    model = bipartite_model(ALL4, ALL4, ALL4, ALL4)
-    sections = [
-        BIPARTITE.section(("a1", "b1"), (0, 0)),
-        BIPARTITE.section(("a1", "b2"), (1, 0)),  # a1 differs
-        BIPARTITE.section(("a2", "b1"), (0, 0)),
-        BIPARTITE.section(("a2", "b2"), (0, 0)),
-    ]
-    with pytest.raises(ModelError):
-        CompatibleFamily(model, tuple(sections))
-
-
-def test_model_restriction_beneath_cover_uses_e2():
-    model = pr_box()
-    assert model_restriction(model, ("a1",)) == model.restricted_support(0, ("a1",))
-
-
-def test_model_restriction_beyond_cover_matches_enumeration():
-    model = hardy_model()
-    got = set(model_restriction(model, ("a1", "a2", "b1")))
-    expected = set()
-    for vals in product((0, 1), repeat=3):
-        s = Section.of(zip(("a1", "a2", "b1"), vals))
-        ok = all(
-            s.restrict(ov) in {t.restrict(ov) for t in model.supports[ci]}
-            for ci, ctx in enumerate(BIPARTITE.contexts)
-            for ov in [tuple(m for m in ctx if m in {"a1", "a2", "b1"})]
-            if ov
-        )
-        if ok:
-            expected.add(s)
-    assert got == expected
-
-
-# ---------------------------------------------------------------------------
 # classification against the exhaustive oracle
 
 
@@ -440,12 +388,19 @@ def test_every_global_section_found_settles_its_sections(corpus_models):
     models += random_models(60, seed=20240817) + random_contextual_models(20, seed=20240824)
     for model in models:
         report = classify_contextuality(model)
-        engine = _Restrictor(model, model.scenario.measurements)
-        first = engine.search(None, 1, model_module.DEFAULT_SEARCH_BUDGET)[0]
-        assert report.global_section == (first[0] if first else None)
-        assert report.strongly_contextual == (not first)
+        engine = _Restrictor(model)
+        measurements = model.scenario.measurements
+        first = engine.first({}, model_module.DEFAULT_SEARCH_BUDGET)[0]
+        assert report.global_section == (
+            None if first is None else Section.of(zip(measurements, first))
+        )
+        assert report.strongly_contextual == (first is None)
         expected = [
-            bool(engine.search(v.section.as_dict(), 1, model_module.DEFAULT_SEARCH_BUDGET)[0])
+            engine.first(
+                {measurements.index(m): o for m, o in v.section.items},
+                model_module.DEFAULT_SEARCH_BUDGET,
+            )[0]
+            is not None
             for v in report.verdicts
         ]
         assert [v.extends for v in report.verdicts] == expected
@@ -456,19 +411,46 @@ def test_settled_sections_spare_their_searches(corpus_models, monkeypatch):
     # bell and hardy took 10 and 9 per-section searches when only the first
     # global section settled sections
     fixed = []
-    search = _Restrictor.search
+    first = _Restrictor.first
 
-    def counted(self, section, limit, budget):
-        fixed.append(section)
-        return search(self, section, limit, budget)
+    def counted(self, positions, budget):
+        fixed.append(positions or None)
+        return first(self, positions, budget)
 
-    monkeypatch.setattr(_Restrictor, "search", counted)
+    monkeypatch.setattr(_Restrictor, "first", counted)
     for name, searches, nodes in (("bell", 6, 32), ("hardy", 5, 37)):
         fixed.clear()
         report = classify_contextuality(corpus_models[name])
         assert fixed[0] is None
         assert len(fixed) - 1 == searches
         assert report.nodes_used == nodes
+
+
+@pytest.fixture(scope="module")
+def reference_models(corpus_models):
+    return (
+        list(corpus_models.values())
+        + random_models(120, 7)
+        + random_contextual_models(40, 7)
+        + [tseitin_model(12, seed=1), tseitin_model(18, seed=1)]
+    )
+
+
+@pytest.mark.parametrize("budget", (1, 2, 3, 5, 8, 13, 50, 200, 2_000, 20_000))
+def test_search_matches_the_recursive_reference(reference_models, budget):
+    # the same visiting order and node rule as a plain recursion: every
+    # verdict, witness and node count agrees, also where the budget cuts a
+    # search short
+    for model in reference_models:
+        report = classify_contextuality(model, budget)
+        found = (
+            report.extends,
+            report.logically_contextual,
+            report.strongly_contextual,
+            report.global_section,
+            report.nodes_used,
+        )
+        assert found == reference_classify(model, budget), model.scenario.contexts
 
 
 def test_section_extension_oracle_on_corpus(corpus_models):
