@@ -50,7 +50,6 @@ from .model import (
     EmpiricalModel,
     NoSignallingVerdict,
     ProbabilityTable,
-    SectionVerdict,
     SignallingWitness,
     check_no_signalling,
     classify_contextuality,
@@ -77,7 +76,6 @@ from .cohomology import (
     FormalLinearCombination,
     ObstructionReport,
     ObstructionSolver,
-    SectionObstruction,
     classify_cohomological,
     coboundary,
     coboundary_matrix,

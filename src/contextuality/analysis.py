@@ -42,8 +42,6 @@ from .model import (
 from .rings import INTEGERS, RingSpec
 from .theory import AvnReport, is_avn
 
-_INTEGER_RING = INTEGERS
-
 
 @dataclass(frozen=True)
 class RingAnalysis:
@@ -54,17 +52,6 @@ class RingAnalysis:
     avn_report: AvnReport | None
     avn_skipped: str | None
     obstructions: ObstructionReport
-    clc: bool
-    csc: bool
-
-    @property
-    def aff_sc(self) -> bool | None:
-        """SC of the affine closure, which over Z_n is AvN itself."""
-        return self.avn
-
-    @property
-    def aff_skipped(self) -> str | None:
-        return self.avn_skipped
 
 
 @dataclass(frozen=True)
@@ -131,22 +118,23 @@ def _check_hierarchy(report: AnalysisReport) -> None:
     violations: list[str] = []
     lc = report.lc
     sc = report.sc
-    integral = report.ring_entry(_INTEGER_RING)
+    integral = report.ring_entry(INTEGERS).obstructions
     _implies(violations, integral.csc, sc, "CSC_Z must imply SC")
     _implies(violations, integral.clc, lc, "CLC_Z must imply LC")
     for entry in report.rings:
         ring = entry.ring
         if ring.is_integers:
             continue
-        _implies(violations, entry.avn, entry.csc, f"AvN_{ring} must imply CSC_{ring}")
+        obs = entry.obstructions
+        _implies(violations, entry.avn, obs.csc, f"AvN_{ring} must imply CSC_{ring}")
         # every Z_n obstruction form is read from the integer one, so these
         # two compare routes that share it; the tests' per-ring oracle
         # checks that shared route
-        _implies(violations, entry.csc, integral.csc, f"CSC_{ring} must imply CSC_Z")
-        _implies(violations, entry.clc, integral.clc, f"CLC_{ring} must imply CLC_Z")
-        _implies(violations, entry.csc, entry.clc, f"CSC_{ring} must imply CLC_{ring}")
-        _implies(violations, entry.csc, sc, f"CSC_{ring} must imply SC")
-        _implies(violations, entry.clc, lc, f"CLC_{ring} must imply LC")
+        _implies(violations, obs.csc, integral.csc, f"CSC_{ring} must imply CSC_Z")
+        _implies(violations, obs.clc, integral.clc, f"CLC_{ring} must imply CLC_Z")
+        _implies(violations, obs.csc, obs.clc, f"CSC_{ring} must imply CLC_{ring}")
+        _implies(violations, obs.csc, sc, f"CSC_{ring} must imply SC")
+        _implies(violations, obs.clc, lc, f"CLC_{ring} must imply LC")
     if violations:
         raise SelfCheckError(
             "hierarchy violation on this model: " + "; ".join(violations)
@@ -159,7 +147,7 @@ def _strong_rule(entries: list[RingAnalysis]) -> str | None:
     for entry in entries:
         if entry.avn:
             return f"AvN over {entry.ring}"
-        if entry.csc:
+        if entry.obstructions.csc:
             return f"CSC over {entry.ring}"
     return None
 
@@ -189,7 +177,7 @@ def analyze(
 
     requested = tuple(rings) if rings is not None else default_rings(doc)
     ordered: list[RingSpec] = []
-    for ring in requested + (_INTEGER_RING,):
+    for ring in requested + (INTEGERS,):
         if ring not in ordered:
             ordered.append(ring)
 
@@ -212,24 +200,14 @@ def analyze(
         obstructions = timed(
             f"cohomology {ring}", lambda: classify_cohomological(model, ring)
         )
-        entries.append(
-            RingAnalysis(
-                ring,
-                avn,
-                avn_report,
-                avn_skipped,
-                obstructions,
-                obstructions.clc,
-                obstructions.csc,
-            )
-        )
+        entries.append(RingAnalysis(ring, avn, avn_report, avn_skipped, obstructions))
 
     # what the linear algebra settles, the search need not: AvN_R or CSC_R
     # leaves no global section, and a non-vanishing obstruction leaves none
     # through its section
     strong_rule = _strong_rule(entries)
     logical_rule = strong_rule or next(
-        (f"CLC over {entry.ring}" for entry in entries if entry.clc), None
+        (f"CLC over {entry.ring}" for entry in entries if entry.obstructions.clc), None
     )
     non_extending = set()
     if strong_rule is None:
@@ -343,10 +321,11 @@ def render_text(report: AnalysisReport) -> str:
             lines.append(f"  AvN: {_verdict(entry.avn)}{detail}")
         else:
             lines.append(f"  AvN: skipped ({entry.avn_skipped})")
-        if entry.aff_sc is not None:
-            lines.append(f"  SC of affine closure: {_verdict(entry.aff_sc)}")
-        elif entry.aff_skipped is not None:
-            lines.append(f"  SC of affine closure: skipped ({entry.aff_skipped})")
+        # SC of the affine closure is AvN itself (see the module docstring)
+        if entry.avn is not None:
+            lines.append(f"  SC of affine closure: {_verdict(entry.avn)}")
+        elif entry.avn_skipped is not None:
+            lines.append(f"  SC of affine closure: skipped ({entry.avn_skipped})")
         obs = entry.obstructions
         total = len(obs.vanishes)
         non_vanishing = obs.vanishes.count(False)
@@ -389,10 +368,10 @@ def report_json(report: AnalysisReport) -> dict:
                     if entry.avn_report and entry.avn_report.solution is not None
                     else None
                 ),
-                "aff_sc": entry.aff_sc,
-                "aff_skipped": entry.aff_skipped,
-                "clc": entry.clc,
-                "csc": entry.csc,
+                "aff_sc": entry.avn,
+                "aff_skipped": entry.avn_skipped,
+                "clc": entry.obstructions.clc,
+                "csc": entry.obstructions.csc,
                 "non_vanishing": entry.obstructions.vanishes.count(False),
                 "sections": len(entry.obstructions.vanishes),
                 "system": {

@@ -10,7 +10,7 @@ ring, solvable exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -359,10 +359,6 @@ class _Degree0Complex:
         self._kernels: dict[RingSpec, list[Row]] = {}
 
     @cached_property
-    def nerve(self) -> tuple[tuple[Simplex, ...], ...]:
-        return build_nerve(self._scenario, 1)
-
-    @cached_property
     def basis(self) -> CochainBasis:
         """The 0-cochain basis: the supports, as sections built from their
         outcome tuples when first read."""
@@ -505,10 +501,6 @@ class ObstructionSolver:
         return vector_to_cochain(self.ring, self.basis, map(self.ring.canon, witness)).components
 
     @property
-    def nerve(self) -> tuple[tuple[Simplex, ...], ...]:
-        return self._complex.nerve
-
-    @property
     def basis(self) -> CochainBasis:
         return self._complex.basis
 
@@ -522,21 +514,12 @@ class ObstructionSolver:
 
 
 @dataclass(frozen=True)
-class SectionObstruction:
-    context: tuple[str, ...]
-    section: Section
-    vanishes: bool
-
-
-@dataclass(frozen=True)
 class ObstructionReport:
     """Vanishing verdicts for every supported section.
 
     `vanishes` holds one flag per supported section, context by context in
     cover order and in support order within a context, aligned with the
-    model's `support_values`. `verdicts`, `vanishing()` and
-    `non_vanishing()` pair the flags with their contexts and sections,
-    built when first read.
+    model's `support_values`.
 
     clc: some section has non-vanishing obstruction (a cohomological witness
     of logical contextuality). csc: every section does (the cohomological
@@ -544,27 +527,11 @@ class ObstructionReport:
     """
 
     ring: RingSpec
-    model: EmpiricalModel = field(repr=False)
     vanishes: tuple[bool, ...]
     clc: bool
     csc: bool
     unknowns: int
     compatibility_rows: int
-
-    @cached_property
-    def verdicts(self) -> tuple[SectionObstruction, ...]:
-        model = self.model
-        contexts = model.scenario.contexts
-        pairs = ((ctx, s) for ci, ctx in enumerate(contexts) for s in model.support(ci))
-        return tuple(
-            SectionObstruction(ctx, s, flag) for (ctx, s), flag in zip(pairs, self.vanishes)
-        )
-
-    def vanishing(self) -> tuple[SectionObstruction, ...]:
-        return tuple(v for v in self.verdicts if v.vanishes)
-
-    def non_vanishing(self) -> tuple[SectionObstruction, ...]:
-        return tuple(v for v in self.verdicts if not v.vanishes)
 
 
 def classify_cohomological(model: EmpiricalModel, ring: RingSpec) -> ObstructionReport:
@@ -580,7 +547,6 @@ def classify_cohomological(model: EmpiricalModel, ring: RingSpec) -> Obstruction
         vanishes += (every or u and form.reduce({j: 1}) is not None for j, u in enumerate(units, lo))
     return ObstructionReport(
         ring,
-        model,
         tuple(vanishes),
         False in vanishes,
         True not in vanishes,

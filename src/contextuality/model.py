@@ -10,9 +10,8 @@ model is strongly contextual when no global assignment exists at all.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, InitVar, dataclass, field
+from dataclasses import FrozenInstanceError, InitVar, dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping
@@ -470,47 +469,24 @@ class _Restrictor:
 
 
 @dataclass(frozen=True)
-class SectionVerdict:
-    context_index: int
-    context: tuple[str, ...]
-    section: Section
-    extends: bool | None  # None: undecided at budget
-
-
-@dataclass(frozen=True)
 class ContextualityReport:
     """Per-section extension flags plus the aggregate LC/SC verdicts.
 
     `extends` holds one flag per supported section, context by context in
     cover order and in support order within a context, aligned with the
     model's `support_values`; None marks a section undecided at the budget.
-    `verdicts` and `failing_sections()` pair the flags with their contexts
-    and sections, built when first read.
 
     logically_contextual: some supported section extends to no compatible
     family. strongly_contextual: no global section at all (equivalently all
     sections fail). None marks verdicts undecided at the search budget.
     """
 
-    model: EmpiricalModel = field(repr=False)
     extends: tuple[bool | None, ...]
     logically_contextual: bool | None
     strongly_contextual: bool | None
     global_section: Section | None
     nodes_used: int
     budget: int
-
-    @cached_property
-    def verdicts(self) -> tuple[SectionVerdict, ...]:
-        model = self.model
-        contexts = model.scenario.contexts
-        sections = (
-            (ci, ctx, s) for ci, ctx in enumerate(contexts) for s in model.support(ci)
-        )
-        return tuple(
-            SectionVerdict(ci, ctx, s, flag)
-            for (ci, ctx, s), flag in zip(sections, self.extends)
-        )
 
     @property
     def decided(self) -> bool:
@@ -519,9 +495,6 @@ class ContextualityReport:
             and self.strongly_contextual is not None
             and None not in self.extends
         )
-
-    def failing_sections(self) -> tuple[SectionVerdict, ...]:
-        return tuple(v for v in self.verdicts if v.extends is False)
 
 
 def classify_contextuality(
@@ -557,7 +530,6 @@ def _classify(
     scn = model.scenario
     if strongly:
         return ContextualityReport(
-            model=model,
             extends=(False,) * sum(map(len, model._values)),
             logically_contextual=True,
             strongly_contextual=True,
@@ -627,7 +599,6 @@ def _classify(
         raise SelfCheckError("global search found nothing but a section extends")
 
     return ContextualityReport(
-        model=model,
         extends=tuple(extends),
         logically_contextual=lc,
         strongly_contextual=sc,

@@ -314,14 +314,12 @@ def triple_scenario(e: PauliOperator, f: PauliOperator, g: PauliOperator) -> Sce
     return Scenario(measurements, contexts, (0, 1))
 
 
-def ghz_model(parties: int = 3) -> EmpiricalModel:
-    """The parity model of the GHZ state under X/Y measurements.
+def ghz_model() -> EmpiricalModel:
+    """The parity model of the tripartite GHZ state under X/Y measurements.
 
     Supports are the solution sets of the stabiliser's parity equations:
     even parity for the three XYY-type contexts, odd for XXX.
     """
-    if parties != 3:
-        raise PauliError("only the tripartite model is built in")
     return triple_model(*GHZ_TRIPLE)
 
 

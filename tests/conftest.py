@@ -62,6 +62,13 @@ def bell_table() -> ProbabilityTable:
     )
 
 
+def with_sections(model, flags):
+    """Each per-section flag of a report as (context index, context, section,
+    flag), its section read from `model.support(ci)` in flag order."""
+    sections = [(ci, c, s) for ci, c in enumerate(model.scenario.contexts) for s in model.support(ci)]
+    return [(*where, flag) for where, flag in zip(sections, flags, strict=True)]
+
+
 # colouring scale
 def mycielski_colouring(order, colours):
     """Proper colourings of the Mycielski graph M_order (M3 = C5, M4 =

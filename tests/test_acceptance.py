@@ -49,6 +49,7 @@ from contextuality import (
 from contextuality.model import _Restrictor
 
 from _random_models import random_contextual_models, random_models
+from conftest import with_sections
 
 Z2 = RingSpec(2)
 Z3 = RingSpec(3)
@@ -80,16 +81,15 @@ def test_criterion_2_hardy_logical_but_not_strong():
     assert classification.decided
     assert classification.logically_contextual
     witness = Section.of((("a1", 0), ("b1", 0)))
-    verdict = next(v for v in classification.verdicts if v.section == witness)
-    assert verdict.extends is False
+    flags = with_sections(model, classification.extends)
+    assert next(extends for _, _, s, extends in flags if s == witness) is False
     assert not classification.strongly_contextual
     assert classification.global_section is not None
 
     # the integer obstruction misses this model entirely
     report = classify_cohomological(model, INTEGERS)
     assert report.clc is False
-    assert report.non_vanishing() == ()
-    assert all(v.vanishes for v in report.verdicts)
+    assert all(report.vanishes)
     _passed(2, "Hardy model verdicts")
 
 
@@ -127,8 +127,7 @@ def test_criterion_4_ghz_mermin():
     for ring in (Z2, INTEGERS):
         report = classify_cohomological(model, ring)
         assert report.csc
-        assert len(report.non_vanishing()) == len(report.verdicts)
-        assert all(not v.vanishes for v in report.verdicts)
+        assert report.vanishes == (False,) * sum(map(len, model.supports))
     _passed(4, "GHZ parity equations and verdicts")
 
 
@@ -187,17 +186,12 @@ def _assert_hierarchy(model: EmpiricalModel) -> None:
     assert classification.decided
     sc = classification.strongly_contextual
     lc = classification.logically_contextual
-    extends = {
-        (v.context_index, v.section): v.extends for v in classification.verdicts
-    }
+    extends = {(ci, s): flag for ci, _, s, flag in with_sections(model, classification.extends)}
 
     integral = classify_cohomological(model, INTEGERS)
     assert not integral.csc or sc
     assert not integral.clc or lc
-    integral_vanishes = {
-        (model.scenario.context_index(v.context), v.section): v.vanishes
-        for v in integral.verdicts
-    }
+    integral_vanishes = {(ci, s): flag for ci, _, s, flag in with_sections(model, integral.vanishes)}
     for key, value in extends.items():
         if value:
             assert integral_vanishes[key]
@@ -212,12 +206,11 @@ def _assert_hierarchy(model: EmpiricalModel) -> None:
         assert not report.csc or integral.csc
         assert not report.csc or sc
         assert not report.clc or lc
-        for v in report.verdicts:
-            key = (model.scenario.context_index(v.context), v.section)
-            if extends[key]:
-                assert v.vanishes
-            if integral_vanishes[key]:
-                assert v.vanishes
+        for ci, _, s, vanishes in with_sections(model, report.vanishes):
+            if extends[ci, s]:
+                assert vanishes
+            if integral_vanishes[ci, s]:
+                assert vanishes
 
 
 def test_criterion_6_hierarchy_property_suite():

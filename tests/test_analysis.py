@@ -37,11 +37,17 @@ from conftest import (
     hardy_model,
     mycielski_colouring,
     pr_box,
+    with_sections,
 )
 from contextuality import document_from_table
 
 Z2 = RingSpec(2)
 Z3 = RingSpec(3)
+
+
+def _ring_json(report, ring: RingSpec) -> dict:
+    """The report's JSON entry for the ring."""
+    return next(r for r in report_json(report)["rings"] if r["ring"] == str(ring))
 
 
 def test_ghz_analysis_over_z2_and_z(corpus_documents):
@@ -51,12 +57,12 @@ def test_ghz_analysis_over_z2_and_z(corpus_documents):
     assert [e.ring for e in report.rings] == [Z2, INTEGERS]
     z2 = report.ring_entry(Z2)
     assert z2.avn is True
-    assert z2.aff_sc is True
-    assert z2.clc and z2.csc
+    assert _ring_json(report, Z2)["aff_sc"] is True
+    assert z2.obstructions.clc and z2.obstructions.csc
     integral = report.ring_entry(INTEGERS)
     assert integral.avn is None
     assert "finite ring" in integral.avn_skipped
-    assert integral.csc  # GHZ is cohomologically strong even over Z
+    assert integral.obstructions.csc  # GHZ is cohomologically strong even over Z
     with pytest.raises(KeyError):
         report.ring_entry(RingSpec(5))
 
@@ -66,8 +72,8 @@ def test_hardy_analysis_shows_the_integral_blind_spot(corpus_documents):
     assert report.lc is True
     assert report.sc is False
     assert [e.ring for e in report.rings] == [Z2, INTEGERS]
-    assert report.ring_entry(INTEGERS).clc is False
-    assert report.ring_entry(Z2).clc is False
+    assert report.ring_entry(INTEGERS).obstructions.clc is False
+    assert report.ring_entry(Z2).obstructions.clc is False
 
 
 def test_box25_avn_depends_on_the_modulus(corpus_documents):
@@ -75,7 +81,8 @@ def test_box25_avn_depends_on_the_modulus(corpus_documents):
     z2, z3 = report.ring_entry(Z2), report.ring_entry(Z3)
     assert z3.avn is True and z2.avn is False
     # prime rings: AvN coincides with strong contextuality of the closure
-    assert z3.aff_sc is True and z2.aff_sc is False
+    assert _ring_json(report, Z3)["aff_sc"] is True
+    assert _ring_json(report, Z2)["aff_sc"] is False
 
 
 def test_default_rings_follow_the_document(corpus_documents):
@@ -107,8 +114,9 @@ def test_coercion_failures_skip_avn_but_not_cohomology():
     report = analyze(doc, rings=(Z2,))
     entry = report.ring_entry(Z2)
     assert entry.avn is None and entry.avn_skipped
-    assert entry.aff_sc is None and entry.aff_skipped
-    assert entry.obstructions.verdicts  # cohomology ran anyway
+    row = _ring_json(report, Z2)
+    assert row["aff_sc"] is None and row["aff_skipped"]
+    assert entry.obstructions.vanishes  # cohomology ran anyway
 
 
 def test_affine_closure_sc_is_decided_by_avn_beyond_the_budget(corpus_documents):
@@ -118,9 +126,10 @@ def test_affine_closure_sc_is_decided_by_avn_beyond_the_budget(corpus_documents)
     ring = RingSpec(1009)
     report = analyze(corpus_documents["pr-box"], rings=(ring,), budget=1000)
     entry = report.ring_entry(ring)
-    assert entry.avn is False and entry.aff_sc is False
-    assert entry.aff_skipped is None
-    assert entry.obstructions.verdicts and entry.csc
+    row = _ring_json(report, ring)
+    assert entry.avn is False and row["aff_sc"] is False
+    assert row["aff_skipped"] is None
+    assert entry.obstructions.vanishes and entry.obstructions.csc
     assert "SC of affine closure: no" in render_text(report)
 
 
@@ -137,9 +146,10 @@ def test_no_stage_lists_or_searches_an_affine_closure(corpus_documents, rings):
 @pytest.mark.parametrize("ring", [RingSpec(4), RingSpec(6)], ids=str)
 def test_ks18_affine_closure_is_decided_over_composite_rings(corpus_documents, ring):
     # the closure search ran out of nodes here; AvN decides it exactly
-    entry = analyze(corpus_documents["ks-18"], rings=(ring,)).ring_entry(ring)
-    assert entry.avn is True and entry.aff_sc is True
-    assert entry.aff_skipped is None
+    report = analyze(corpus_documents["ks-18"], rings=(ring,))
+    row = _ring_json(report, ring)
+    assert report.ring_entry(ring).avn is True and row["aff_sc"] is True
+    assert row["aff_skipped"] is None
 
 
 def test_render_text_carries_the_verdicts(corpus_documents):
@@ -249,7 +259,7 @@ def test_a_section_settled_as_failing_that_extends_is_a_self_check_error(monkeyp
 def _ring_verdict(report, rule: str) -> bool | None:
     name, _, ring = rule.partition(" over ")
     entry = next(e for e in report.rings if str(e.ring) == ring)
-    return {"AvN": entry.avn, "CSC": entry.csc, "CLC": entry.clc}[name]
+    return {"AvN": entry.avn, "CSC": entry.obstructions.csc, "CLC": entry.obstructions.clc}[name]
 
 
 def _assert_agrees_with_the_search(report):
@@ -263,11 +273,10 @@ def _assert_agrees_with_the_search(report):
         assert cls.global_section == pure.global_section
     if pure.logically_contextual is not None:
         assert report.lc == pure.logically_contextual
-    assert len(cls.verdicts) == len(pure.verdicts)
-    for mine, searched in zip(cls.verdicts, pure.verdicts):
-        assert (mine.context, mine.section) == (searched.context, searched.section)
-        if searched.extends is not None:
-            assert mine.extends == searched.extends, (mine.context, str(mine.section))
+    flags = with_sections(report.model, cls.extends)
+    for (_, ctx, s, mine), searched in zip(flags, pure.extends, strict=True):
+        if searched is not None:
+            assert mine == searched, (ctx, str(s))
     for verdict, rule in ((report.lc, report.lc_decided_by), (report.sc, report.sc_decided_by)):
         if rule is None:
             assert verdict is None
@@ -333,9 +342,10 @@ def test_sections_settled_by_an_obstruction_are_not_searched(monkeypatch):
     monkeypatch.setattr(_Restrictor, "first", counted)
     report = analyze(document_from_model(model))
     z4 = report.ring_entry(RingSpec(4))
-    assert z4.clc and not z4.csc and z4.avn is False
+    assert z4.obstructions.clc and not z4.obstructions.csc and z4.avn is False
     assert (report.lc_decided_by, report.sc_decided_by) == ("CLC over Z4", "search")
-    failing = [str(v.section) for v in report.classification.failing_sections()]
+    flags = with_sections(model, report.classification.extends)
+    failing = [str(s) for _, _, s, extends in flags if extends is False]
     assert failing == ["a=0,b=0", "a=2,b=2", "b=0,c=0", "b=2,c=2", "a=0,c=2", "a=2,c=0"]
     # the global search, then the one section its witness left open
     assert searched == [None, "a=3,b=3"]
@@ -375,7 +385,7 @@ def test_tseitin_parity_is_settled_by_avn_without_search(contexts):
     assert report.classification.nodes_used == 0
     assert report.classification.global_section is None
     assert (report.lc_decided_by, report.sc_decided_by) == ("AvN over Z2", "AvN over Z2")
-    assert all(v.extends is False for v in report.classification.verdicts)
+    assert all(extends is False for extends in report.classification.extends)
 
 
 def test_tseitin_parity_is_out_of_reach_of_the_search():

@@ -250,3 +250,12 @@ def test_stabiliser_emit_model_is_a_document(capsys):
 def test_stabiliser_malformed_triple(capsys):
     assert main(["stabiliser", "--triple", "XY"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_document_missing_a_field_is_an_input_error(tmp_path, capsys):
+    document = json.loads(corpus_text("pr-box"))
+    del document["scenario"]["outcomes"]
+    path = tmp_path / "incomplete.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == "error: $.scenario: missing field 'outcomes'\n"

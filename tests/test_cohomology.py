@@ -19,7 +19,6 @@ from contextuality import (
     Scenario,
     Section,
     SectionNotSupportedError,
-    SectionObstruction,
     Cochain,
     analyze,
     build_nerve,
@@ -53,6 +52,7 @@ from conftest import (
     mycielski_colouring,
     pr_box,
     shifted_colouring,
+    with_sections,
 )
 
 Z2 = RingSpec(2)
@@ -252,8 +252,7 @@ def test_pr_box_obstructions_never_vanish():
     for ring in (Z2, INTEGERS):
         report = classify_cohomological(pr_box(), ring)
         assert report.clc and report.csc
-        assert report.non_vanishing() == report.verdicts
-        assert report.vanishing() == ()
+        assert report.vanishes == (False,) * 8
     solver = ObstructionSolver(pr_box(), Z2)
     assert solver.family(("a1", "b1"), BIPARTITE.section(("a1", "b1"), (0, 0))) is None
 
@@ -346,26 +345,24 @@ def test_degree0_complex_matches_the_reference_construction(corpus_models):
         assert complex_.basis.values == basis.values
         assert complex_.basis.sections == basis.sections
         assert complex_.basis.simplices == basis.simplices
-        solver = ObstructionSolver(model, Z2)
-        assert solver.nerve == build_nerve(model.scenario, 1)
 
 
 def per_ring_reference(model, ring):
-    """The verdicts of every section, from an elimination over the ring
-    itself: s0 at C0 vanishes exactly when some x has delta0*x = 0 and
-    restricts to the unit vector at s0 on C0's basis positions."""
+    """The flag of every section, from an elimination over the ring itself:
+    s0 at C0 vanishes exactly when some x has delta0*x = 0 and restricts to
+    the unit vector at s0 on C0's basis positions."""
     basis = cochain_basis(model, 0)
     delta = coboundary_matrix(model, 0, ring).rows()
     width = len(basis)
-    verdicts = []
-    for ci, ctx in enumerate(model.scenario.contexts):
+    flags = []
+    for ci in range(len(model.scenario.contexts)):
         positions = range(basis.offsets[ci], basis.offsets[ci + 1])
         pick = [[int(j == k) for j in range(width)] for k in positions]
         solver = linear_decomposition(ring, delta + pick, width)
-        for k, s in enumerate(model.support(ci)):
+        for k in range(len(positions)):
             rhs = [0] * len(delta) + [int(i == k) for i in range(len(positions))]
-            verdicts.append(SectionObstruction(ctx, s, solver.solve(rhs) is not None))
-    return tuple(verdicts), width, len(delta)
+            flags.append(solver.solve(rhs) is not None)
+    return tuple(flags), width, len(delta)
 
 
 def check_family_by_coboundary(model, ring, entries, ci, s0, family):
@@ -394,16 +391,15 @@ def test_shared_integer_kernel_matches_per_ring_elimination(corpus_models):
         for ring in rings:
             report = classify_cohomological(model, ring)
             expected = per_ring_reference(model, ring)
-            assert (report.verdicts, report.unknowns, report.compatibility_rows) == expected
+            assert (report.vanishes, report.unknowns, report.compatibility_rows) == expected
             assert report.vanishes == oracle_flags(model, ring)
             solver = ObstructionSolver(model, ring)
-            for v in report.verdicts:
-                family = solver.family(v.context, v.section)
-                assert (family is not None) == v.vanishes
+            for ci, ctx, s, vanishes in with_sections(model, report.vanishes):
+                family = solver.family(ctx, s)
+                assert (family is not None) == vanishes
                 if family is not None:
-                    ci = model.scenario.context_index(v.context)
-                    check_family_by_coboundary(model, ring, entries, ci, v.section, family)
-            non_vanishing[ring] += len(report.non_vanishing())
+                    check_family_by_coboundary(model, ring, entries, ci, s, family)
+            non_vanishing[ring] += report.vanishes.count(False)
     assert all(non_vanishing.values()), non_vanishing
 
     # at colouring scale with obstructions that do not vanish: the dense
@@ -417,15 +413,16 @@ def test_shared_integer_kernel_matches_per_ring_elimination(corpus_models):
     for ring in rings:
         report = classify_cohomological(model, ring)
         assert report.vanishes == oracle_flags(model, ring)
-        assert len(report.verdicts) == 860 and len(report.non_vanishing()) == 8
-        assert {v.context for v in report.non_vanishing()} == {("v0", "v1")}
+        assert len(report.vanishes) == 860 and report.vanishes.count(False) == 8
+        flags = with_sections(model, report.vanishes)
+        assert {ctx for _, ctx, _, vanishes in flags if not vanishes} == {("v0", "v1")}
         solver = ObstructionSolver(model, ring)
-        for v in report.verdicts:
-            if v.context == ("v0", "v1"):
-                family = solver.family(v.context, v.section)
-                assert (family is not None) == v.vanishes
+        for ci, ctx, s, vanishes in flags:
+            if ci == edge:
+                family = solver.family(ctx, s)
+                assert (family is not None) == vanishes
                 if family is not None:
-                    check_family_by_coboundary(model, ring, entries, edge, v.section, family)
+                    check_family_by_coboundary(model, ring, entries, edge, s, family)
 
 
 def test_finite_rings_fall_back_to_their_own_elimination(corpus_models, monkeypatch):
@@ -459,12 +456,11 @@ def test_finite_rings_fall_back_to_their_own_elimination(corpus_models, monkeypa
             report = classify_cohomological(forced, ring)
             assert report.vanishes == flags
             solver = ObstructionSolver(forced, ring)
-            for v, flag in zip(report.verdicts, flags):
-                family = solver.family(v.context, v.section)
+            for ci, ctx, s, flag in with_sections(forced, flags):
+                family = solver.family(ctx, s)
                 assert (family is not None) == flag
                 if flag:
-                    ci = forced.scenario.context_index(v.context)
-                    check_family_by_coboundary(forced, ring, entries, ci, v.section, family)
+                    check_family_by_coboundary(forced, ring, entries, ci, s, family)
         assert not cohomology_module._degree0_complex(forced).unit_pivots
         assert eliminated == [INTEGERS, *rings]
 
@@ -534,17 +530,15 @@ def test_connecting_hom_agrees_on_fixed_models(corpus_models):
     for model, rings in cases:
         for ring in rings:
             solver = ObstructionSolver(model, ring)
-            verdicts = iter(classify_cohomological(model, ring).verdicts)
-            for ci, ctx in enumerate(model.scenario.contexts):
-                for s in model.support(ci):
-                    vanishes = solver.vanishes(ctx, s)
-                    assert next(verdicts) == SectionObstruction(ctx, s, vanishes)
-                    assert vanishes == connecting_hom_check(model, ctx, s, ring)
-                    family = solver.family(ctx, s)
-                    assert (family is not None) == vanishes
-                    if family is not None:
-                        check_family(model, ring, ctx, s, family)
-            assert next(verdicts, None) is None
+            flags = classify_cohomological(model, ring).vanishes
+            for _, ctx, s, flag in with_sections(model, flags):
+                vanishes = solver.vanishes(ctx, s)
+                assert flag == vanishes
+                assert vanishes == connecting_hom_check(model, ctx, s, ring)
+                family = solver.family(ctx, s)
+                assert (family is not None) == vanishes
+                if family is not None:
+                    check_family(model, ring, ctx, s, family)
 
 
 def test_connecting_hom_agrees_on_random_models():
@@ -554,14 +548,12 @@ def test_connecting_hom_agrees_on_random_models():
     for model in models:
         for ring in non_vanishing:
             solver = ObstructionSolver(model, ring)
-            verdicts = iter(classify_cohomological(model, ring).verdicts)
-            for ci, ctx in enumerate(model.scenario.contexts):
-                for s in model.support(ci):
-                    vanishes = solver.vanishes(ctx, s)
-                    assert next(verdicts) == SectionObstruction(ctx, s, vanishes)
-                    assert vanishes == connecting_hom_check(model, ctx, s, ring)
-                    non_vanishing[ring] += not vanishes
-            assert next(verdicts, None) is None
+            flags = classify_cohomological(model, ring).vanishes
+            for _, ctx, s, flag in with_sections(model, flags):
+                vanishes = solver.vanishes(ctx, s)
+                assert flag == vanishes
+                assert vanishes == connecting_hom_check(model, ctx, s, ring)
+                non_vanishing[ring] += not vanishes
     assert all(non_vanishing[r] for r in (Z4, Z6, INTEGERS)), non_vanishing
 
 

@@ -318,6 +318,48 @@ def test_liar_and_triple_payload_errors():
         parse_model(doc('{"pauli_triple": {"operators": ["XX", "YYY", "XX"]}}'))
 
 
+MISSING_FIELDS = [
+    (
+        doc({"scenario": {"measurements": ["a1", "b1"], "contexts": [["a1", "b1"]]}}),
+        "$.scenario",
+        "missing field 'outcomes'",
+    ),
+    (
+        doc({"scenario": {"measurements": ["a1", "b1"], "contexts": [["a1", "b1"]], "outcomes": {}}}),
+        "$.scenario.outcomes",
+        "missing field 'modulus'",
+    ),
+    (doc({"probabilities": []}), "$.probabilities", "expected 1 rows (one per context), got 0"),
+    (
+        doc({"probabilities": [[{"section": {"a1": 0, "b1": 0}}]]}),
+        "$.probabilities[0][0]",
+        "missing field 'p'",
+    ),
+    (doc({"theory": {"modulus": 2}}), "$.theory", "missing field 'equations'"),
+    (
+        doc({"theory": {"modulus": 2, "equations": [{"coefficients": {"a1": 1}}]}}),
+        "$.theory.equations[0]",
+        "missing field 'constant'",
+    ),
+    (doc({"liar_cycle": {}}), "$.liar_cycle", "missing field 'length'"),
+    (doc({"pauli_triple": {}}), "$.pauli_triple", "missing field 'operators'"),
+    (json.dumps({"format": SCHEMA, "supports": []}), "$", "missing field 'scenario'"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, path, message", MISSING_FIELDS, ids=[path for _, path, _ in MISSING_FIELDS]
+)
+def test_missing_fields_and_row_counts_carry_their_path(text, path, message):
+    with pytest.raises(DocumentError) as err:
+        parse_model(text)
+    # an offence at the root carries no path prefix
+    assert (err.value.path, str(err.value)) == (
+        path,
+        message if path == "$" else f"{path}: {message}",
+    )
+
+
 def test_root_errors_carry_no_path_prefix():
     try:
         parse_model("[]")

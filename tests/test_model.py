@@ -37,6 +37,7 @@ from conftest import (
     bipartite_model,
     hardy_model,
     pr_box,
+    with_sections,
 )
 from _random_models import random_contextual_models, random_models, random_scenario, tseitin_model
 from _reference_search import reference_classify
@@ -344,8 +345,8 @@ def test_hardy_logically_but_not_strongly():
     report = classify_contextuality(hardy_model())
     assert report.logically_contextual is True
     assert report.strongly_contextual is False
-    failing = report.failing_sections()
-    assert [str(v.section) for v in failing] == ["a1=0,b1=0"]
+    failing = with_sections(hardy_model(), report.extends)
+    assert [str(s) for _, _, s, extends in failing if not extends] == ["a1=0,b1=0"]
     # the witnessing global section is the lexicographically first one
     assert report.global_section == min(
         all_global_sections(hardy_model()),
@@ -375,9 +376,9 @@ def test_classification_matches_oracle_on_random_models():
         assert report.strongly_contextual == (not globals_)
         if globals_:
             assert report.global_section in globals_
-        for v in report.verdicts:
-            expected = any(g.restrict(v.context) == v.section for g in globals_)
-            assert v.extends == expected, (model.scenario, str(v.section))
+        for _, ctx, s, extends in with_sections(model, report.extends):
+            expected = any(g.restrict(ctx) == s for g in globals_)
+            assert extends == expected, (model.scenario, str(s))
 
 
 def test_every_global_section_found_settles_its_sections(corpus_models):
@@ -397,13 +398,13 @@ def test_every_global_section_found_settles_its_sections(corpus_models):
         assert report.strongly_contextual == (first is None)
         expected = [
             engine.first(
-                {measurements.index(m): o for m, o in v.section.items},
+                {measurements.index(m): o for m, o in s.items},
                 model_module.DEFAULT_SEARCH_BUDGET,
             )[0]
             is not None
-            for v in report.verdicts
+            for _, _, s, _ in with_sections(model, report.extends)
         ]
-        assert [v.extends for v in report.verdicts] == expected
+        assert list(report.extends) == expected
         assert report.logically_contextual == (not all(expected))
 
 
@@ -459,7 +460,5 @@ def test_section_extension_oracle_on_corpus(corpus_models):
         report = classify_contextuality(model)
         globals_ = all_global_sections(model)
         assert report.strongly_contextual == (not globals_)
-        for v in report.verdicts:
-            assert v.extends == any(
-                g.restrict(v.context) == v.section for g in globals_
-            )
+        for _, ctx, s, extends in with_sections(model, report.extends):
+            assert extends == any(g.restrict(ctx) == s for g in globals_)

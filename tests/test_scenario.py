@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from contextuality import (
+    SCHEMA,
     Scenario,
     ScenarioError,
     Section,
@@ -13,6 +15,7 @@ from contextuality import (
     build_nerve,
     connected_components,
     is_connected,
+    parse_model,
 )
 from contextuality.scenario import sections_of
 
@@ -82,6 +85,43 @@ def test_scenario_rejects_bad_outcomes_and_labels():
         Scenario(("a", "a"), (("a",),), (0, 1))
     with pytest.raises(ScenarioError):
         Scenario(("a", ""), (("a", ""),), (0, 1))
+
+
+INVALID_SCENARIOS = [
+    pytest.param([], [["a"]], [0, 1], "at least one measurement required", id="no-measurements"),
+    pytest.param(["a"], [["a"]], [0, 0], "duplicate outcomes", id="duplicate-outcomes"),
+    pytest.param(["a"], [], [0, 1], "cover must contain at least one context", id="empty-cover"),
+    pytest.param(["a"], [[]], [0, 1], "empty context in cover", id="empty-context"),
+    pytest.param(
+        ["a", "b"],
+        [["a", "a", "b"]],
+        [0, 1],
+        "duplicate measurement in context ('a', 'a', 'b')",
+        id="repeated-measurement",
+    ),
+    pytest.param(
+        ["a"],
+        [["a", "z"]],
+        [0, 1],
+        "context ('a', 'z') uses undeclared measurements ['z']",
+        id="undeclared-measurement",
+    ),
+]
+
+
+@pytest.mark.parametrize("measurements, contexts, outcomes, message", INVALID_SCENARIOS)
+def test_documents_with_invalid_scenarios_are_rejected(measurements, contexts, outcomes, message):
+    text = json.dumps(
+        {
+            "format": SCHEMA,
+            "scenario": {"measurements": measurements, "contexts": contexts, "outcomes": outcomes},
+            "supports": [],
+        }
+    )
+    with pytest.raises(ScenarioError) as err:
+        parse_model(text)
+    # a scenario offence is a domain error, reported without a JSON path
+    assert str(err.value) == message
 
 
 def test_sections_of_lexicographic():

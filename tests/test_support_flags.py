@@ -1,7 +1,8 @@
 """Per-section verdicts kept as flags aligned with the supports' outcome
-tuples, against the Section-level views built from them when read: the
-obstruction and extension verdicts, the AvN theory and certificate, and the
-text that `analyze` writes from the flags without building a section."""
+tuples: the obstruction flags against the solver, the extension flags
+against the supports, the AvN theory and certificate built from the kept
+rows, and the text that `analyze` writes from the flags without building a
+section."""
 
 import pytest
 
@@ -13,8 +14,6 @@ from contextuality import (
     RingSpec,
     Scenario,
     Section,
-    SectionObstruction,
-    SectionVerdict,
     analyze,
     classify_cohomological,
     classify_contextuality,
@@ -35,7 +34,7 @@ import contextuality.analysis as analysis_module
 import contextuality.theory as theory_module
 
 from _random_models import random_contextual_models, random_models
-from conftest import ALL4, CORR, bipartite_model, hardy_model, pr_box
+from conftest import ALL4, CORR, bipartite_model, hardy_model, pr_box, with_sections
 
 Z2, Z3, Z4 = RingSpec(2), RingSpec(3), RingSpec(4)
 
@@ -81,12 +80,6 @@ def _models(corpus_models) -> list[EmpiricalModel]:
     return models
 
 
-def _sections(model: EmpiricalModel):
-    for ci, ctx in enumerate(model.scenario.contexts):
-        for s in model.support(ci):
-            yield ci, ctx, s
-
-
 def test_the_report_writes_a_section_as_its_text():
     for labels in (LABELS, ("中", "}b", "α{"), ("b", "a", "c", "{}", "{1}"), ("{", "}", "z,=")):
         for v in ((0, 1, 2, 3, 4)[: len(labels)], (-1, 10, 0, 7, 2)[: len(labels)]):
@@ -94,7 +87,7 @@ def test_the_report_writes_a_section_as_its_text():
 
 
 # ---------------------------------------------------------------------------
-# the views equal the eager values
+# the flags pair with the supports
 
 
 def test_obstruction_verdicts_are_the_solver_verdicts():
@@ -103,39 +96,28 @@ def test_obstruction_verdicts_are_the_solver_verdicts():
         for ring in (Z2, Z3, Z4, INTEGERS):
             report = classify_cohomological(model, ring)
             solver = ObstructionSolver(model, ring)
-            expected = tuple(
-                SectionObstruction(ctx, s, solver.vanishes(ctx, s))
-                for _, ctx, s in _sections(model)
-            )
-            assert report.verdicts == expected
-            assert report.vanishes == tuple(v.vanishes for v in expected)
-            assert report.vanishing() == tuple(v for v in expected if v.vanishes)
-            assert report.non_vanishing() == tuple(v for v in expected if not v.vanishes)
-            assert report.clc == any(not v.vanishes for v in expected)
-            assert report.csc == all(not v.vanishes for v in expected)
-
-
-def _rebuilt(model: EmpiricalModel, extends) -> tuple[SectionVerdict, ...]:
-    flags = iter(extends)
-    verdicts = tuple(SectionVerdict(ci, ctx, s, next(flags)) for ci, ctx, s in _sections(model))
-    assert next(flags, None) is None
-    return verdicts
+            for _, ctx, s, vanishes in with_sections(model, report.vanishes):
+                assert vanishes == solver.vanishes(ctx, s), (ring, ctx, str(s))
+            assert report.clc == (False in report.vanishes)
+            assert report.csc == (True not in report.vanishes)
 
 
 def test_extension_verdicts_are_rebuilt_from_the_supports(corpus_models, corpus_documents):
-    reports = [classify_contextuality(m) for m in _models(corpus_models)]
-    reports += [analyze(doc).classification for doc in corpus_documents.values()]
+    reports = [(m, classify_contextuality(m)) for m in _models(corpus_models)]
+    for doc in corpus_documents.values():
+        report = analyze(doc)
+        reports.append((report.model, report.classification))
     # flags left undecided at the budget
-    reports.append(classify_contextuality(bipartite_model(CORR, ALL4, ALL4, ALL4), budget=3))
-    assert None in reports[-1].extends
-    for report in reports:
-        expected = _rebuilt(report.model, report.extends)
-        assert report.verdicts == expected
-        assert report.failing_sections() == tuple(v for v in expected if v.extends is False)
+    bell = bipartite_model(CORR, ALL4, ALL4, ALL4)
+    reports.append((bell, classify_contextuality(bell, budget=3)))
+    assert None in reports[-1][1].extends
+    for model, report in reports:
+        # one flag per supported section, in support order
+        flags = [extends for _, _, _, extends in with_sections(model, report.extends)]
         assert report.decided == (
             report.logically_contextual is not None
             and report.strongly_contextual is not None
-            and all(v.extends is not None for v in expected)
+            and None not in flags
         )
 
 
@@ -231,9 +213,10 @@ def test_non_extending_sections_render_as_their_sections(corpus_documents, corpu
     ]
     assert any(None in report.classification.extends for report in reports)
     for report in reports:
-        failing = report.classification.failing_sections()
+        flags = with_sections(report.model, report.classification.extends)
+        failing = [(ctx, s) for _, ctx, s, extends in flags if extends is False]
         assert report_json(report)["non_extending"] == [
-            {"context": list(v.context), "section": str(v.section)} for v in failing
+            {"context": list(ctx), "section": str(s)} for ctx, s in failing
         ]
         lines = [
             line for line in render_text(report).splitlines()
@@ -242,7 +225,7 @@ def test_non_extending_sections_render_as_their_sections(corpus_documents, corpu
         if not failing:
             assert lines == []
             continue
-        shown = ", ".join(f"{v.section} at ({', '.join(v.context)})" for v in failing[:4])
+        shown = ", ".join(f"{s} at ({', '.join(ctx)})" for ctx, s in failing[:4])
         more = "" if len(failing) <= 4 else f" and {len(failing) - 4} more"
         assert lines == [f"  non-extending: {shown}{more}"]
 
