@@ -20,7 +20,7 @@ from .errors import (
     SectionNotSupportedError,
     SelfCheckError,
 )
-from .model import EmpiricalModel
+from .model import EmpiricalModel, _overlap_images
 from .rings import (
     INTEGERS,
     Echelon,
@@ -244,8 +244,9 @@ def coboundary_entries(
 
     This is the reference construction of the coboundary, used by
     `coboundary_matrix` and the connecting-homomorphism check; the
-    obstruction solvers build the same rows of delta0, in the same order,
-    in one pass over the cover's overlaps (`_Degree0Complex`)."""
+    obstruction solvers build the same rows of delta0 for the pairs on a
+    spanning forest of each overlap's pairs, in the same order, from the
+    projections of the scenario's overlap index (`_Degree0Complex`)."""
     face_index = {sigma.contexts: i for i, sigma in enumerate(lower.simplices)}
     for ti, tau in enumerate(upper.simplices):
         start = upper.offsets[ti]
@@ -295,29 +296,36 @@ def _require_connected(model: EmpiricalModel) -> None:
 class _Degree0Complex:
     """The ring-independent part of a model's obstruction systems, built
     once per model by `_degree0_complex`: the offsets of each context's
-    positions in the 0-cochain basis, the number m of 1-cochain basis
-    positions, the sparse rows [delta0^T | I] (row j holds column j of
-    delta0 below key m and a 1 at tail key m + j) and the context owning
-    each basis position. The basis, with its sections, and the nerve are
-    built only when read.
+    positions in the 0-cochain basis, the sparse rows [D^T | I] for the
+    rows D of delta0 kept below (row j holds column j of D below key
+    m = `forest_rows` and a 1 at tail key m + j), the context owning each
+    basis position, and the number of 1-cochain basis positions of the
+    whole nerve (`compatibility_rows`). The basis, with its sections, and
+    the nerve are built only when read.
 
-    The rows come from one pass over the overlapping pairs (i, j) of the
-    cover: each pair projects both supports' outcome tuples onto its
-    overlap, numbers the image in lexicographic order after the pairs
+    D holds the rows of delta0 of the pairs on the spanning forest of the
+    scenario's overlap index, in nerve order: each such pair (i, j) with
+    overlap U numbers U's image in lexicographic order after the pairs
     before it, and gives context i's positions -1 and context j's +1 in the
     row of their projection, as `coboundary_entries` does on the reference
-    bases, in the same key order.
+    bases. The projections are the ones E2 made, one per context and
+    overlap. The rows of a pair off the forest telescope along the forest
+    path between its contexts: row(i, k, u) = row(i, j, u) + row(j, k, u)
+    for pairs with overlap U, and row(j, i, u) = -row(i, j, u). So D and
+    delta0 span the same rows over Z, and x*D^T = 0 exactly when
+    x*delta0^T = 0, over Z and mod every n: K = ker delta0 and every K_n
+    are the same for D, and what follows holds for D as it stands.
 
     The rows are eliminated once per model over Z: a unimodular U, recorded
-    in the tails, with U*delta0^T = [H; 0], whose kernel rows generate
-    K = ker delta0. Each generator g's part at each context, at its basis
-    positions with a 1 at tail key (unknowns + g), is one row; parts at
-    different contexts share no head column, so their one echelon (`form`)
-    is block diagonal and holds every context's form of pi_C(K).
+    in the tails, with U*D^T = [H; 0], whose kernel rows generate K. Each
+    generator g's part at each context, at its basis positions with a 1 at
+    tail key (unknowns + g), is one row; parts at different contexts share
+    no head column, so their one echelon (`form`) is block diagonal and
+    holds every context's form of pi_C(K).
 
     When every pivot of H is 1, mod n U stays invertible and the rows of H
     stay independent (each has a 1 where the rows after it are zero), so
-    x*delta0^T = 0 mod n makes x a combination of the kernel rows of U:
+    x*D^T = 0 mod n makes x a combination of the kernel rows of U:
     K_n = K mod n. Then pi_C(K_n) is spanned by the integer parts reduced
     mod n, and so by the integer form's pivot rows reduced mod n, its other
     rows having a zero head. Their Howell form is the Z_n form, and their
@@ -328,31 +336,36 @@ class _Degree0Complex:
     def __init__(self, model: EmpiricalModel):
         _require_connected(model)
         scenario = self._scenario = model.scenario
-        values = self._values = tuple(map(model.support_values, range(len(scenario.contexts))))
+        values = self._values = model._values
         offsets = [0]
         for vs in values:
             offsets.append(offsets[-1] + len(vs))
         self.offsets = tuple(offsets)
+        index = scenario.overlap_index
+        images = _overlap_images(model)
+        # each overlap's image numbered in lexicographic order, from the
+        # first pair with that overlap, which is on the forest
         key = model._lexicographic
-        # per overlapping pair, the row of each position of context i, then
-        # of context j; rows are numbered in nerve order
-        incidences = []
+        numbers: list[dict | None] = [None] * len(index.group_pairs)
         m = 0
-        for i, j, overlap in scenario.overlaps():
-            ci, cj = scenario.contexts[i], scenario.contexts[j]
-            left = list(map(projection([ci.index(x) for x in overlap]), values[i]))
-            right = list(map(projection([cj.index(x) for x in overlap]), values[j]))
-            image = sorted(set(left), key=key)
-            number = {v: m + k for k, v in enumerate(image)}
-            incidences.append((i, j, [number[v] for v in left], [number[v] for v in right]))
-            m += len(image)
-        self.compatibility_rows = m
+        for _, _, _, left, _, group, _ in index.forest:
+            number = numbers[group]
+            if number is None:
+                image = sorted(set(images[left]), key=key)
+                number = numbers[group] = {v: k for k, v in enumerate(image)}
+            m += len(number)
+        self.forest_rows = m
+        # every pair with an overlap has that overlap's image
+        self.compatibility_rows = sum(len(n) * c for n, c in zip(numbers, index.group_pairs))
         rows = self.rows = [{m + k: 1} for k in range(offsets[-1])]
-        for i, j, left, right in incidences:
-            for row, r in zip(rows[offsets[i] : offsets[i + 1]], left):
-                row[r] = -1
-            for row, r in zip(rows[offsets[j] : offsets[j + 1]], right):
-                row[r] = 1
+        m = 0
+        for i, j, _, left, right, group, _ in index.forest:
+            number = numbers[group]
+            for row, v in zip(rows[offsets[i] : offsets[i + 1]], images[left]):
+                row[m + number[v]] = -1
+            for row, v in zip(rows[offsets[j] : offsets[j + 1]], images[right]):
+                row[m + number[v]] = 1
+            m += len(number)
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
         # the integer forms by context, under None the whole block form
         self._forms: dict[int | None, Echelon] = {}
@@ -375,9 +388,9 @@ class _Degree0Complex:
         """Generators of ker delta0 over the ring, indexed by basis position,
         and whether every pivot is 1. The rows are eliminated from the last
         basis position to the first, which was measured to cut fill-in: the
-        pivot rows hold 551 nonzeros instead of 1,239 on the Groetzsch
-        3-colouring, and 38,166 instead of 249,652 on M6 with 4 colours."""
-        m = self.compatibility_rows
+        pivot rows hold 307 nonzeros instead of 1,039 on the Groetzsch
+        3-colouring, and 6,716 instead of 119,630 on M6 with 4 colours."""
+        m = self.forest_rows
         form = echelon(ring, reversed(self.rows), m)
         kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
         return kernel, all(h[c] == 1 for c, h in form.rows.items())

@@ -14,7 +14,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring, encode_basestring_ascii
+from operator import itemgetter, mul
 from typing import Any, Iterable, Mapping
 
 from .errors import DocumentError
@@ -22,7 +24,7 @@ from .model import EmpiricalModel, ProbabilityTable, support_of_probability_tabl
 from .paradox import LiarCycle, liar_cycle_model
 from .pauli import PauliOperator, generate_subgroup, theory_of_subgroup
 from .rings import RingSpec
-from .scenario import Scenario, Section, projection
+from .scenario import Scenario, Section
 from .theory import LinearEquation, Theory, equations_on_cover, model_of_theory
 
 SCHEMA = "contextuality-model/1"
@@ -30,6 +32,9 @@ SCHEMA = "contextuality-model/1"
 PAYLOAD_KINDS = ("supports", "probabilities", "theory", "liar_cycle", "pauli_triple")
 
 _TOP_KEYS = {"format", "name", "notes", "provenance", "scenario", *PAYLOAD_KINDS}
+
+# the only types each JSON list may hold, for one-pass checks
+_STR, _LIST, _DICT, _INT = {str}, {list}, {dict}, {int}
 
 
 @dataclass(frozen=True)
@@ -84,14 +89,21 @@ def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
     for field in ("measurements", "contexts", "outcomes"):
         if field not in obj:
             raise DocumentError(f"missing field {field!r}", path=path)
+    # each list is type-checked in one pass, and walked item by item only
+    # to name the first offence
     measurements = _expect(obj["measurements"], list, "a list", f"{path}.measurements")
-    for i, m in enumerate(measurements):
-        _expect(m, str, "a measurement name", f"{path}.measurements[{i}]")
+    if not set(map(type, measurements)) <= _STR:
+        for i, m in enumerate(measurements):
+            _expect(m, str, "a measurement name", f"{path}.measurements[{i}]")
     contexts = _expect(obj["contexts"], list, "a list", f"{path}.contexts")
-    for i, ctx in enumerate(contexts):
-        _expect(ctx, list, "a list of measurement names", f"{path}.contexts[{i}]")
-        for j, m in enumerate(ctx):
-            _expect(m, str, "a measurement name", f"{path}.contexts[{i}][{j}]")
+    if not (
+        set(map(type, contexts)) <= _LIST
+        and set(map(type, chain.from_iterable(contexts))) <= _STR
+    ):
+        for i, ctx in enumerate(contexts):
+            _expect(ctx, list, "a list of measurement names", f"{path}.contexts[{i}]")
+            for j, m in enumerate(ctx):
+                _expect(m, str, "a measurement name", f"{path}.contexts[{i}][{j}]")
     outcomes_obj = obj["outcomes"]
     ring_outcomes = False
     if isinstance(outcomes_obj, dict):
@@ -105,12 +117,11 @@ def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
         ring_outcomes = True
     else:
         outcomes_list = _expect(outcomes_obj, list, "a list or a modulus object", f"{path}.outcomes")
-        for i, o in enumerate(outcomes_list):
-            _expect(o, int, "an integer outcome", f"{path}.outcomes[{i}]")
+        if not set(map(type, outcomes_list)) <= _INT:
+            for i, o in enumerate(outcomes_list):
+                _expect(o, int, "an integer outcome", f"{path}.outcomes[{i}]")
         outcomes = tuple(outcomes_list)
-    scenario = Scenario(
-        tuple(measurements), tuple(tuple(c) for c in contexts), outcomes
-    )
+    scenario = Scenario(tuple(measurements), tuple(map(tuple, contexts)), outcomes)
     return scenario, ring_outcomes
 
 
@@ -140,36 +151,55 @@ def _parse_section(
 def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
     """The model of a supports payload, read straight into outcome tuples.
 
-    A section passes in one check: an object whose keys are the context's
-    measurements and whose values are integers of the alphabet; its tuple
-    is read in context order. Anything else goes through `_parse_section`,
-    which reports the offence."""
+    The payload passes in a few whole-payload checks: lists of section
+    objects, each holding every measurement of its context and as many keys
+    as the context has measurements, with integer values of the alphabet.
+    Its tuples are read in context order and go to the model unchecked.
+    Otherwise the rows are walked section by section, and `_parse_section`
+    reports the first offence."""
     rows = _expect(obj, list, "a list of support rows", path)
-    if len(rows) != len(scenario.contexts):
+    contexts = scenario.contexts
+    if len(rows) != len(contexts):
         raise DocumentError(
-            f"expected {len(scenario.contexts)} rows (one per context), got {len(rows)}",
+            f"expected {len(contexts)} rows (one per context), got {len(rows)}",
             path=path,
         )
-    alphabet = set(scenario.outcomes)
-    integers = {int}
+    if set(map(type, rows)) <= _LIST and set(map(type, chain.from_iterable(rows))) <= _DICT:
+        try:
+            values = list(map(list, map(map, map(_reader, contexts), rows)))
+        except KeyError:
+            pass
+        else:
+            # every key of a context is in each of its sections, so equal key
+            # counts leave no other key; booleans and floats equal to an
+            # outcome fail the type check
+            keys = sum(map(len, chain.from_iterable(rows)))
+            found = list(chain.from_iterable(chain.from_iterable(values)))
+            if (
+                keys == sum(map(mul, map(len, contexts), map(len, rows)))
+                and set(map(type, found)) <= _INT
+                and set(scenario.outcomes).issuperset(found)
+            ):
+                return EmpiricalModel._of_checked_values(scenario, values)
     values = []
-    for i, (ctx, row) in enumerate(zip(scenario.contexts, rows)):
+    for i, (ctx, row) in enumerate(zip(contexts, rows)):
         _expect(row, list, "a list of sections", f"{path}[{i}]")
-        keys = set(ctx)
-        # a projection reads a section object's keys as it reads positions
-        read = projection(list(ctx))
-        found = []
-        for j, s in enumerate(row):
-            if isinstance(s, dict) and s.keys() == keys:
-                v = read(s)
-                # booleans and floats equal to an outcome fail the type check
-                if integers.issuperset(map(type, v)) and alphabet.issuperset(v):
-                    found.append(v)
-                    continue
-            section = _parse_section(s, scenario, ctx, tuple(sorted(ctx)), f"{path}[{i}][{j}]")
-            found.append(section.values_on(ctx))
-        values.append(found)
-    return EmpiricalModel.from_values(scenario, values)
+        labels = tuple(sorted(ctx))
+        values.append(
+            [
+                _parse_section(s, scenario, ctx, labels, f"{path}[{i}][{j}]").values_on(ctx)
+                for j, s in enumerate(row)
+            ]
+        )
+    return EmpiricalModel._of_checked_values(scenario, values)
+
+
+def _reader(context: tuple[str, ...]):
+    """Reads a section object's outcomes in context order, as a tuple."""
+    if len(context) == 1:
+        (m,) = context
+        return lambda s: (s[m],)
+    return itemgetter(*context)
 
 
 def _parse_fraction(value: Any, path: str) -> Fraction:

@@ -103,6 +103,15 @@ class EmpiricalModel:
                         )
                     if not alphabet.issuperset(v):
                         raise ModelError(f"outcome tuple {v} uses outcome outside the alphabet")
+        return cls._of_checked_values(scenario, values)
+
+    @classmethod
+    def _of_checked_values(
+        cls, scenario: Scenario, values: Iterable[Iterable[tuple[int, ...]]]
+    ) -> "EmpiricalModel":
+        """`from_values` for one collection of outcome tuples per context,
+        each already known to have one outcome of the alphabet per
+        measurement; E1 and E2 are checked."""
         model = cls.__new__(cls)
         model._store(scenario, map(set, values), True)
         object.__setattr__(model, "_sections", [None] * len(scenario.contexts))
@@ -136,13 +145,7 @@ class EmpiricalModel:
                     raise EmptySupportError(f"context {ctx} has empty support (E1)")
             witness = _signalling_witness(self)
             if witness is not None:
-                (i, j), t, side = witness
-                raise SignallingError(
-                    f"supports of {scenario.contexts[i]} and {scenario.contexts[j]} disagree "
-                    f"on overlap section {t} (E2)",
-                    contexts=(scenario.contexts[i], scenario.contexts[j]),
-                    section=t,
-                )
+                raise _signalling_error(scenario, witness)
             object.__setattr__(self, "_no_signalling", NoSignallingVerdict(True))
 
     def __setattr__(self, name, value):
@@ -250,18 +253,53 @@ def _signalling_witness(model: EmpiricalModel):
     """First E2 violation in canonical order, or None.
 
     Canonical order: context pairs (i, j) with i < j in cover order, overlap
-    sections in lexicographic order. Only overlapping pairs can violate E2.
+    sections in lexicographic order. Each context's support is projected
+    once onto each of its overlaps (the incidences of the scenario's
+    overlap index). Agreeing on an overlap is transitive, so the pairs on
+    the index's forest decide E2; when they agree, the model keeps the
+    projections, aligned with the incidences, for its degree-0 complex.
+    Otherwise every pair is scanned for the first witness; the forest pair
+    that disagrees is among them.
     """
-    scenario, values = model.scenario, model._values
-    where = [{m: k for k, m in enumerate(c)} for c in scenario.contexts]
-    for i, j, overlap in scenario.overlaps():
-        left = set(map(projection([where[i][m] for m in overlap]), values[i]))
-        right = set(map(projection([where[j][m] for m in overlap]), values[j]))
-        if left != right:
-            t = min(left.symmetric_difference(right), key=model._lexicographic)
-            side = "first" if t in left else "second"
+    index = model.scenario.overlap_index
+    values = model._values
+    images = [list(map(project, values[c])) for c, _, project in index.incidences]
+    seen = list(map(set, images))
+    for _, _, _, left, right, _, _ in index.forest:
+        if seen[left] != seen[right]:
+            break
+    else:
+        object.__setattr__(model, "_images", images)
+        return None
+    for i, j, overlap, left, right, _, _ in index.pairs:
+        if seen[left] != seen[right]:
+            t = min(seen[left].symmetric_difference(seen[right]), key=model._lexicographic)
+            side = "first" if t in seen[left] else "second"
             return (i, j), sections_over(overlap, [t])[0], side
-    return None
+
+
+def _overlap_images(model: EmpiricalModel) -> list[list[tuple[int, ...]]]:
+    """The projections that E2 kept, aligned with the incidences of the
+    scenario's overlap index, handed over once: the model drops them. A
+    model built without validation is checked here, and a signalling one
+    raises SignallingError."""
+    images = model.__dict__.pop("_images", None)
+    if images is None:
+        witness = _signalling_witness(model)
+        if witness is not None:
+            raise _signalling_error(model.scenario, witness)
+        images = model.__dict__.pop("_images")
+    return images
+
+
+def _signalling_error(scenario: Scenario, witness) -> SignallingError:
+    (i, j), t, _ = witness
+    return SignallingError(
+        f"supports of {scenario.contexts[i]} and {scenario.contexts[j]} disagree "
+        f"on overlap section {t} (E2)",
+        contexts=(scenario.contexts[i], scenario.contexts[j]),
+        section=t,
+    )
 
 
 @dataclass(frozen=True)
@@ -347,8 +385,17 @@ class ProbabilityTable:
             self._check_marginals()
 
     def _check_marginals(self):
+        """Equal marginals are transitive, so the forest pairs of the
+        overlap index decide; every pair is scanned only to name the first
+        that differs."""
         scn = self.scenario
-        for i, j, overlap in scn.overlaps():
+        index = scn.overlap_index
+        if all(
+            self.marginal(i, overlap) == self.marginal(j, overlap)
+            for i, j, overlap, *_ in index.forest
+        ):
+            return
+        for i, j, overlap, _, _, _, _ in index.pairs:
             mi = self.marginal(i, overlap)
             mj = self.marginal(j, overlap)
             if mi != mj:

@@ -10,9 +10,10 @@ under the declared measurement and outcome orderings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import ScenarioError, SectionDomainError
 
@@ -73,7 +74,7 @@ def projection(positions: list[int]):
         return lambda v: ()
     if len(positions) == 1:
         (p,) = positions
-        return lambda v: (v[p],)
+        return itemgetter(slice(p, p + 1))
     return itemgetter(*positions)
 
 
@@ -86,6 +87,151 @@ def sections_over(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
 
 
 @dataclass(frozen=True)
+class OverlapIndex:
+    """The overlapping pairs of a cover, listed once, when the scenario is
+    built; E2, the degree-0 complex and the connectivity check all read it.
+
+    pairs: one record (i, j, overlap, left, right, group, forest) per pair
+        of contexts i < j that share a measurement, in lexicographic order.
+        `overlap` is U = C_i & C_j in declared order; `left` and `right`
+        number the incidences (C_i, U) and (C_j, U); `group` numbers U, in
+        order of first appearance; `forest` says whether the pair lies on a
+        spanning forest of the pairs whose overlap is exactly U.
+    forest: the records with `forest` set, in the same order. A union-find
+        per U keeps a pair when it joins two trees, so the first pair of
+        each U is always kept.
+    incidences: one record (context, positions, project) per incidence: the
+        positions of U in the context and the projection of the context's
+        outcome tuples onto U (`projection(positions)`).
+    group_pairs: the number of pairs with each overlap U.
+    size: the number of contexts.
+
+    Agreeing on U is transitive, so two contexts joined by a path of forest
+    pairs with overlap U agree on U when every pair on the path does; the
+    pairs off the forest add nothing to E2 or to ker delta0.
+    """
+
+    pairs: tuple[tuple[int, int, tuple[str, ...], int, int, int, bool], ...]
+    forest: tuple[tuple[int, int, tuple[str, ...], int, int, int, bool], ...]
+    incidences: tuple[tuple[int, tuple[int, ...], Callable], ...]
+    group_pairs: tuple[int, ...]
+    size: int
+
+    @cached_property
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The cover's connected components under the overlap relation,
+        each sorted, ordered by smallest member: a union-find over the
+        forest pairs, which join whatever all pairs join."""
+        # each root is the smallest context of its tree
+        linked = list(range(self.size))
+        for pair in self.forest:
+            a, b = _find(linked, pair[0]), _find(linked, pair[1])
+            if a < b:
+                linked[b] = a
+            elif b < a:
+                linked[a] = b
+        components: dict[int, list[int]] = {}
+        for i, root in enumerate(linked):
+            if root != i:
+                root = _find(linked, root)
+            components.setdefault(root, []).append(i)
+        return tuple(map(tuple, components.values()))
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find array, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
+def _overlap_index(contexts: tuple[tuple[str, ...], ...], at: dict) -> OverlapIndex:
+    """The overlap index of an antichain cover; `at` maps each measurement
+    to its (context, position) incidences in cover order. Raises
+    ScenarioError for the first context, in cover order, that lies inside
+    another, the first such other context in cover order."""
+    pairs = []
+    forest = []
+    incidences = []
+    groups: dict[tuple[str, ...], int] = {}
+    firsts = []  # per U, its first pair
+    members: dict[int, dict[int, int]] = {}  # per U met again, each context's incidence
+    group_pairs: list[int] = []
+    trees: list[int] = []  # union-find over incidences, one tree per U
+    nested = []
+    # one projection per tuple of positions, shared by the incidences
+    shared: dict[tuple[int, ...], Callable] = {}
+    for i, ctx in enumerate(contexts):
+        # the later contexts meeting C_i, each with the positions of the
+        # overlap in C_i and in it, interleaved
+        hits: dict[int, tuple[int, ...]] = {}
+        for k, m in enumerate(ctx):
+            for j, kj in at[m]:
+                if j > i:
+                    found = hits.get(j)
+                    hits[j] = (k, kj) if found is None else found + (k, kj)
+        for j in sorted(hits):
+            found = hits[j]
+            if len(found) == 2:
+                k, kj = found
+                here, there = (k,), (kj,)
+                overlap = (ctx[k],)
+            else:
+                here, there = found[::2], found[1::2]
+                overlap = tuple(map(ctx.__getitem__, here))
+            project_here = shared.get(here) or shared.setdefault(here, projection(here))
+            project_there = shared.get(there) or shared.setdefault(there, projection(there))
+            if len(here) == len(ctx):
+                nested.append((i, j))
+            if len(there) == len(contexts[j]):
+                nested.append((j, i))
+            group = groups.get(overlap)
+            if group is None:
+                # the first pair with this overlap: two new incidences, one tree
+                group = groups[overlap] = len(group_pairs)
+                group_pairs.append(1)
+                left = len(incidences)
+                incidences.append((i, here, project_here))
+                incidences.append((j, there, project_there))
+                trees.append(left)
+                trees.append(left)
+                pair = (i, j, overlap, left, left + 1, group, True)
+                firsts.append(pair)
+                forest.append(pair)
+            else:
+                group_pairs[group] += 1
+                known = members.get(group)
+                if known is None:
+                    first = firsts[group]
+                    known = members[group] = {first[0]: first[3], first[1]: first[4]}
+                left = known.get(i)
+                if left is None:
+                    left = known[i] = len(incidences)
+                    incidences.append((i, here, project_here))
+                    trees.append(left)
+                right = known.get(j)
+                if right is None:
+                    right = known[j] = len(incidences)
+                    incidences.append((j, there, project_there))
+                    trees.append(right)
+                a, b = _find(trees, left), _find(trees, right)
+                pair = (i, j, overlap, left, right, group, a != b)
+                if a != b:
+                    trees[b] = a
+                    forest.append(pair)
+            pairs.append(pair)
+    if nested:
+        a, b = min(nested)
+        kind = "duplicates" if set(contexts[a]) == set(contexts[b]) else "is contained in"
+        raise ScenarioError(
+            f"cover is not an antichain: context {contexts[a]} {kind} context {contexts[b]}"
+        )
+    return OverlapIndex(
+        tuple(pairs), tuple(forest), tuple(incidences), tuple(group_pairs), len(contexts)
+    )
+
+
+@dataclass(frozen=True)
 class Scenario:
     """A measurement scenario <X, M, O>.
 
@@ -95,9 +241,13 @@ class Scenario:
     outcomes: the shared alphabet O, declared order, integers.
 
     Construction also indexes the cover once: each measurement's position
-    in the declared order, the contexts containing each measurement, for
-    each context the other contexts it overlaps, and the overlapping pairs
-    with their overlaps.
+    in the declared order, its contexts with its position in each, and the
+    overlap index (`overlap_index`, an `OverlapIndex`): every overlapping
+    pair of contexts in lexicographic order with its overlap U and the
+    positions of U in both contexts, a spanning forest of the pairs with
+    each U, and the cover's connected components, read off that forest.
+    The antichain check reads the same pass: a context lies inside another
+    exactly when their overlap is all of it.
     """
 
     measurements: tuple[str, ...]
@@ -119,49 +269,38 @@ class Scenario:
             raise ScenarioError("duplicate outcomes")
         if not self.contexts:
             raise ScenarioError("cover must contain at least one context")
-        order = {m: i for i, m in enumerate(self.measurements)}
-        normalised = []
-        for c in self.contexts:
-            if not c:
-                raise ScenarioError("empty context in cover")
-            if len(set(c)) != len(c):
-                raise ScenarioError(f"duplicate measurement in context {c}")
-            unknown = [m for m in c if m not in order]
-            if unknown:
-                raise ScenarioError(f"context {c} uses undeclared measurements {unknown}")
-            normalised.append(tuple(sorted(c, key=order.__getitem__)))
-        object.__setattr__(self, "contexts", tuple(normalised))
-        containing: dict[str, list[int]] = {}
-        for i, ctx in enumerate(self.contexts):
-            for m in ctx:
-                containing.setdefault(m, []).append(i)
-        missing = [m for m in self.measurements if m not in containing]
-        if missing:
+        measurements = self.measurements
+        order = {m: i for i, m in enumerate(measurements)}
+        contexts = self.contexts
+        # the contexts are checked in one pass, and one by one only to name
+        # the first offence
+        sets = list(map(set, contexts))
+        if not (
+            all(contexts)
+            and list(map(len, sets)) == list(map(len, contexts))
+            and order.keys() >= set().union(*sets)
+        ):
+            for c in contexts:
+                if not c:
+                    raise ScenarioError("empty context in cover")
+                if len(set(c)) != len(c):
+                    raise ScenarioError(f"duplicate measurement in context {c}")
+                unknown = [m for m in c if m not in order]
+                if unknown:
+                    raise ScenarioError(f"context {c} uses undeclared measurements {unknown}")
+        contexts = tuple(map(tuple, map(partial(sorted, key=order.__getitem__), contexts)))
+        object.__setattr__(self, "contexts", contexts)
+        at: dict[str, list[tuple[int, int]]] = {m: [] for m in measurements}
+        for i, ctx in enumerate(contexts):
+            for k, m in enumerate(ctx):
+                at[m].append((i, k))
+        if not all(at.values()):
+            missing = [m for m in measurements if not at[m]]
             raise ScenarioError(f"cover does not reach measurements {missing}")
-        # a context can only lie inside a context it overlaps, so checking
-        # each context's neighbours in cover order finds the first violation
-        sets = [set(c) for c in self.contexts]
-        neighbours = []
-        overlaps = []
-        for i, ctx in enumerate(self.contexts):
-            near = sorted({j for m in ctx for j in containing[m]} - {i})
-            for j in near:
-                if sets[i] <= sets[j]:
-                    kind = "duplicates" if sets[i] == sets[j] else "is contained in"
-                    raise ScenarioError(
-                        f"cover is not an antichain: context {self.contexts[i]} "
-                        f"{kind} context {self.contexts[j]}"
-                    )
-                if j > i:
-                    overlaps.append((i, j, tuple(m for m in ctx if m in sets[j])))
-            neighbours.append(tuple(near))
         object.__setattr__(self, "_position", order)
-        object.__setattr__(self, "_containing", {m: tuple(c) for m, c in containing.items()})
-        object.__setattr__(self, "_neighbours", tuple(neighbours))
-        object.__setattr__(self, "_overlaps", tuple(overlaps))
-        object.__setattr__(
-            self, "_context_index", {c: i for i, c in enumerate(self.contexts)}
-        )
+        object.__setattr__(self, "_at", at)
+        object.__setattr__(self, "overlap_index", _overlap_index(contexts, at))
+        object.__setattr__(self, "_context_index", {c: i for i, c in enumerate(contexts)})
 
     # -- ordering helpers ---------------------------------------------------
 
@@ -184,21 +323,14 @@ class Scenario:
     def contexts_containing(self, label: str) -> tuple[int, ...]:
         """Cover indices of the contexts that contain the measurement, in
         cover order."""
+        containing = self.__dict__.get("_containing")
+        if containing is None:
+            containing = {m: tuple(i for i, _ in found) for m, found in self._at.items()}
+            object.__setattr__(self, "_containing", containing)
         try:
-            return self._containing[label]
+            return containing[label]
         except KeyError:
             raise ScenarioError(f"unknown measurement {label!r}") from None
-
-    def neighbours(self, index: int) -> tuple[int, ...]:
-        """Cover indices of the other contexts that share a measurement with
-        context `index`, in cover order."""
-        return self._neighbours[index]
-
-    def overlaps(self) -> Iterator[tuple[int, int, tuple[str, ...]]]:
-        """The pairs (i, j), i < j, of contexts that share a measurement, in
-        lexicographic order, each with its overlap in declared order. The
-        list is computed once, at construction."""
-        yield from self._overlaps
 
     def section(self, context: Iterable[str], values: Iterable[int]) -> Section:
         ms = self.sorted_measurements(context)
@@ -268,22 +400,9 @@ def build_nerve(scenario: Scenario, max_dimension: int | None = None) -> tuple[t
 
 def connected_components(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     """Partition of cover indices under the overlap relation, each component
-    sorted, components ordered by smallest member."""
-    seen: set[int] = set()
-    components = []
-    for start in range(len(scenario.contexts)):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        while stack:
-            for j in scenario.neighbours(stack.pop()):
-                if j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        seen |= comp
-        components.append(tuple(sorted(comp)))
-    return tuple(components)
+    sorted, components ordered by smallest member; read off the overlap
+    index."""
+    return scenario.overlap_index.components
 
 
 def is_connected(scenario: Scenario) -> bool:

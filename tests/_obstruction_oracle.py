@@ -16,7 +16,7 @@ shared with the library route.
 from __future__ import annotations
 
 from contextuality import EmpiricalModel, RingSpec, cochain_basis
-from contextuality.cohomology import coboundary_entries
+from contextuality.cohomology import _Degree0Complex, coboundary_entries
 from contextuality.rings import echelon
 
 
@@ -31,6 +31,86 @@ def reference_degree0_rows(model: EmpiricalModel):
     for i, j, sign in coboundary_entries(basis, upper):
         rows[j][i] = sign
     return basis, m, rows
+
+
+def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
+    """The degree-0 complex's rows against the full delta0 of the reference
+    bases. Each row j ends in a 1 at tail key `forest_rows + j`. The rows of
+    delta0 it holds, block by block, are the reference blocks of the pairs
+    on the overlap index's forest, in nerve order. The forest pairs with
+    each overlap U span every component of the pairs with that overlap
+    without a cycle. Every other pair's block is the sum of the forest
+    blocks along the forest path between its two contexts, each taken with
+    the sign of the direction it is walked in."""
+    basis = cochain_basis(model, 0)
+    upper = cochain_basis(model, 1)
+    index = model.scenario.overlap_index
+    assert [sigma.contexts for sigma in upper.simplices] == [p[:2] for p in index.pairs]
+    # delta0 as rows over the 0-cochain positions, from both constructions
+    reference = [{} for _ in range(len(upper))]
+    for row, col, sign in coboundary_entries(basis, upper):
+        reference[row][col] = sign
+    head = complex_.forest_rows
+    mine = [{} for _ in range(head)]
+    for j, row in enumerate(complex_.rows):
+        assert [k for k in row if k >= head] == [head + j] and row[head + j] == 1
+        for k, x in row.items():
+            if k < head:
+                mine[k][j] = x
+
+    def block(p):
+        return reference[upper.offsets[p] : upper.offsets[p + 1]]
+
+    forest = [p for p, pair in enumerate(index.pairs) if pair[6]]
+    assert sum(len(block(p)) for p in forest) == head
+    at = 0
+    for p in forest:
+        size = len(block(p))
+        assert mine[at : at + size] == block(p)
+        at += size
+
+    # per overlap, the forest as an adjacency map, and the reference blocks
+    # of the pairs that are not on it
+    trees: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
+    for p, (i, j, overlap, *_, on_forest) in enumerate(index.pairs):
+        adjacent = trees.setdefault(overlap, {})
+        if on_forest:
+            adjacent.setdefault(i, []).append((j, p))
+            adjacent.setdefault(j, []).append((i, p))
+    for p, (i, j, overlap, *_, on_forest) in enumerate(index.pairs):
+        if on_forest:
+            continue
+        adjacent = trees[overlap]
+        # the forest path from i to j, as (pair, sign) steps
+        paths = {i: []}
+        todo = [i]
+        while todo:
+            a = todo.pop()
+            for b, q in adjacent.get(a, ()):
+                if b not in paths:
+                    paths[b] = paths[a] + [(q, 1 if a < b else -1)]
+                    todo.append(b)
+        assert j in paths, f"pair {(i, j)} is not joined by the forest on {overlap}"
+        total = [{} for _ in block(p)]
+        for q, sign in paths[j]:
+            for acc, row in zip(total, block(q)):
+                for col, x in row.items():
+                    acc[col] = acc.get(col, 0) + sign * x
+        assert [{c: x for c, x in acc.items() if x} for acc in total] == block(p)
+    for overlap, adjacent in trees.items():
+        # no cycle: a forest on n contexts with c trees has n - c edges
+        edges = sum(map(len, adjacent.values())) // 2
+        seen, trees_found = set(), 0
+        for start in adjacent:
+            if start not in seen:
+                trees_found += 1
+                todo = [start]
+                while todo:
+                    a = todo.pop()
+                    if a not in seen:
+                        seen.add(a)
+                        todo.extend(b for b, _ in adjacent[a])
+        assert edges == len(seen) - trees_found
 
 
 def oracle_flags(model: EmpiricalModel, ring: RingSpec) -> tuple[bool, ...]:

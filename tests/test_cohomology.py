@@ -40,8 +40,8 @@ from contextuality.cohomology import (
 )
 
 import contextuality.cohomology as cohomology_module
-from _obstruction_oracle import oracle_flags, reference_degree0_rows
-from _random_models import random_contextual_models, random_models
+from _obstruction_oracle import check_forest_rows, oracle_flags, reference_degree0_rows
+from _random_models import random_contextual_models, random_models, tseitin_model
 from conftest import (
     ALL4,
     BIPARTITE,
@@ -334,17 +334,20 @@ def test_degree0_complex_matches_the_reference_construction(corpus_models):
     models += random_models(60, seed=20261018) + random_contextual_models(30, seed=20261019)
     models += [groetzsch_colouring(3), mycielski_colouring(5, 3)]
     models.append(reorder_declarations(mycielski_colouring(4, 3)))
+    # the complex keeps the rows of delta0 of the pairs on a spanning forest
+    # of each overlap's pairs; every dropped row is a sum of kept ones
+    dropped = 0
     for model in models:
         basis, m, rows = reference_degree0_rows(model)
         complex_ = cohomology_module._Degree0Complex(model)
         assert complex_.compatibility_rows == m
-        assert [list(row.items()) for row in complex_.rows] == [
-            list(row.items()) for row in rows
-        ]
+        check_forest_rows(model, complex_)
+        dropped += m - complex_.forest_rows
         assert complex_.basis.offsets == basis.offsets
         assert complex_.basis.values == basis.values
         assert complex_.basis.sections == basis.sections
         assert complex_.basis.simplices == basis.simplices
+    assert dropped > 0
 
 
 def per_ring_reference(model, ring):
@@ -365,10 +368,11 @@ def per_ring_reference(model, ring):
     return tuple(flags), width, len(delta)
 
 
-def check_family_by_coboundary(model, ring, entries, ci, s0, family):
+def check_family_by_coboundary(model, ring, entries, ci, s0, family, basis=None):
     """delta0 of the family is zero, and its component at C0 is the unit
     combination at s0."""
-    basis = cochain_basis(model, 0)
+    if basis is None:
+        basis = cochain_basis(model, 0)
     vec = cochain_to_vector(basis, Cochain(ring, 0, family))
     image = {}
     for row, col, sign in entries:
@@ -423,6 +427,44 @@ def test_shared_integer_kernel_matches_per_ring_elimination(corpus_models):
                 assert (family is not None) == vanishes
                 if family is not None:
                     check_family_by_coboundary(model, ring, entries, edge, s, family)
+
+
+def test_forest_rows_decide_what_the_full_coboundary_does(corpus_models):
+    # the complex keeps only the rows of delta0 on a spanning forest of each
+    # overlap's pairs; its verdicts, unit pivots and compatibility count must
+    # be those of the full delta0, which the oracle eliminates over each
+    # ring, and its families must pass the full delta0. A family is a
+    # cochain over every context, so at colouring scale only one seeded
+    # section per ring has its family built and checked
+    models = list(corpus_models.values())
+    models += [mycielski_colouring(order, colours) for order in (4, 5, 6) for colours in (3, 4)]
+    models += [shifted_colouring(5, 4), tseitin_model(30, seed=1)]
+    models += random_models(60, seed=7) + random_contextual_models(40, seed=7)
+    rings = (Z2, Z4, Z6, INTEGERS)
+    rng = random.Random(20261019)
+    fewer_rows = non_vanishing = 0
+    for model in models:
+        complex_ = cohomology_module._degree0_complex(model)
+        basis, m, _ = reference_degree0_rows(model)
+        assert complex_.compatibility_rows == m
+        assert complex_.unit_pivots
+        fewer_rows += complex_.forest_rows < m
+        entries = list(coboundary_entries(basis, cochain_basis(model, 1)))
+        for ring in rings:
+            report = classify_cohomological(model, ring)
+            assert report.vanishes == oracle_flags(model, ring)
+            assert report.compatibility_rows == m
+            non_vanishing += report.vanishes.count(False)
+            solver = ObstructionSolver(model, ring)
+            flags = with_sections(model, report.vanishes)
+            if len(flags) > 200:
+                flags = [rng.choice(flags)]
+            for ci, ctx, s, vanishes in flags:
+                family = solver.family(ctx, s)
+                assert (family is not None) == vanishes
+                if vanishes:
+                    check_family_by_coboundary(model, ring, entries, ci, s, family, basis)
+    assert fewer_rows >= 8 and non_vanishing > 0
 
 
 def test_finite_rings_fall_back_to_their_own_elimination(corpus_models, monkeypatch):

@@ -35,6 +35,7 @@ from conftest import (
     CORR,
     bell_table,
     bipartite_model,
+    groetzsch_colouring,
     hardy_model,
     pr_box,
     with_sections,
@@ -214,6 +215,25 @@ def signalling_tables(count, seed):
     return tables
 
 
+def perturbed_colourings(count, seed):
+    """Unvalidated colouring models of the Groetzsch graph, whose vertices
+    each lie in three to five edge contexts, with one support perturbed:
+    one context loses every section with a given colour at one of its two
+    vertices, so it disagrees with the other edges at that vertex only."""
+    rng = random.Random(seed)
+    tables = []
+    for _ in range(count):
+        base = groetzsch_colouring(rng.choice((3, 4)))
+        ci = rng.randrange(len(base.scenario.contexts))
+        position, colour = rng.randrange(2), rng.choice(base.scenario.outcomes)
+        supports = list(base.supports)
+        supports[ci] = tuple(
+            s for s, v in zip(base.support(ci), base.support_values(ci)) if v[position] != colour
+        )
+        tables.append(EmpiricalModel(base.scenario, tuple(supports), validate=False))
+    return tables
+
+
 def test_signalling_witness_matches_all_pairs_reference():
     three_pairs = (CORR, ((0, 0), (1, 0)), ((0, 0),), ANTI)
     fixed = EmpiricalModel(
@@ -226,6 +246,9 @@ def test_signalling_witness_matches_all_pairs_reference():
     )
     tables = [fixed] + signalling_tables(40, seed=20240820)
     assert len(tables) == 41
+    # overlaps shared by three or more contexts: the forest check finds the
+    # disagreement, and the scan of every pair names the first witness
+    tables += perturbed_colourings(20, seed=20261019)
     models = random_models(25, seed=20240818) + tables
     for model in models + [reversed_orders(m) for m in models]:
         expected = reference_signalling_witnesses(model)
@@ -322,6 +345,50 @@ def test_probability_marginals_must_match():
     anti = {BIPARTITE.section(("a2", "b2"), v): Fraction(1, 4) for v in ALL4}
     with pytest.raises(SignallingError):
         ProbabilityTable.from_mappings(BIPARTITE, (corr, uniform, skew, anti))
+
+
+def reference_marginal_witness(table):
+    """The first context pair (i, j), i < j in cover order, whose
+    marginals on their overlap differ, with the first differing overlap
+    section in the order of its text, or None."""
+    scn = table.scenario
+    for i, ci in enumerate(scn.contexts):
+        for j in range(i + 1, len(scn.contexts)):
+            overlap = tuple(m for m in ci if m in scn.contexts[j])
+            if not overlap:
+                continue
+            mi, mj = table.marginal(i, overlap), table.marginal(j, overlap)
+            for t in sorted(set(mi) | set(mj), key=str):
+                if mi.get(t, 0) != mj.get(t, 0):
+                    return (ci, scn.contexts[j]), t
+    return None
+
+
+def test_marginal_witness_matches_all_pairs_reference():
+    # uniform weight on the proper colourings of each edge of the Groetzsch
+    # graph has uniform marginals at every vertex; moving weight between two
+    # sections that differ only at one vertex of one edge breaks the
+    # marginals at that vertex, which three to five edges share
+    base = groetzsch_colouring(3)
+    scn = base.scenario
+    rng = random.Random(20261019)
+    uniform = [{s: Fraction(1, 6) for s in base.support(ci)} for ci in range(len(scn.contexts))]
+    table = ProbabilityTable.from_mappings(scn, uniform)
+    assert reference_marginal_witness(table) is None
+    for _ in range(12):
+        ci = rng.randrange(len(scn.contexts))
+        u, v = scn.contexts[ci]
+        x, y, z = rng.sample(scn.outcomes, 3)
+        rows = [dict(row) for row in uniform]
+        shift = Fraction(1, 12)
+        rows[ci][scn.section((u, v), (x, y))] += shift
+        rows[ci][scn.section((u, v), (z, y))] -= shift
+        unchecked = ProbabilityTable.from_mappings(scn, rows, validate=False)
+        contexts, section = reference_marginal_witness(unchecked)
+        assert u in contexts[0] and u in contexts[1]
+        with pytest.raises(SignallingError) as err:
+            ProbabilityTable.from_mappings(scn, rows)
+        assert (err.value.contexts, err.value.section) == (contexts, section)
 
 
 def test_uniform_table_on_pr_box_is_no_signalling():
