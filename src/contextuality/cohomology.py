@@ -308,8 +308,8 @@ class _Degree0Complex:
     overlap U numbers U's image in lexicographic order after the pairs
     before it, and gives context i's positions -1 and context j's +1 in the
     row of their projection, as `coboundary_entries` does on the reference
-    bases. The projections are the ones E2 made, one per context and
-    overlap. The rows of a pair off the forest telescope along the forest
+    bases. Each support is projected once onto each of its overlaps, and
+    the projections are shared by the pairs with that overlap. The rows of a pair off the forest telescope along the forest
     path between its contexts: row(i, k, u) = row(i, j, u) + row(j, k, u)
     for pairs with overlap U, and row(j, i, u) = -row(i, j, u). So D and
     delta0 span the same rows over Z, and x*D^T = 0 exactly when
@@ -348,7 +348,7 @@ class _Degree0Complex:
         key = model._lexicographic
         numbers: list[dict | None] = [None] * len(index.group_pairs)
         m = 0
-        for _, _, _, left, _, group, _ in index.forest:
+        for _, _, _, left, _, group in index.forest:
             number = numbers[group]
             if number is None:
                 image = sorted(set(images[left]), key=key)
@@ -359,7 +359,7 @@ class _Degree0Complex:
         self.compatibility_rows = sum(len(n) * c for n, c in zip(numbers, index.group_pairs))
         rows = self.rows = [{m + k: 1} for k in range(offsets[-1])]
         m = 0
-        for i, j, _, left, right, group, _ in index.forest:
+        for i, j, _, left, right, group in index.forest:
             number = numbers[group]
             for row, v in zip(rows[offsets[i] : offsets[i + 1]], images[left]):
                 row[m + number[v]] = -1

@@ -256,22 +256,18 @@ def _signalling_witness(model: EmpiricalModel):
     sections in lexicographic order. Each context's support is projected
     once onto each of its overlaps (the incidences of the scenario's
     overlap index). Agreeing on an overlap is transitive, so the pairs on
-    the index's forest decide E2; when they agree, the model keeps the
-    projections, aligned with the incidences, for its degree-0 complex.
-    Otherwise every pair is scanned for the first witness; the forest pair
-    that disagrees is among them.
+    the index's forest decide E2; only when one of them disagrees is every
+    pair scanned for the first witness.
     """
     index = model.scenario.overlap_index
     values = model._values
-    images = [list(map(project, values[c])) for c, _, project in index.incidences]
-    seen = list(map(set, images))
-    for _, _, _, left, right, _, _ in index.forest:
+    seen = [set(map(project, values[c])) for c, _, project in index.incidences]
+    for _, _, _, left, right, _ in index.forest:
         if seen[left] != seen[right]:
             break
     else:
-        object.__setattr__(model, "_images", images)
         return None
-    for i, j, overlap, left, right, _, _ in index.pairs:
+    for i, j, overlap, left, right, _ in index.pairs:
         if seen[left] != seen[right]:
             t = min(seen[left].symmetric_difference(seen[right]), key=model._lexicographic)
             side = "first" if t in seen[left] else "second"
@@ -279,17 +275,19 @@ def _signalling_witness(model: EmpiricalModel):
 
 
 def _overlap_images(model: EmpiricalModel) -> list[list[tuple[int, ...]]]:
-    """The projections that E2 kept, aligned with the incidences of the
-    scenario's overlap index, handed over once: the model drops them. A
-    model built without validation is checked here, and a signalling one
-    raises SignallingError."""
-    images = model.__dict__.pop("_images", None)
-    if images is None:
+    """Each context's outcome tuples projected onto each of its overlaps,
+    aligned with the incidences of the scenario's overlap index. A model
+    not validated at construction is checked for E2 first, and a signalling
+    one raises SignallingError."""
+    if model._no_signalling is None:
         witness = _signalling_witness(model)
         if witness is not None:
             raise _signalling_error(model.scenario, witness)
-        images = model.__dict__.pop("_images")
-    return images
+    values = model._values
+    return [
+        list(map(project, values[c]))
+        for c, _, project in model.scenario.overlap_index.incidences
+    ]
 
 
 def _signalling_error(scenario: Scenario, witness) -> SignallingError:
@@ -385,17 +383,8 @@ class ProbabilityTable:
             self._check_marginals()
 
     def _check_marginals(self):
-        """Equal marginals are transitive, so the forest pairs of the
-        overlap index decide; every pair is scanned only to name the first
-        that differs."""
         scn = self.scenario
-        index = scn.overlap_index
-        if all(
-            self.marginal(i, overlap) == self.marginal(j, overlap)
-            for i, j, overlap, *_ in index.forest
-        ):
-            return
-        for i, j, overlap, _, _, _, _ in index.pairs:
+        for i, j, overlap, *_ in scn.overlap_index.pairs:
             mi = self.marginal(i, overlap)
             mj = self.marginal(j, overlap)
             if mi != mj:

@@ -91,15 +91,15 @@ class OverlapIndex:
     """The overlapping pairs of a cover, listed once, when the scenario is
     built; E2, the degree-0 complex and the connectivity check all read it.
 
-    pairs: one record (i, j, overlap, left, right, group, forest) per pair
-        of contexts i < j that share a measurement, in lexicographic order.
+    pairs: one record (i, j, overlap, left, right, group) per pair of
+        contexts i < j that share a measurement, in lexicographic order.
         `overlap` is U = C_i & C_j in declared order; `left` and `right`
         number the incidences (C_i, U) and (C_j, U); `group` numbers U, in
-        order of first appearance; `forest` says whether the pair lies on a
-        spanning forest of the pairs whose overlap is exactly U.
-    forest: the records with `forest` set, in the same order. A union-find
-        per U keeps a pair when it joins two trees, so the first pair of
-        each U is always kept.
+        order of first appearance.
+    forest: the records of the pairs on a spanning forest of the pairs
+        whose overlap is exactly U, for each U, in the same order. A
+        union-find per U keeps a pair when it joins two trees, so the first
+        pair of each U is always kept.
     incidences: one record (context, positions, project) per incidence: the
         positions of U in the context and the projection of the context's
         outcome tuples onto U (`projection(positions)`).
@@ -111,8 +111,8 @@ class OverlapIndex:
     pairs off the forest add nothing to E2 or to ker delta0.
     """
 
-    pairs: tuple[tuple[int, int, tuple[str, ...], int, int, int, bool], ...]
-    forest: tuple[tuple[int, int, tuple[str, ...], int, int, int, bool], ...]
+    pairs: tuple[tuple[int, int, tuple[str, ...], int, int, int], ...]
+    forest: tuple[tuple[int, int, tuple[str, ...], int, int, int], ...]
     incidences: tuple[tuple[int, tuple[int, ...], Callable], ...]
     group_pairs: tuple[int, ...]
     size: int
@@ -154,8 +154,7 @@ def _overlap_index(contexts: tuple[tuple[str, ...], ...], at: dict) -> OverlapIn
     forest = []
     incidences = []
     groups: dict[tuple[str, ...], int] = {}
-    firsts = []  # per U, its first pair
-    members: dict[int, dict[int, int]] = {}  # per U met again, each context's incidence
+    members: list[dict[int, int]] = []  # per U, each context's incidence
     group_pairs: list[int] = []
     trees: list[int] = []  # union-find over incidences, one tree per U
     nested = []
@@ -179,47 +178,39 @@ def _overlap_index(contexts: tuple[tuple[str, ...], ...], at: dict) -> OverlapIn
             else:
                 here, there = found[::2], found[1::2]
                 overlap = tuple(map(ctx.__getitem__, here))
-            project_here = shared.get(here) or shared.setdefault(here, projection(here))
-            project_there = shared.get(there) or shared.setdefault(there, projection(there))
             if len(here) == len(ctx):
                 nested.append((i, j))
             if len(there) == len(contexts[j]):
                 nested.append((j, i))
             group = groups.get(overlap)
             if group is None:
-                # the first pair with this overlap: two new incidences, one tree
-                group = groups[overlap] = len(group_pairs)
-                group_pairs.append(1)
-                left = len(incidences)
-                incidences.append((i, here, project_here))
-                incidences.append((j, there, project_there))
+                group = groups[overlap] = len(members)
+                members.append({})
+                group_pairs.append(0)
+            group_pairs[group] += 1
+            known = members[group]
+            left = known.get(i)
+            if left is None:
+                left = known[i] = len(incidences)
+                project = shared.get(here)
+                if project is None:
+                    project = shared[here] = projection(here)
+                incidences.append((i, here, project))
                 trees.append(left)
-                trees.append(left)
-                pair = (i, j, overlap, left, left + 1, group, True)
-                firsts.append(pair)
-                forest.append(pair)
-            else:
-                group_pairs[group] += 1
-                known = members.get(group)
-                if known is None:
-                    first = firsts[group]
-                    known = members[group] = {first[0]: first[3], first[1]: first[4]}
-                left = known.get(i)
-                if left is None:
-                    left = known[i] = len(incidences)
-                    incidences.append((i, here, project_here))
-                    trees.append(left)
-                right = known.get(j)
-                if right is None:
-                    right = known[j] = len(incidences)
-                    incidences.append((j, there, project_there))
-                    trees.append(right)
-                a, b = _find(trees, left), _find(trees, right)
-                pair = (i, j, overlap, left, right, group, a != b)
-                if a != b:
-                    trees[b] = a
-                    forest.append(pair)
+            right = known.get(j)
+            if right is None:
+                right = known[j] = len(incidences)
+                project = shared.get(there)
+                if project is None:
+                    project = shared[there] = projection(there)
+                incidences.append((j, there, project))
+                trees.append(right)
+            pair = (i, j, overlap, left, right, group)
             pairs.append(pair)
+            a, b = _find(trees, left), _find(trees, right)
+            if a != b:
+                trees[b] = a
+                forest.append(pair)
     if nested:
         a, b = min(nested)
         kind = "duplicates" if set(contexts[a]) == set(contexts[b]) else "is contained in"
@@ -323,14 +314,11 @@ class Scenario:
     def contexts_containing(self, label: str) -> tuple[int, ...]:
         """Cover indices of the contexts that contain the measurement, in
         cover order."""
-        containing = self.__dict__.get("_containing")
-        if containing is None:
-            containing = {m: tuple(i for i, _ in found) for m, found in self._at.items()}
-            object.__setattr__(self, "_containing", containing)
         try:
-            return containing[label]
+            found = self._at[label]
         except KeyError:
             raise ScenarioError(f"unknown measurement {label!r}") from None
+        return tuple(i for i, _ in found)
 
     def section(self, context: Iterable[str], values: Iterable[int]) -> Section:
         ms = self.sorted_measurements(context)

@@ -61,7 +61,8 @@ def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     def block(p):
         return reference[upper.offsets[p] : upper.offsets[p + 1]]
 
-    forest = [p for p, pair in enumerate(index.pairs) if pair[6]]
+    on_forest = set(index.forest)
+    forest = [p for p, pair in enumerate(index.pairs) if pair in on_forest]
     assert sum(len(block(p)) for p in forest) == head
     at = 0
     for p in forest:
@@ -72,14 +73,16 @@ def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     # per overlap, the forest as an adjacency map, and the reference blocks
     # of the pairs that are not on it
     trees: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
-    for p, (i, j, overlap, *_, on_forest) in enumerate(index.pairs):
+    for p, pair in enumerate(index.pairs):
+        i, j, overlap = pair[:3]
         adjacent = trees.setdefault(overlap, {})
-        if on_forest:
+        if pair in on_forest:
             adjacent.setdefault(i, []).append((j, p))
             adjacent.setdefault(j, []).append((i, p))
-    for p, (i, j, overlap, *_, on_forest) in enumerate(index.pairs):
-        if on_forest:
+    for p, pair in enumerate(index.pairs):
+        if pair in on_forest:
             continue
+        i, j, overlap = pair[:3]
         adjacent = trees[overlap]
         # the forest path from i to j, as (pair, sign) steps
         paths = {i: []}

@@ -19,9 +19,11 @@ from contextuality import (
     Scenario,
     Section,
     SectionNotSupportedError,
+    SignallingError,
     Cochain,
     analyze,
     build_nerve,
+    check_no_signalling,
     classify_cohomological,
     classify_contextuality,
     coboundary,
@@ -348,6 +350,23 @@ def test_degree0_complex_matches_the_reference_construction(corpus_models):
         assert complex_.basis.sections == basis.sections
         assert complex_.basis.simplices == basis.simplices
     assert dropped > 0
+
+
+def test_complex_of_an_unvalidated_model_checks_e2():
+    # construction did not check E2, so the complex does: a non-signalling
+    # model gets its validated twin's rows, and a signalling one raises with
+    # the witness of check_no_signalling
+    base = groetzsch_colouring(3)
+    unchecked = EmpiricalModel(base.scenario, base.supports, validate=False)
+    build = cohomology_module._Degree0Complex
+    assert build(unchecked).rows == build(base).rows
+    supports = list(base.supports)
+    supports[0] = tuple(s for s, v in zip(base.support(0), base.support_values(0)) if v[0] != 0)
+    signalling = EmpiricalModel(base.scenario, tuple(supports), validate=False)
+    w = check_no_signalling(signalling).witness
+    with pytest.raises(SignallingError) as err:
+        build(signalling)
+    assert (err.value.contexts, err.value.section) == ((w.context_a, w.context_b), w.section)
 
 
 def per_ring_reference(model, ring):
