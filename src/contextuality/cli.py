@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import analyze, render_json, render_text
+from .analysis import _section_text, analyze, render_json, render_text
 from .bundle import export_bundle_dot
 from .corpus import corpus, corpus_names, corpus_text
 from .documents import (
@@ -107,6 +107,28 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _family_texts(model, weights: dict[int, int]) -> list[str]:
+    """str() of each context's combination in the compatible family with
+    these weights by 0-cochain basis position, written from the supports'
+    outcome tuples with one section template per context: terms ordered by
+    their outcome tuples, as `FormalLinearCombination` orders them, and "0"
+    for a context without weight."""
+    texts = []
+    start = 0
+    for ci, ctx in enumerate(model.scenario.contexts):
+        values = model.support_values(ci)
+        terms = sorted((v, w) for k, v in enumerate(values, start) if (w := weights.get(k)))
+        start += len(values)
+        if not terms:
+            texts.append("0")
+            continue
+        text = _section_text(ctx)
+        texts.append(
+            " + ".join(f"[{text(v)}]" if w == 1 else f"{w}*[{text(v)}]" for v, w in terms)
+        )
+    return texts
+
+
 def _cmd_obstruction(args) -> int:
     from .cohomology import ObstructionSolver
 
@@ -116,19 +138,16 @@ def _cmd_obstruction(args) -> int:
     context = _parse_context_text(args.context)
     section = _parse_section_text(args.section)
     solver = ObstructionSolver(model, ring)
-    family = solver.family(context, section)
-    vanishes = family is not None
+    weights = solver.weights(context, section)
+    family = None if weights is None else _family_texts(model, weights)
     if args.json:
         payload = {
             "context": list(context),
             "section": str(section),
             "ring": str(ring),
-            "vanishes": vanishes,
+            "vanishes": family is not None,
             "family": (
-                {
-                    " ".join(model.scenario.contexts[i]): str(comp)
-                    for i, comp in enumerate(family)
-                }
+                {" ".join(ctx): text for ctx, text in zip(model.scenario.contexts, family)}
                 if family is not None
                 else None
             ),
@@ -139,15 +158,14 @@ def _cmd_obstruction(args) -> int:
         }
         sys.stdout.write(canonical_json(payload) + "\n")
         return 0
-    word = "vanishes" if vanishes else "does not vanish"
+    word = "vanishes" if family is not None else "does not vanish"
     sys.stdout.write(
         f"obstruction of {section} at ({', '.join(context)}) over {ring}: {word}\n"
     )
     if family is not None:
         sys.stdout.write("compatible family of coefficients:\n")
-        for i, comp in enumerate(family):
-            ctx = model.scenario.contexts[i]
-            sys.stdout.write(f"  ({', '.join(ctx)}): {comp}\n")
+        for ctx, text in zip(model.scenario.contexts, family):
+            sys.stdout.write(f"  ({', '.join(ctx)}): {text}\n")
     return 0
 
 
@@ -159,12 +177,13 @@ def _cmd_avn(args) -> int:
         report = is_avn_at(model, _parse_section_text(args.at), ring)
     else:
         report = is_avn(model, ring)
+    equations = report.equation_texts()
     if args.json:
         payload = {
             "ring": str(ring),
             "avn": report.avn,
             "at": str(report.fixed) if report.fixed is not None else None,
-            "equations": [str(eq) for eq in report.theory.equations],
+            "equations": equations,
             "solution": str(report.solution) if report.solution else None,
         }
         sys.stdout.write(canonical_json(payload) + "\n")
@@ -172,9 +191,9 @@ def _cmd_avn(args) -> int:
     scope = f" fixing {report.fixed}" if report.fixed is not None else ""
     verdict = "yes" if report.avn else "no"
     sys.stdout.write(f"All-vs-Nothing over {ring}{scope}: {verdict}\n")
-    sys.stdout.write(f"theory generators ({len(report.theory.equations)}):\n")
-    for eq in report.theory.equations:
-        sys.stdout.write(f"  {eq}\n")
+    sys.stdout.write(f"theory generators ({len(equations)}):\n")
+    for text in equations:
+        sys.stdout.write(f"  {text}\n")
     if report.solution is not None:
         sys.stdout.write(f"solution: {report.solution}\n")
     elif report.reduced_system is not None:

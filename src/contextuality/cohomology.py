@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -27,6 +28,7 @@ from .rings import (
     RingMatrix,
     RingSpec,
     Row,
+    dense,
     echelon,
     linear_decomposition,
 )
@@ -321,7 +323,9 @@ class _Degree0Complex:
     generator g's part at each context, at its basis positions with a 1 at
     tail key (unknowns + g), is one row; parts at different contexts share
     no head column, so their one echelon (`form`) is block diagonal and
-    holds every context's form of pi_C(K).
+    holds every context's form of pi_C(K). `classify_cohomological` reads
+    every verdict off it; `ObstructionSolver` reads only the rows and
+    eliminates them over its own ring.
 
     When every pivot of H is 1, mod n U stays invertible and the rows of H
     stay independent (each has a 1 where the rows after it are zero), so
@@ -330,7 +334,7 @@ class _Degree0Complex:
     mod n, and so by the integer form's pivot rows reduced mod n, its other
     rows having a zero head. Their Howell form is the Z_n form, and their
     tails stay coefficients over the integer generators. Otherwise each
-    finite ring eliminates the rows itself, once per ring.
+    finite ring eliminates the rows itself.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -367,9 +371,6 @@ class _Degree0Complex:
                 row[m + number[v]] = 1
             m += len(number)
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
-        # the integer forms by context, under None the whole block form
-        self._forms: dict[int | None, Echelon] = {}
-        self._kernels: dict[RingSpec, list[Row]] = {}
 
     @cached_property
     def basis(self) -> CochainBasis:
@@ -404,47 +405,35 @@ class _Degree0Complex:
         """Whether every pivot of the integer form is 1."""
         return self._integral[1]
 
-    def kernel(self, ring: RingSpec) -> list[Row]:
-        """The generators of ker delta0 that the tails of the ring's forms
-        refer to: the integer ones unless the fallback applies."""
-        kernel, unit_pivots = self._integral
-        if ring.is_finite and not unit_pivots:
-            kernel = self._kernels.get(ring)
-            if kernel is None:
-                kernel = self._kernels[ring] = self._eliminate(ring)[0]
-        return kernel
-
-    def _parts(self, kernel: list[Row], ci: int | None) -> list[Row]:
-        """Each generator's part at every context, or at context ci only, in
-        generator order, with a 1 at tail key (unknowns + g)."""
+    def _parts(self, kernel: list[Row]) -> list[Row]:
+        """Each generator's part at every context, in generator order, with
+        a 1 at tail key (unknowns + g)."""
         tail = self.offsets[-1]
-        lo, hi = (0, tail) if ci is None else self.offsets[ci : ci + 2]
         owner = self.owner
         parts = []
         for g, k in enumerate(kernel):
             split: dict[int, Row] = {}
             for j, x in k.items():
-                if lo <= j < hi:
-                    part = split.get(owner[j])
-                    if part is None:
-                        part = split[owner[j]] = {tail + g: 1}
-                    part[j] = x
+                part = split.get(owner[j])
+                if part is None:
+                    part = split[owner[j]] = {tail + g: 1}
+                part[j] = x
             parts.extend(split.values())
         return parts
 
-    def form(self, ring: RingSpec, ci: int | None = None) -> Echelon:
-        """The ring's echelon form of the generators' parts at every context,
-        or at context ci only. The integer forms are kept."""
-        head = self.offsets[-1]
+    @cached_property
+    def _form(self) -> Echelon:
+        """The integer block form of the generators' parts."""
+        return echelon(INTEGERS, self._parts(self._integral[0]), self.offsets[-1])
+
+    def form(self, ring: RingSpec) -> Echelon:
+        """The ring's echelon form of the generators' parts at every
+        context. The integer form is kept."""
         if ring.is_finite and not self.unit_pivots:
-            return echelon(ring, self._parts(self.kernel(ring), ci), head)
-        form = self._forms.get(None) or self._forms.get(ci)
-        if form is None:
-            form = self._forms[ci] = echelon(INTEGERS, self._parts(self._integral[0], ci), head)
+            return echelon(ring, self._parts(self._eliminate(ring)[0]), self.offsets[-1])
         if ring.is_integers:
-            return form
-        lo, hi = (0, head) if ci is None else self.offsets[ci : ci + 2]
-        return echelon(ring, (h for c, h in form.rows.items() if lo <= c < hi), head)
+            return self._form
+        return echelon(ring, self._form.rows.values(), self.offsets[-1])
 
 
 def _degree0_complex(model: EmpiricalModel) -> _Degree0Complex:
@@ -461,57 +450,67 @@ class ObstructionSolver:
     """Decides vanishing of the obstruction of local sections, one model and
     one ring at a time.
 
-    Vanishing of the class of a section s0 at context C0 is equivalent to the
-    existence of a compatible family: a 0-cochain r in K = ker(delta0),
-    restricting consistently on overlaps, whose component at C0 is the unit
-    combination at s0. In the echelon form of the rows (pi_C0(k_g) | e_g),
-    over K's generators k_g with an entry at C0, e_s0 reduces to a zero
-    head exactly when the obstruction vanishes, and with t the tail left
-    over the family is -sum_g t_g*k_g; the rows (0 | e_g) of the other
-    generators would never reach that reduction. The forms come from the
-    model's `_Degree0Complex`, only for the contexts asked about.
+    The class of a section s0 at context C0 vanishes exactly when some
+    0-cochain x in K = ker(delta0) over the ring has the unit combination
+    at s0 as its component at C0 (weight 1 at s0, 0 elsewhere at C0); x is
+    then the compatible family. Over the rows (D_j | e_j) of the model's
+    `_Degree0Complex`, D_j the column of D at basis position j, that asks
+    whether D_s0 is a combination of the columns D_j with j outside C0.
+    So the solver brings the rows of every position outside C0 to echelon
+    form on D's columns over its own ring, in reversed order as the
+    complex's integer elimination does, once per context asked about.
+    Over Z_n it is a Howell form, so reduction decides membership. The
+    row of s0 reduces to a zero head exactly when the obstruction
+    vanishes, and what it leaves is (0 | x) with x = e_s0 - sum c_j*e_j
+    and D*x = 0: the family itself. D has the kernel of delta0, as the
+    complex's docstring shows.
     """
 
     def __init__(self, model: EmpiricalModel, ring: RingSpec):
         self.model = model
         self.ring = ring
         self._complex = _degree0_complex(model)
-        self._kernel = self._complex.kernel(ring)
         self._decompositions: dict[int, Echelon] = {}
 
     def _decomposition(self, ci: int) -> Echelon:
         form = self._decompositions.get(ci)
         if form is None:
-            form = self._decompositions[ci] = self._complex.form(self.ring, ci)
+            lo, hi = self._complex.offsets[ci : ci + 2]
+            rows = self._complex.rows
+            outside = chain(reversed(rows[hi:]), reversed(rows[:lo]))
+            form = echelon(self.ring, outside, self._complex.forest_rows)
+            self._decompositions[ci] = form
         return form
 
-    def _reduce(self, ci: int, s0: Section) -> dict[int, int] | None:
-        """The tail left by reducing e_s0 at context ci, or None when the
-        obstruction does not vanish."""
+    def weights(self, context: Iterable[str], s0: Section) -> Row | None:
+        """The nonzero weights of the witnessing compatible family, keyed by
+        0-cochain basis position, or None when the obstruction does not
+        vanish."""
+        ci = self.model.scenario.context_index(context)
         position = self.model.support_position(ci, s0)
         if position is None:
             raise SectionNotSupportedError(
                 f"{s0} is not supported at context {self.model.scenario.contexts[ci]}"
             )
-        return self._decomposition(ci).reduce({self._complex.offsets[ci] + position: 1})
+        complex_ = self._complex
+        tail = self._decomposition(ci).reduce(complex_.rows[complex_.offsets[ci] + position])
+        if tail is None:
+            return None
+        m = complex_.forest_rows
+        return {k - m: x for k, x in tail.items()}
 
     def vanishes(self, context: Iterable[str], s0: Section) -> bool:
-        return self._reduce(self.model.scenario.context_index(context), s0) is not None
+        return self.weights(context, s0) is not None
 
     def family(
         self, context: Iterable[str], s0: Section
     ) -> tuple[FormalLinearCombination, ...] | None:
         """The witnessing compatible family, one combination per context, or
         None when the obstruction does not vanish."""
-        tail = self._reduce(self.model.scenario.context_index(context), s0)
-        if tail is None:
+        weights = self.weights(context, s0)
+        if weights is None:
             return None
-        head = self.unknowns
-        witness = [0] * head
-        for g, t in tail.items():
-            for j, x in self._kernel[g - head].items():
-                witness[j] -= t * x
-        return vector_to_cochain(self.ring, self.basis, map(self.ring.canon, witness)).components
+        return vector_to_cochain(self.ring, self.basis, dense(weights, self.unknowns)).components
 
     @property
     def basis(self) -> CochainBasis:

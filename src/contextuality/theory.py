@@ -63,14 +63,16 @@ class LinearEquation:
         return 0
 
     def __str__(self) -> str:
-        terms = []
-        for m, a in zip(self.context, self.coefficients):
-            if a == 0:
-                continue
-            terms.append(m if a == 1 else f"{a}*{m}")
-        lhs = " + ".join(terms) if terms else "0"
-        suffix = f" (mod {self.ring.modulus})" if self.ring.is_finite else ""
-        return f"{lhs} = {self.constant}{suffix}"
+        return _equation_text(self.ring, self.context, self.coefficients, self.constant)
+
+
+def _equation_text(
+    ring: RingSpec, context: tuple[str, ...], coefficients: Iterable[int], constant: int
+) -> str:
+    """The text of an equation whose coefficients and constant are canonical."""
+    terms = [m if a == 1 else f"{a}*{m}" for m, a in zip(context, coefficients) if a]
+    suffix = f" (mod {ring.modulus})" if ring.is_finite else ""
+    return f"{' + '.join(terms) if terms else '0'} = {constant}{suffix}"
 
 
 def satisfies(section: Section, equation: LinearEquation) -> bool:
@@ -320,6 +322,16 @@ class AvnReport:
     @cached_property
     def theory(self) -> Theory:
         return _theory(self.ring, self.model.scenario, self.kernels)
+
+    def equation_texts(self) -> list[str]:
+        """str() of each equation of `theory`, in order, written from the
+        kernels without building it. `theory` drops no equation: contexts
+        differ, and each kernel holds a generator once."""
+        return [
+            _equation_text(self.ring, ctx, gen[:-1], gen[-1])
+            for ctx, generators in zip(self.model.scenario.contexts, self.kernels)
+            for gen in generators
+        ]
 
     @cached_property
     def reduced_system(self) -> LinearSystem | None:

@@ -11,7 +11,16 @@ import json
 
 import pytest
 
-from contextuality import SelfCheckError, corpus_names, corpus_text, materialize, parse_model
+from contextuality import (
+    ContextualityError,
+    ObstructionSolver,
+    RingSpec,
+    SelfCheckError,
+    corpus_names,
+    corpus_text,
+    materialize,
+    parse_model,
+)
 from contextuality.cli import BUDGET_VARIABLE, main
 import contextuality.cli as cli_module
 
@@ -207,6 +216,57 @@ def test_obstruction_non_vanishing(pr_path, capsys):
     out = capsys.readouterr().out
     assert "does not vanish" in out
     assert "compatible family" not in out
+
+
+@pytest.mark.parametrize(
+    "context, section",
+    [
+        ("a1,b1", "a1=0,b1=1"),
+        ("b1,a1", "a1=0,b1=1"),
+        ("a1,a2", "a1=0,a2=0"),
+        ("a1,b3", "a1=0,b3=0"),
+    ],
+)
+def test_obstruction_query_errors_exit_one(pr_path, context, section, capsys):
+    # a section outside its context's support, and a context outside the
+    # cover, each end in the library's own message and no traceback
+    solver = ObstructionSolver(materialize(parse_model(corpus_text("pr-box"))), RingSpec(2))
+    with pytest.raises(ContextualityError) as raised:
+        solver.vanishes(context.split(","), cli_module._parse_section_text(section))
+    argv = ["obstruction", pr_path, "--context", context, "--section", section, "--ring", "z2"]
+    for extra in ([], ["--json"]):
+        assert main(argv + extra) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {raised.value}\n")
+
+
+def _avn_text_equations(out: str) -> list[str]:
+    """The equations that `avn` lists in text mode, after their count."""
+    lines = out.splitlines()
+    head = next(k for k, line in enumerate(lines) if line.startswith("theory generators ("))
+    count = int(lines[head].removeprefix("theory generators (").removesuffix("):"))
+    listed = lines[head + 1 : head + 1 + count]
+    assert all(line.startswith("  ") for line in listed)
+    assert head + 1 + count == len(lines) or not lines[head + 1 + count].startswith("  ")
+    return [line[2:] for line in listed]
+
+
+def test_avn_at_text_lists_the_json_equations(tmp_path, capsys):
+    seen = set()
+    for name in corpus_names():
+        path = tmp_path / f"{name}.json"
+        path.write_text(corpus_text(name), encoding="utf-8")
+        model = materialize(parse_model(corpus_text(name)))
+        for ring in ("z2", "z3"):
+            for ci in range(len(model.scenario.contexts)):
+                at = ",".join(f"{m}={o}" for m, o in model.support(ci)[0].items)
+                argv = ["avn", str(path), "--ring", ring, f"--at={at}"]
+                assert main(argv + ["--json"]) == 0
+                payload = json.loads(capsys.readouterr().out)
+                assert main(argv) == 0
+                assert _avn_text_equations(capsys.readouterr().out) == payload["equations"]
+                seen.add((payload["avn"], payload["solution"] is None))
+    assert seen == {(True, True), (False, False)}
 
 
 def test_bundle_to_stdout_and_file(pr_path, tmp_path, capsys):

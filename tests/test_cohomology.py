@@ -552,24 +552,37 @@ def test_analyze_eliminates_the_degree0_rows_once(corpus_documents, monkeypatch)
         assert calls == [("eliminate", INTEGERS), INTEGERS, INTEGERS, Z2, Z4, Z6], name
 
 
-def test_a_point_query_builds_only_its_context_form(corpus_models, monkeypatch):
-    # an obstruction query echelons only the parts at its own context:
-    # over Z, then for Z_n the pivot rows of that form reduced mod n
-    model = EmpiricalModel(corpus_models["ks-18"].scenario, corpus_models["ks-18"].supports)
-    solver = ObstructionSolver(model, Z4)
-    lo, hi = cohomology_module._degree0_complex(model).offsets[3:5]
-    calls = []
-    original = cohomology_module.echelon
+def test_a_point_query_echelons_the_rows_outside_its_context(corpus_models, monkeypatch):
+    # every query at one context reads one echelon form over the asked ring
+    # of the complex's rows (D_j | e_j) at the basis positions j outside
+    # that context, in reversed order, and no integer elimination
+    base = corpus_models["ks-18"]
+    for ring in (Z4, INTEGERS):
+        model = EmpiricalModel(base.scenario, base.supports)
+        solver = ObstructionSolver(model, ring)
+        complex_ = cohomology_module._degree0_complex(model)
+        m, lo, hi = complex_.forest_rows, *complex_.offsets[3:5]
+        calls = []
+        original = cohomology_module.echelon
+        eliminate = cohomology_module._Degree0Complex._eliminate
 
-    def recording(ring, rows, head):
-        rows = list(rows)
-        calls.append((ring, all(lo <= k < hi for row in rows for k in row if k < head)))
-        return original(ring, rows, head)
+        def recording(over, rows, head):
+            rows = list(rows)
+            calls.append((over, head, [k - m for row in rows for k in row if k >= head]))
+            return original(over, rows, head)
 
-    monkeypatch.setattr(cohomology_module, "echelon", recording)
-    for s in model.support(3):
-        solver.vanishes(model.scenario.contexts[3], s)
-    assert calls == [(INTEGERS, True), (Z4, True)]
+        def counted(self, over):
+            calls.append(("eliminate", over))
+            return eliminate(self, over)
+
+        monkeypatch.setattr(cohomology_module, "echelon", recording)
+        monkeypatch.setattr(cohomology_module._Degree0Complex, "_eliminate", counted)
+        for s in model.support(3):
+            solver.vanishes(model.scenario.contexts[3], s)
+            solver.family(model.scenario.contexts[3], s)
+        outside = [j for j in reversed(range(complex_.offsets[-1])) if not lo <= j < hi]
+        assert calls == [(ring, m, outside)]
+        monkeypatch.undo()
 
 
 # ---------------------------------------------------------------------------

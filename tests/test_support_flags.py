@@ -4,6 +4,8 @@ against the supports, the AvN theory and certificate built from the kept
 rows, and the text that `analyze` writes from the flags without building a
 section."""
 
+import random
+
 import pytest
 
 from contextuality import (
@@ -28,9 +30,11 @@ from contextuality import (
     report_json,
     theory_of_model,
 )
-from contextuality.rings import LinearSystem, RingMatrix, dense, echelon
+from contextuality.cohomology import cochain_basis, vector_to_cochain
+from contextuality.rings import LinearSystem, RingMatrix, dense, echelon, sparse
 
 import contextuality.analysis as analysis_module
+import contextuality.cli as cli_module
 import contextuality.theory as theory_module
 
 from _random_models import random_contextual_models, random_models
@@ -245,3 +249,78 @@ def test_analyze_and_render_json_build_no_section(name, corpus_documents, monkey
     report = analyze(doc)
     assert report.sc and report.classification.extends.count(False) > 0
     assert render_json(report)
+
+
+# ---------------------------------------------------------------------------
+# what obstruction and avn write, against the objects they render
+
+
+def _backwards(model: EmpiricalModel, labels) -> EmpiricalModel:
+    """The model relabelled in declared order over its alphabet declared in
+    reverse, so a support's order is not the order of its raw outcome
+    tuples."""
+    model = _relabelled(model, labels)
+    scn = model.scenario
+    return EmpiricalModel.from_values(
+        Scenario(scn.measurements, scn.contexts, scn.outcomes[::-1]),
+        (model.support_values(ci) for ci in range(len(scn.contexts))),
+    )
+
+
+def _cycle() -> EmpiricalModel:
+    """A non-contextual 6-cycle over the alphabet (0, 1)."""
+    contexts = tuple((f"x{k}", f"x{(k + 1) % 6}") for k in range(6))
+    scenario = Scenario(tuple(f"x{k}" for k in range(6)), contexts, (0, 1))
+    return EmpiricalModel.from_values(scenario, [CORR if k % 2 else ALL4 for k in range(6)])
+
+
+def test_point_query_texts_are_the_object_renderings(corpus_models):
+    # `obstruction` writes each family from its weights and `avn` writes
+    # each equation from the kernels; both must read as str() of the
+    # FormalLinearCombination and LinearEquation objects they replace,
+    # term order included where support order is not raw tuple order
+    models = list(corpus_models.values())
+    models += random_models(30, seed=20261022) + random_contextual_models(10, seed=20261023)
+    models += [_backwards(hardy_model(), LABELS), _backwards(_cycle(), LABELS + ("é", "}"))]
+    models.append(_awkward())
+    rng = random.Random(20261024)
+    reordered = zeros = equations = 0
+    for model in models:
+        basis = cochain_basis(model, 0)
+        for ring in (Z2, Z3, Z4, RingSpec(6), INTEGERS):
+            solver = ObstructionSolver(model, ring)
+            for ci, ctx in enumerate(model.scenario.contexts):
+                for s in model.support(ci):
+                    weights = solver.weights(ctx, s)
+                    family = solver.family(ctx, s)
+                    assert (weights is None) == (family is None)
+                    if family is None:
+                        continue
+                    texts = cli_module._family_texts(model, weights)
+                    assert texts == [str(c) for c in family]
+                    for lo, hi, values in zip(basis.offsets, basis.offsets[1:], basis.values):
+                        kept = [k for k in range(lo, hi) if k in weights]
+                        reordered += kept != sorted(kept, key=lambda k: values[k - lo])
+            # weights off any family, some contexts left empty
+            for _ in range(3):
+                empty = {ci for ci in range(len(basis.simplices)) if rng.random() < 0.3}
+                vec = [
+                    0 if si in empty else rng.randrange(-3, 4) if ring.is_integers
+                    else rng.randrange(ring.modulus)
+                    for si, secs in enumerate(basis.sections) for _ in secs
+                ]
+                expected = [str(c) for c in vector_to_cochain(ring, basis, vec).components]
+                assert cli_module._family_texts(model, sparse(vec)) == expected
+                zeros += expected.count("0")
+            if ring.is_integers:
+                continue
+            try:
+                reports = [is_avn(model, ring)]
+            except OutcomeCoercionError:
+                continue
+            for ci in range(len(basis.simplices)):
+                reports += [is_avn_at(model, s, ring) for s in model.support(ci)]
+            for report in reports:
+                assert report.equation_texts() == [str(eq) for eq in report.theory.equations]
+                equations += len(report.kernels) > 0
+    assert reordered and zeros and equations
