@@ -31,7 +31,6 @@ from .errors import (
 )
 from .rings import (
     INTEGERS,
-    LinearSystem,
     RingMatrix,
     RingSpec,
     linear_decomposition,

@@ -315,8 +315,8 @@ def render_text(report: AnalysisReport) -> str:
             if entry.avn_report is not None:
                 if entry.avn_report.solution is not None:
                     detail = f" (solution {entry.avn_report.solution})"
-                elif entry.avn_report.reduced_system is not None:
-                    rows = entry.avn_report.reduced_system.matrix.nrows
+                else:
+                    rows = len(entry.avn_report.howell_rows)
                     detail = f" (unsolvable; {rows} reduced rows)"
             lines.append(f"  AvN: {_verdict(entry.avn)}{detail}")
         else:

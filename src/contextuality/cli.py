@@ -26,7 +26,7 @@ from .documents import (
 from .errors import ContextualityError, DocumentError, SelfCheckError
 from .model import DEFAULT_SEARCH_BUDGET
 from .pauli import is_avn_triple, generate_subgroup, parse_triple, triple_model, triple_scenario
-from .rings import RingSpec
+from .rings import RingSpec, dense
 from .scenario import Section
 from .theory import is_avn, is_avn_at
 
@@ -196,11 +196,12 @@ def _cmd_avn(args) -> int:
         sys.stdout.write(f"  {text}\n")
     if report.solution is not None:
         sys.stdout.write(f"solution: {report.solution}\n")
-    elif report.reduced_system is not None:
+    else:
         sys.stdout.write("no solution; reduced system:\n")
-        matrix = report.reduced_system.matrix
-        for row, b in zip(matrix.rows(), report.reduced_system.rhs):
-            sys.stdout.write(f"  {row} = {b}\n")
+        width = len(model.scenario.measurements)
+        for row in report.howell_rows:
+            *coefficients, b = dense(row, width + 1)
+            sys.stdout.write(f"  {coefficients} = {b}\n")
     return 0
 
 

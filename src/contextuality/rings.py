@@ -103,13 +103,6 @@ class RingSpec:
 INTEGERS = RingSpec()
 
 
-def _all_canonical(ring: RingSpec, xs: tuple[int, ...]) -> bool:
-    """Whether every entry is canonical for the ring: the condition of
-    `contains_canonical`, checked through min and max."""
-    n = ring.modulus
-    return n is None or not xs or (min(xs) >= 0 and max(xs) < n)
-
-
 @dataclass(frozen=True)
 class RingMatrix:
     """An immutable matrix with entries in canonical form for its ring."""
@@ -126,40 +119,13 @@ class RingMatrix:
             raise RingError(
                 f"expected {self.nrows * self.ncols} entries, got {len(self.entries)}"
             )
-        if not _all_canonical(self.ring, self.entries):
+        n, xs = self.ring.modulus, self.entries
+        if n is not None and xs and (min(xs) < 0 or max(xs) >= n):
             raise RingError("matrix entries must be canonical for the ring")
-
-    @classmethod
-    def from_rows(cls, ring: RingSpec, rows: list[list[int]] | tuple) -> "RingMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        if any(len(r) != ncols for r in rows):
-            raise RingError("ragged rows")
-        entries = tuple(ring.canon(x) for row in rows for x in row)
-        return cls(ring, nrows, ncols, entries)
 
     def rows(self) -> Matrix:
         n = self.ncols
         return [list(self.entries[i * n : (i + 1) * n]) for i in range(self.nrows)]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.ncols : (i + 1) * self.ncols]
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """A*x = b over the matrix's ring."""
-
-    matrix: RingMatrix
-    rhs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.rhs) != self.matrix.nrows:
-            raise RingError(
-                f"rhs length {len(self.rhs)} does not match {self.matrix.nrows} rows"
-            )
-        if not _all_canonical(self.matrix.ring, self.rhs):
-            raise RingError("rhs entries must be canonical for the ring")
 
 
 # ---------------------------------------------------------------------------

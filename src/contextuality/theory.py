@@ -23,8 +23,6 @@ from .errors import (
 )
 from .model import EmpiricalModel
 from .rings import (
-    LinearSystem,
-    RingMatrix,
     RingSpec,
     Row,
     dense,
@@ -302,11 +300,11 @@ class AvnReport:
     present. A solvable system carries a satisfying global assignment, read
     off the Howell form of the augmented system [A | b] by back
     substitution with the free unknowns set to 0. An unsolvable one carries
-    that Howell form itself as `reduced_system`; its last row then has zero
-    coefficients and a nonzero constant.
+    the pivot rows of that Howell form as `howell_rows`: sparse rows over
+    the declared measurements with the constant b at key
+    len(measurements), whose last row has no key but b.
 
-    The report keeps each context's kernel generators and the sparse rows
-    of the Howell form; `theory` and the dense `reduced_system` are built
+    The report keeps each context's kernel generators; `theory` is built
     from them when first read.
     """
 
@@ -332,17 +330,6 @@ class AvnReport:
             for ctx, generators in zip(self.model.scenario.contexts, self.kernels)
             for gen in generators
         ]
-
-    @cached_property
-    def reduced_system(self) -> LinearSystem | None:
-        if self.howell_rows is None:
-            return None
-        width = len(self.model.scenario.measurements)
-        kept = [dense(row, width + 1) for row in self.howell_rows]
-        matrix = RingMatrix(
-            self.ring, len(kept), width, tuple(x for row in kept for x in row[:-1])
-        )
-        return LinearSystem(matrix, tuple(row[-1] for row in kept))
 
 
 def _decide(model: EmpiricalModel, ring: RingSpec, s0: Section | None = None) -> AvnReport:

@@ -208,7 +208,7 @@ def test_timings_cover_every_stage():
 def test_contradictory_verdicts_raise_a_self_check_error(monkeypatch):
     # force AvN true on a non-contextual model: the analyzer must refuse to
     # report rather than hand back an inconsistent hierarchy
-    fake = types.SimpleNamespace(avn=True, solution=None, reduced_system=None)
+    fake = types.SimpleNamespace(avn=True, solution=None, howell_rows=())
     monkeypatch.setattr(analysis_module, "is_avn", lambda model, ring: fake)
     bell = document_from_model(bipartite_model(CORR, ALL4, ALL4, ALL4))
     with pytest.raises(SelfCheckError, match="hierarchy violation"):

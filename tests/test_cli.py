@@ -190,6 +190,102 @@ def test_avn_bad_section_text(pr_path, capsys):
     assert "bad section fragment" in capsys.readouterr().err
 
 
+UNSOLVABLE_TEXTS = {
+    ("pr-box", "z2", None): """\
+All-vs-Nothing over Z2: yes
+theory generators (4):
+  a1 + b1 = 0 (mod 2)
+  a1 + b2 = 0 (mod 2)
+  a2 + b1 = 0 (mod 2)
+  a2 + b2 = 1 (mod 2)
+no solution; reduced system:
+  [1, 0, 1, 0] = 0
+  [0, 1, 1, 0] = 0
+  [0, 0, 1, 1] = 0
+  [0, 0, 0, 0] = 1
+""",
+    ("ghz-mermin", "z2", None): """\
+All-vs-Nothing over Z2: yes
+theory generators (4):
+  X1 + X2 + X3 = 1 (mod 2)
+  X1 + Y2 + Y3 = 0 (mod 2)
+  Y1 + X2 + Y3 = 0 (mod 2)
+  Y1 + Y2 + X3 = 0 (mod 2)
+no solution; reduced system:
+  [1, 0, 1, 0, 1, 0] = 1
+  [0, 1, 1, 0, 0, 1] = 0
+  [0, 0, 1, 1, 1, 1] = 1
+  [0, 0, 0, 0, 0, 0] = 1
+""",
+    ("box-25", "z3", None): """\
+All-vs-Nothing over Z3: yes
+theory generators (8):
+  2*a0 + b0 = 0 (mod 3)
+  2*a0 + b0 = 0 (mod 3)
+  2*a0 + 2*b1 + 2*c0 = 1 (mod 3)
+  2*a0 + 2*b1 + 2*c1 = 1 (mod 3)
+  2*a1 + c0 = 0 (mod 3)
+  2*a1 + 2*b0 + 2*c1 = 1 (mod 3)
+  2*a1 + c0 = 0 (mod 3)
+  2*a1 + 2*b1 + 2*c1 = 1 (mod 3)
+no solution; reduced system:
+  [1, 0, 2, 0, 0, 0] = 0
+  [0, 1, 0, 0, 2, 0] = 0
+  [0, 0, 1, 1, 1, 0] = 2
+  [0, 0, 0, 1, 0, 2] = 0
+  [0, 0, 0, 0, 1, 2] = 0
+  [0, 0, 0, 0, 0, 0] = 1
+""",
+    ("pr-box", "z2", "a1=0,b1=0"): """\
+All-vs-Nothing over Z2 fixing a1=0,b1=0: yes
+theory generators (4):
+  a1 + b1 = 0 (mod 2)
+  a1 + b2 = 0 (mod 2)
+  a2 + b1 = 0 (mod 2)
+  a2 + b2 = 1 (mod 2)
+no solution; reduced system:
+  [1, 0, 1, 0] = 0
+  [0, 1, 1, 0] = 0
+  [0, 0, 1, 1] = 0
+  [0, 0, 0, 1] = 0
+  [0, 0, 0, 0] = 1
+""",
+}
+
+
+@pytest.mark.parametrize("name, ring, at", sorted(UNSOLVABLE_TEXTS, key=str))
+def test_avn_text_prints_the_unsolvable_certificate(name, ring, at, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(corpus_text(name), encoding="utf-8")
+    argv = ["avn", str(path), "--ring", ring] + ([] if at is None else [f"--at={at}"])
+    assert main(argv) == 0
+    assert capsys.readouterr().out == UNSOLVABLE_TEXTS[name, ring, at]
+
+
+def test_analyze_text_counts_the_reduced_rows(pr_path, capsys):
+    assert main(["analyze", pr_path, "--ring", "z2"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert "".join(line for line in lines if not line.startswith("timings: ")) == """\
+pr-box  (sha256 9caa9b10b232)
+scenario: 4 measurements, 4 contexts, alphabet {0, 1}; payload supports
+no-signalling: yes
+logically contextual (LC): yes (AvN over Z2)
+  non-extending: a1=0,b1=0 at (a1, b1), a1=1,b1=1 at (a1, b1), a1=0,b2=0 at (a1, b2), \
+a1=1,b2=1 at (a1, b2) and 4 more
+strongly contextual (SC): yes (AvN over Z2)
+ring Z2:
+  AvN: yes (unsolvable; 4 reduced rows)
+  SC of affine closure: yes
+  obstructions: 8 of 8 non-vanishing (system 8 unknowns, 8 compatibility rows); CLC yes, CSC yes
+ring Z:
+  AvN: skipped (All-vs-Nothing needs a finite ring)
+  SC of affine closure: skipped (All-vs-Nothing needs a finite ring)
+  obstructions: 8 of 8 non-vanishing (system 8 unknowns, 8 compatibility rows); CLC yes, CSC yes
+hierarchy self-check: passed
+search nodes: 0 (budget 2000000)
+"""
+
+
 def test_obstruction_vanishing_family(hardy_path, capsys):
     argv = [
         "obstruction", hardy_path,

@@ -20,6 +20,7 @@ from contextuality import (
     Section,
     SectionNotSupportedError,
     SignallingError,
+    Simplex,
     Cochain,
     analyze,
     build_nerve,
@@ -345,10 +346,15 @@ def test_degree0_complex_matches_the_reference_construction(corpus_models):
         assert complex_.compatibility_rows == m
         check_forest_rows(model, complex_)
         dropped += m - complex_.forest_rows
-        assert complex_.basis.offsets == basis.offsets
-        assert complex_.basis.values == basis.values
-        assert complex_.basis.sections == basis.sections
-        assert complex_.basis.simplices == basis.simplices
+        # the complex numbers the supports' outcome tuples in the reference
+        # basis order, and the solver reads each position's section from
+        # the model's support
+        contexts = range(len(model.scenario.contexts))
+        assert complex_.offsets == basis.offsets
+        assert tuple(map(model.support_values, contexts)) == basis.values
+        assert tuple(map(model.support, contexts)) == basis.sections
+        cover = tuple(Simplex((ci,), ctx) for ci, ctx in enumerate(model.scenario.contexts))
+        assert basis.simplices == cover
     assert dropped > 0
 
 

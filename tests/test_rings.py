@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from contextuality import (
     INTEGERS,
-    LinearSystem,
     RingError,
     RingMatrix,
     RingSpec,
@@ -399,15 +398,11 @@ def test_ring_matrix_validation():
         RingMatrix(RingSpec(3), 1, 2, (0, 5))  # 5 not canonical mod 3
     with pytest.raises(RingError):
         RingMatrix(INTEGERS, 2, 2, (1, 2, 3))  # wrong entry count
-    with pytest.raises(RingError):
-        LinearSystem(RingMatrix.from_rows(RingSpec(2), [[1, 0]]), (1, 0))
     with pytest.raises(RingError, match="matrix entries must be canonical for the ring"):
         RingMatrix(RingSpec(4), 1, 2, (-1, 0))
-    with pytest.raises(RingError, match="rhs entries must be canonical for the ring"):
-        LinearSystem(RingMatrix.from_rows(RingSpec(4), [[1]]), (4,))
-    with pytest.raises(RingError, match="rhs entries must be canonical for the ring"):
-        LinearSystem(RingMatrix.from_rows(RingSpec(4), [[1]]), (-1,))
-    # every integer is canonical over Z; empty matrices and systems pass
+    with pytest.raises(RingError, match="matrix entries must be canonical for the ring"):
+        RingMatrix(RingSpec(4), 1, 1, (4,))
+    # every integer is canonical over Z; empty matrices pass
     RingMatrix(INTEGERS, 1, 3, (-7, 0, 12))
-    LinearSystem(RingMatrix(RingSpec(3), 0, 2, ()), ())
+    RingMatrix(RingSpec(3), 0, 2, ())
     assert RingMatrix(RingSpec(3), 1, 3, (0, 1, 2)).entries == (0, 1, 2)

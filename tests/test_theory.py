@@ -36,6 +36,7 @@ from contextuality import (
 )
 
 import contextuality.theory as theory_module
+from contextuality.rings import dense
 from contextuality.theory import equations_on_cover
 
 from _random_models import random_contextual_models, random_models
@@ -356,18 +357,21 @@ def test_affine_closure_alphabet_is_the_residues_that_occur():
 # AvN verdicts and certificates
 
 
-def _solve(system):
-    """A solution of a LinearSystem, or None, from the one public solver."""
-    matrix = system.matrix
-    return linear_decomposition(matrix.ring, matrix.rows(), matrix.ncols).solve(list(system.rhs))
+def _solve(report):
+    """A solution of the certificate's dense rows [A | b], or None, from the
+    one public solver."""
+    width = len(report.model.scenario.measurements)
+    rows = [dense(row, width + 1) for row in report.howell_rows]
+    a, b = [row[:-1] for row in rows], [row[-1] for row in rows]
+    return linear_decomposition(report.ring, a, width).solve(b)
 
 
 def test_pr_box_avn_with_unsolvable_certificate():
     report = is_avn(pr_box(), RingSpec(2))
     assert report.avn
     assert report.solution is None
-    assert report.reduced_system is not None
-    assert _solve(report.reduced_system) is None
+    assert report.howell_rows is not None
+    assert _solve(report) is None
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -379,11 +383,9 @@ def test_avn_certificate_shows_the_impossible_row(n, corpus_models):
         if not report.avn:
             continue
         verdicts += 1
-        system = report.reduced_system
-        assert any(
-            not any(system.matrix.row(i)) and system.rhs[i]
-            for i in range(system.matrix.nrows)
-        )
+        # a row whose only key is the b column: 0 = b with b nonzero
+        width = len(model.scenario.measurements)
+        assert any(list(row) == [width] for row in report.howell_rows)
     assert verdicts
 
 
@@ -407,7 +409,7 @@ def test_avn_fixed_section_tightens_the_system():
     report = is_avn_at(model, s0, ring)
     assert report.avn
     assert report.fixed == s0
-    assert _solve(report.reduced_system) is None
+    assert _solve(report) is None
     s1 = BIPARTITE.section(("a2", "b2"), (0, 0))
     assert not is_avn_at(model, s1, ring).avn
 
@@ -436,11 +438,9 @@ def _check_avn_report(model, ring, report, s0=None):
     assert report.avn == unsolvable
     if report.avn:
         assert report.solution is None
-        system = report.reduced_system
-        last = system.matrix.nrows - 1
-        assert not any(system.matrix.row(last)) and system.rhs[last]
+        assert list(report.howell_rows[-1]) == [len(measurements)]
         return
-    assert report.reduced_system is None
+    assert report.howell_rows is None
     g = report.solution
     assert g.domain == frozenset(measurements)
     for eq in report.theory.equations:
