@@ -151,12 +151,9 @@ def _parse_section(
 def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
     """The model of a supports payload, read straight into outcome tuples.
 
-    The payload passes in a few whole-payload checks: lists of section
-    objects, each holding every measurement of its context and as many keys
-    as the context has measurements, with integer values of the alphabet.
-    Its tuples are read in context order and go to the model unchecked.
-    Otherwise the rows are walked section by section, and `_parse_section`
-    reports the first offence."""
+    The payload passes in a few whole-payload checks (`_read_sections`) and
+    its tuples go to the model unchecked. Otherwise the rows are walked
+    section by section, and `_parse_section` reports the first offence."""
     rows = _expect(obj, list, "a list of support rows", path)
     contexts = scenario.contexts
     if len(rows) != len(contexts):
@@ -164,23 +161,9 @@ def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
             f"expected {len(contexts)} rows (one per context), got {len(rows)}",
             path=path,
         )
-    if set(map(type, rows)) <= _LIST and set(map(type, chain.from_iterable(rows))) <= _DICT:
-        try:
-            values = list(map(list, map(map, map(_reader, contexts), rows)))
-        except KeyError:
-            pass
-        else:
-            # every key of a context is in each of its sections, so equal key
-            # counts leave no other key; booleans and floats equal to an
-            # outcome fail the type check
-            keys = sum(map(len, chain.from_iterable(rows)))
-            found = list(chain.from_iterable(chain.from_iterable(values)))
-            if (
-                keys == sum(map(mul, map(len, contexts), map(len, rows)))
-                and set(map(type, found)) <= _INT
-                and set(scenario.outcomes).issuperset(found)
-            ):
-                return EmpiricalModel._of_checked_values(scenario, values)
+    values = _read_sections(scenario, rows) if set(map(type, rows)) <= _LIST else None
+    if values is not None:
+        return EmpiricalModel._of_checked_values(scenario, values)
     values = []
     for i, (ctx, row) in enumerate(zip(contexts, rows)):
         _expect(row, list, "a list of sections", f"{path}[{i}]")
@@ -192,6 +175,32 @@ def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
             ]
         )
     return EmpiricalModel._of_checked_values(scenario, values)
+
+
+def _read_sections(scenario: Scenario, rows: list[list]) -> list[list[tuple[int, ...]]] | None:
+    """The outcome tuples, in context order, of one list of section objects
+    per context, or None when a section is not an object holding every
+    measurement of its context, and as many keys as the context has
+    measurements, with integer values of the alphabet."""
+    contexts = scenario.contexts
+    if not set(map(type, chain.from_iterable(rows))) <= _DICT:
+        return None
+    try:
+        values = list(map(list, map(map, map(_reader, contexts), rows)))
+    except KeyError:
+        return None
+    # every key of a context is in each of its sections, so equal key
+    # counts leave no other key; booleans and floats equal to an outcome
+    # fail the type check
+    keys = sum(map(len, chain.from_iterable(rows)))
+    found = list(chain.from_iterable(chain.from_iterable(values)))
+    if (
+        keys == sum(map(mul, map(len, contexts), map(len, rows)))
+        and set(map(type, found)) <= _INT
+        and set(scenario.outcomes).issuperset(found)
+    ):
+        return values
+    return None
 
 
 def _reader(context: tuple[str, ...]):
@@ -212,17 +221,30 @@ def _parse_fraction(value: Any, path: str) -> Fraction:
 
 
 def _parse_probabilities(obj: Any, scenario: Scenario, path: str) -> ProbabilityTable:
+    """The table of a probabilities payload, read straight into outcome
+    tuples and exact weights.
+
+    The payload passes in a few whole-payload checks: lists of entry
+    objects with exactly the fields "section" and "p", sections that
+    `_read_sections` accepts, and weights written as strings that
+    `Fraction` reads, each distinct string read once. Otherwise the
+    entries are walked one by one to report the first offence. The table
+    then checks the weights."""
     rows = _expect(obj, list, "a list of probability rows", path)
-    if len(rows) != len(scenario.contexts):
+    contexts = scenario.contexts
+    if len(rows) != len(contexts):
         raise DocumentError(
-            f"expected {len(scenario.contexts)} rows (one per context), got {len(rows)}",
+            f"expected {len(contexts)} rows (one per context), got {len(rows)}",
             path=path,
         )
-    table_rows = []
-    for i, (ctx, row) in enumerate(zip(scenario.contexts, rows)):
+    read = _read_entries(scenario, rows) if set(map(type, rows)) <= _LIST else None
+    if read is not None:
+        return ProbabilityTable._of_checked_values(scenario, *read)
+    values, weights = [], []
+    for i, (ctx, row) in enumerate(zip(contexts, rows)):
         _expect(row, list, "a list of probability entries", f"{path}[{i}]")
         labels = tuple(sorted(ctx))
-        entries = []
+        vs, ws = [], []
         for j, entry in enumerate(row):
             entry_path = f"{path}[{i}][{j}]"
             _expect(entry, dict, "an object", entry_path)
@@ -231,9 +253,36 @@ def _parse_probabilities(obj: Any, scenario: Scenario, path: str) -> Probability
                 if field not in entry:
                     raise DocumentError(f"missing field {field!r}", path=entry_path)
             section = _parse_section(entry["section"], scenario, ctx, labels, f"{entry_path}.section")
-            entries.append((section, _parse_fraction(entry["p"], f"{entry_path}.p")))
-        table_rows.append(tuple(entries))
-    return ProbabilityTable(scenario, tuple(table_rows))
+            vs.append(section.values_on(ctx))
+            ws.append(_parse_fraction(entry["p"], f"{entry_path}.p"))
+        values.append(vs)
+        weights.append(ws)
+    return ProbabilityTable._of_checked_values(scenario, values, weights)
+
+
+_SECTION, _WEIGHT = itemgetter("section"), itemgetter("p")
+
+
+def _read_entries(scenario: Scenario, rows: list[list]):
+    """(outcome tuples, weights) of the rows of a probabilities payload, or
+    None when an entry fails a check of `_parse_probabilities`."""
+    entries = list(chain.from_iterable(rows))
+    # two keys that are both the fields leave no other key
+    if not (set(map(type, entries)) <= _DICT and sum(map(len, entries)) == 2 * len(entries)):
+        return None
+    try:
+        sections = [list(map(_SECTION, row)) for row in rows]
+        texts = [list(map(_WEIGHT, row)) for row in rows]
+    except KeyError:
+        return None
+    if not set(map(type, chain.from_iterable(texts))) <= _STR:
+        return None
+    try:
+        weight = {text: Fraction(text) for text in set(chain.from_iterable(texts))}
+    except (ValueError, ZeroDivisionError):
+        return None
+    values = _read_sections(scenario, sections)
+    return None if values is None else (values, [list(map(weight.__getitem__, row)) for row in texts])
 
 
 def _parse_theory(obj: Any, scenario: Scenario, path: str) -> tuple[Theory, tuple[RawEquation, ...], int]:
@@ -441,41 +490,58 @@ def canonical_json(value: Any, ensure_ascii: bool = True) -> str:
     return "".join(out)
 
 
-def _section_json(section: Section) -> dict:
-    # the section's domain is its context; the writer sorts the keys
-    return dict(section.items)
+def _section_template(context: tuple[str, ...], indent: str) -> str:
+    """A `str.format` template of a section object over the context, as
+    `canonical_json` writes it at `indent`: its measurements sorted and
+    quoted, with the field {k} for the outcome at position k of the
+    context. The fields format as integers, so an outcome given as a
+    boolean in a section built in code prints as the integer it equals."""
+    fields = ",".join(
+        f"\n{indent}  " + encode_basestring(context[k]).replace("{", "{{").replace("}", "}}")
+        + f": {{{k}:d}}"
+        for k in sorted(range(len(context)), key=context.__getitem__)
+    )
+    return "{{" + fields + f"\n{indent}}}}}"
+
+
+def _rows_json(rows: Iterable[list[str]]) -> str:
+    """A payload of one list per context, each holding objects already
+    written, as `canonical_json` writes it under a top-level key."""
+    return "[\n    " + ",\n    ".join(
+        "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]" for row in rows
+    ) + "\n  ]"
 
 
 def _supports_json(model: EmpiricalModel) -> str:
-    """The supports payload as `canonical_json` writes it two levels deep,
-    straight from the outcome tuples: each context has one template, its
-    measurements sorted and quoted, with a field for each outcome. The
-    fields format as integers, so an outcome given as a boolean in a
-    section built in code prints as the integer it equals."""
+    """The supports payload straight from the outcome tuples, with one
+    template per context."""
     rows = []
     for ci, ctx in enumerate(model.scenario.contexts):
-        values = model.support_values(ci)
-        if not values:
-            rows.append("[]")
-            continue
-        fields = ",".join(
-            "\n        " + encode_basestring(ctx[k]).replace("{", "{{").replace("}", "}}")
-            + f": {{{k}:d}}"
-            for k in sorted(range(len(ctx)), key=ctx.__getitem__)
+        template = _section_template(ctx, "      ")
+        rows.append([template.format(*v) for v in model.support_values(ci)])
+    return _rows_json(rows)
+
+
+def _probabilities_json(table: ProbabilityTable) -> str:
+    """The probabilities payload straight from the outcome tuples and their
+    weights, with one template per context."""
+    rows = []
+    for ci, ctx in enumerate(table.scenario.contexts):
+        template = (
+            '{{\n        "p": "{p}",\n        "section": '
+            + _section_template(ctx, "        ")
+            + "\n      }}"
         )
-        template = "{{" + fields + "\n      }}"
         rows.append(
-            "[\n      " + ",\n      ".join(template.format(*v) for v in values) + "\n    ]"
+            [
+                template.format(*v, p=str(w))
+                for v, w in zip(table.row_values(ci), table.row_weights(ci))
+            ]
         )
-    return "[\n    " + ",\n    ".join(rows) + "\n  ]"
+    return _rows_json(rows)
 
 
 def _payload_json(doc: ModelDocument) -> Any:
-    if doc.payload_kind == "probabilities":
-        return [
-            [{"section": _section_json(s), "p": str(p)} for s, p in row]
-            for row in doc.table.rows
-        ]
     if doc.payload_kind == "theory":
         return {
             "modulus": doc.modulus,
@@ -495,21 +561,29 @@ def print_model(doc: ModelDocument) -> str:
     printing is the identity on canonical text.
 
     The text is `json.dumps(..., indent=2, sort_keys=True,
-    ensure_ascii=False)` of the document's JSON object. A supports payload
-    is written from the model's outcome tuples without building sections;
-    "supports" sorts after every other top-level key, so it closes the
-    object."""
+    ensure_ascii=False)` of the document's JSON object. A supports or
+    probabilities payload is written from outcome tuples without building
+    sections, and takes its sorted place among the other top-level keys."""
     data: dict[str, Any] = {"format": SCHEMA}
     for field in ("name", "notes", "provenance"):
         value = getattr(doc, field)
         if value is not None:
             data[field] = value
     data["scenario"] = _scenario_json(doc)
-    if doc.payload_kind == "supports":
-        head = canonical_json(data, ensure_ascii=False)[: -len("\n}")]
-        return head + ',\n  "supports": ' + _supports_json(doc.model) + "\n}\n"
-    data[doc.payload_kind] = _payload_json(doc)
-    return canonical_json(data, ensure_ascii=False) + "\n"
+    kind = doc.payload_kind
+    if kind == "supports":
+        payload = _supports_json(doc.model)
+    elif kind == "probabilities":
+        payload = _probabilities_json(doc.table)
+    else:
+        data[kind] = _payload_json(doc)
+        return canonical_json(data, ensure_ascii=False) + "\n"
+    # each side's object without its braces; an empty one is "{}" and
+    # leaves nothing
+    before = canonical_json({k: v for k, v in data.items() if k < kind}, ensure_ascii=False)
+    after = canonical_json({k: v for k, v in data.items() if k > kind}, ensure_ascii=False)
+    members = (before[2:-2], f'  "{kind}": {payload}', after[2:-2])
+    return "{\n" + ",\n".join(filter(None, members)) + "\n}\n"
 
 
 def document_hash(doc: ModelDocument) -> str:

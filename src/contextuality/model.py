@@ -10,9 +10,11 @@ model is strongly contextual when no global assignment exists at all.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, InitVar, dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from operator import itemgetter
 from typing import Collection, Iterable, Mapping
 
@@ -120,17 +122,7 @@ class EmpiricalModel:
     def _store(self, scenario: Scenario, given, validate: bool) -> None:
         """Sort each context's distinct outcome tuples and run E1 and E2."""
         object.__setattr__(self, "scenario", scenario)
-        # the sort key of outcome tuples in lexicographic order; None when
-        # the alphabet is declared in increasing order, as tuples then
-        # already sort that way
-        outcomes = scenario.outcomes
-        key = None
-        if outcomes != tuple(sorted(outcomes)):
-            position = {o: i for i, o in enumerate(outcomes)}
-
-            def key(v: tuple[int, ...]) -> tuple[int, ...]:
-                return tuple(map(position.__getitem__, v))
-
+        key = _lexicographic_key(scenario.outcomes)
         object.__setattr__(self, "_lexicographic", key)
         object.__setattr__(self, "_values", tuple(tuple(sorted(vs, key=key)) for vs in given))
         object.__setattr__(self, "_support_sets", [None] * len(scenario.contexts))
@@ -244,6 +236,20 @@ class EmpiricalModel:
         return idx
 
 
+def _lexicographic_key(outcomes: tuple[int, ...]):
+    """The sort key of outcome tuples in lexicographic order under the
+    declared alphabet; None when the alphabet is declared in increasing
+    order, as tuples then already sort that way."""
+    if outcomes == tuple(sorted(outcomes)):
+        return None
+    position = {o: i for i, o in enumerate(outcomes)}
+
+    def key(v: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(map(position.__getitem__, v))
+
+    return key
+
+
 def _check_count(scenario: Scenario, supports: tuple) -> None:
     if len(supports) != len(scenario.contexts):
         raise ModelError(f"expected {len(scenario.contexts)} supports, got {len(supports)}")
@@ -340,64 +346,143 @@ def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
 # probability tables
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProbabilityTable:
     """Exact-rational distributions, one per cover context.
 
-    Rows are stored with zero entries dropped, sections in lexicographic
-    order. Validation: non-negative entries, each row sums to one, and
-    marginal distributions agree exactly on every overlap.
+    The stored form of a row is its outcome tuples in context order, in
+    lexicographic order, each with its weight (`row_values`,
+    `row_weights`); zero entries are dropped. `rows` (sections with their
+    weights) and `marginal` are views built from it when read.
+
+    Construction rejects a negative weight and a section given twice in a
+    row, whatever the weights; with validate=True each row must also sum
+    to one and the marginals of any two contexts must agree exactly on
+    their overlap. A table is immutable, and two tables are equal when
+    their scenarios and rows are.
     """
 
     scenario: Scenario
-    rows: tuple[tuple[tuple[Section, Fraction], ...], ...]
-    validate: InitVar[bool] = True
+    _values: tuple[tuple[tuple[int, ...], ...], ...]
+    _weights: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self, validate: bool):
-        scn = self.scenario
-        if len(self.rows) != len(scn.contexts):
-            raise ModelError(f"expected {len(scn.contexts)} rows, got {len(self.rows)}")
-        pos = {o: i for i, o in enumerate(scn.outcomes)}
-        normalised = []
-        for ctx, row in zip(scn.contexts, self.rows):
-            ctx_set = frozenset(ctx)
-            cleaned = {}
-            for s, p in row:
-                if s.domain != ctx_set:
-                    raise ModelError(f"{s} is not a section over {ctx}")
-                p = Fraction(p)
-                if p < 0:
-                    raise NormalisationError(f"negative probability {p} at {s}")
-                if s in cleaned:
-                    raise ModelError(f"duplicate section {s} in row for {ctx}")
-                if p > 0:
-                    cleaned[s] = p
-            ordered = sorted(cleaned.items(), key=lambda kv: tuple(pos[kv[0][m]] for m in ctx))
-            normalised.append(tuple(ordered))
-        object.__setattr__(self, "rows", tuple(normalised))
+    def __init__(
+        self,
+        scenario: Scenario,
+        rows: Iterable[Iterable[tuple[Section, Fraction]]],
+        validate: bool = True,
+    ):
+        rows = tuple(rows)
+        if len(rows) != len(scenario.contexts):
+            raise ModelError(f"expected {len(scenario.contexts)} rows, got {len(rows)}")
+        alphabet = set(scenario.outcomes)
+        # each entry is converted and checked before the next is read
+        checked = [
+            _checked_entries(ctx, _section_entries(ctx, row, alphabet))
+            for ctx, row in zip(scenario.contexts, rows)
+        ]
+        self._store(scenario, [vs for vs, _ in checked], [ws for _, ws in checked], validate)
+
+    @classmethod
+    def _of_checked_values(
+        cls,
+        scenario: Scenario,
+        values: list[list[tuple[int, ...]]],
+        weights: list[list[Fraction]],
+        validate: bool = True,
+    ) -> "ProbabilityTable":
+        """The table of one list of outcome tuples per context, in context
+        order, with aligned weights; each tuple is already known to hold one
+        outcome of the alphabet per measurement."""
+        table = cls.__new__(cls)
+        table._store(scenario, values, weights, validate)
+        return table
+
+    def _store(self, scenario: Scenario, values, weights, validate: bool) -> None:
+        """Check each row for negative weights and repeats, in one pass over
+        the row and entry by entry only to name the first offence; drop
+        zero entries, sort each row, and check the sums and the marginals.
+
+        The checks add integers: every weight is scaled to the common
+        denominator of the table's weights."""
+        object.__setattr__(self, "scenario", scenario)
+        denominator = lcm(*{w.denominator for ws in weights for w in ws})
+        scaled = [[w.numerator * (denominator // w.denominator) for w in ws] for ws in weights]
+        for ctx, vs, ws, ns in zip(scenario.contexts, values, weights, scaled):
+            if len(set(vs)) != len(vs) or (ns and min(ns) < 0):
+                _checked_entries(ctx, zip(vs, ws))
+        key = _lexicographic_key(scenario.outcomes)
+        sort_key = itemgetter(0) if key is None else lambda entry: key(entry[0])
+        kept = [
+            sorted(filter(itemgetter(2), zip(vs, ws, ns)), key=sort_key)
+            for vs, ws, ns in zip(values, weights, scaled)
+        ]
+        object.__setattr__(self, "_values", tuple(tuple(map(itemgetter(0), row)) for row in kept))
+        object.__setattr__(self, "_weights", tuple(tuple(map(itemgetter(1), row)) for row in kept))
         if validate:
-            for ctx, row in zip(scn.contexts, self.rows):
-                total = sum((p for _, p in row), Fraction(0))
-                if total != 1:
-                    raise NormalisationError(f"row for {ctx} sums to {total}, not 1")
-            self._check_marginals()
+            scaled = [list(map(itemgetter(2), row)) for row in kept]
+            for ctx, ns in zip(scenario.contexts, scaled):
+                total = sum(ns)
+                if total != denominator:
+                    raise NormalisationError(
+                        f"row for {ctx} sums to {Fraction(total, denominator)}, not 1"
+                    )
+            self._check_marginals(scaled)
 
-    def _check_marginals(self):
+    def _check_marginals(self, scaled: list[list[int]]) -> None:
+        """The first context pair, i < j in cover order, whose marginals on
+        their overlap differ raises SignallingError, with the first
+        differing overlap section in the order of its text; `scaled` holds
+        the weights over a common denominator. Each context's row is
+        projected once onto each of its overlaps (the incidences of the
+        scenario's overlap index)."""
         scn = self.scenario
-        for i, j, overlap, *_ in scn.overlap_index.pairs:
-            mi = self.marginal(i, overlap)
-            mj = self.marginal(j, overlap)
+        index = scn.overlap_index
+        marginals = []
+        for c, _, project in index.incidences:
+            marginal: dict[tuple[int, ...], int] = {}
+            for v, n in zip(self._values[c], scaled[c]):
+                t = project(v)
+                marginal[t] = marginal.get(t, 0) + n
+            marginals.append(marginal)
+        for i, j, overlap, left, right, _ in index.pairs:
+            mi, mj = marginals[left], marginals[right]
             if mi != mj:
-                bad = next(
-                    t for t in sorted(set(mi) | set(mj), key=str)
-                    if mi.get(t, Fraction(0)) != mj.get(t, Fraction(0))
-                )
+                differing = [t for t in mi.keys() | mj.keys() if mi.get(t) != mj.get(t)]
+                bad = min(sections_over(overlap, differing), key=str)
                 raise SignallingError(
                     f"distributions of {scn.contexts[i]} and {scn.contexts[j]} "
                     f"have different marginals at {bad}",
                     contexts=(scn.contexts[i], scn.contexts[j]),
                     section=bad,
                 )
+
+    def __repr__(self) -> str:
+        return f"ProbabilityTable(scenario={self.scenario!r}, rows={self.rows!r})"
+
+    # -- access ---------------------------------------------------------------
+
+    @cached_property
+    def rows(self) -> tuple[tuple[tuple[Section, Fraction], ...], ...]:
+        """Each context's (section, weight) entries with positive weight,
+        sections in lexicographic order."""
+        return tuple(
+            tuple(zip(sections_over(ctx, vs), ws))
+            for ctx, vs, ws in zip(self.scenario.contexts, self._values, self._weights)
+        )
+
+    @cached_property
+    def _support(self) -> EmpiricalModel:
+        return EmpiricalModel._of_checked_values(self.scenario, self._values)
+
+    def row_values(self, index: int) -> tuple[tuple[int, ...], ...]:
+        """The outcome tuples of row `index` in context order, aligned with
+        `rows[index]`."""
+        return self._values[index]
+
+    def row_weights(self, index: int) -> tuple[Fraction, ...]:
+        """The weights of row `index`, aligned with `row_values(index)`."""
+        return self._weights[index]
 
     def marginal(self, index: int, subset: tuple[str, ...]) -> dict[Section, Fraction]:
         out: dict[Section, Fraction] = {}
@@ -420,16 +505,45 @@ class ProbabilityTable:
     def uniform(cls, model: EmpiricalModel, validate: bool = True) -> "ProbabilityTable":
         """Uniform weight on each support row. May legitimately fail marginal
         validation: possibilistic no-signalling does not force it."""
-        rows = tuple(
-            tuple((s, Fraction(1, len(sup))) for s in sup) for sup in model.supports
-        )
-        return cls(model.scenario, rows, validate)
+        values = [model.support_values(ci) for ci in range(len(model.scenario.contexts))]
+        weights = [[Fraction(1, len(vs))] * len(vs) for vs in values]
+        return cls._of_checked_values(model.scenario, values, weights, validate)
+
+
+def _section_entries(context: tuple[str, ...], row, alphabet: set[int]):
+    """(outcome tuple in context order, weight) of each (section, p) entry
+    of a row over the context, in order."""
+    labels = tuple(sorted(context))
+    in_context_order = projection([labels.index(m) for m in context])
+    for s, p in row:
+        if tuple(m for m, _ in s.items) != labels:
+            raise ModelError(f"{s} is not a section over {context}")
+        v = in_context_order(tuple(o for _, o in s.items))
+        if not alphabet.issuperset(v):
+            raise ModelError(f"section {s} uses outcome outside the alphabet")
+        yield v, Fraction(p)
+
+
+def _checked_entries(context: tuple[str, ...], entries):
+    """The outcome tuples and the weights of a row's (outcome tuple,
+    weight) entries, read in order; the first entry whose weight is
+    negative or whose section an earlier entry gave raises."""
+    values, weights, seen = [], [], set()
+    for v, w in entries:
+        if w < 0:
+            raise NormalisationError(f"negative probability {w} at {sections_over(context, [v])[0]}")
+        if v in seen:
+            raise ModelError(f"duplicate section {sections_over(context, [v])[0]} in row for {context}")
+        seen.add(v)
+        values.append(v)
+        weights.append(w)
+    return values, weights
 
 
 def support_of_probability_table(table: ProbabilityTable) -> EmpiricalModel:
-    """Forget the weights: supported sections are exactly those with p > 0."""
-    supports = tuple(tuple(s for s, _ in row) for row in table.rows)
-    return EmpiricalModel(table.scenario, supports)
+    """Forget the weights: supported sections are exactly those with p > 0.
+    The model is built once per table, from its outcome tuples."""
+    return table._support
 
 
 # ---------------------------------------------------------------------------

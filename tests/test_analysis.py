@@ -34,7 +34,6 @@ from conftest import (
     CORR,
     bell_table,
     bipartite_model,
-    hardy_model,
     mycielski_colouring,
     pr_box,
     with_sections,

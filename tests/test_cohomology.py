@@ -5,8 +5,6 @@ witnessing families against the compatibility conditions they certify."""
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from contextuality import (
     DisconnectedCoverError,

@@ -13,7 +13,6 @@ from contextuality import (
     ModelDocument,
     NormalisationError,
     SCHEMA,
-    Scenario,
     SignallingError,
     UnknownCorpusEntryError,
     corpus,

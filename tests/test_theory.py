@@ -42,7 +42,6 @@ from contextuality.theory import equations_on_cover
 from _random_models import random_contextual_models, random_models
 from conftest import (
     ALL4,
-    ANTI,
     BIPARTITE,
     CORR,
     bipartite_model,
