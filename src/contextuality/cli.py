@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .analysis import _section_text, analyze, render_json, render_text
 from .bundle import export_bundle_dot
-from .corpus import corpus, corpus_names, corpus_text
+from .cohomology import ObstructionSolver
+from .corpus import corpus_names, corpus_text
 from .documents import (
     canonical_json,
     document_from_triple,
@@ -130,8 +131,6 @@ def _family_texts(model, weights: dict[int, int]) -> list[str]:
 
 
 def _cmd_obstruction(args) -> int:
-    from .cohomology import ObstructionSolver
-
     doc = _read_document(args.file)
     model = materialize(doc)
     ring = RingSpec.parse(args.ring)

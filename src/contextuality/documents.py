@@ -308,24 +308,27 @@ def _parse_theory(obj: Any, scenario: Scenario, path: str) -> tuple[Theory, tupl
                 raise DocumentError(f"missing field {field!r}", path=eq_path)
         coeffs_obj = _expect(eq["coefficients"], dict, "an object", f"{eq_path}.coefficients")
         constant = _expect(eq["constant"], int, "an integer", f"{eq_path}.constant")
-        coeffs = {}
         for m, c in coeffs_obj.items():
             if m not in measurements:
                 raise DocumentError(
                     f"{m!r} is not a measurement of the scenario",
                     path=f"{eq_path}.coefficients.{m}",
                 )
-            value = ring.canon(_expect(c, int, "an integer", f"{eq_path}.coefficients.{m}"))
-            if value != 0:
-                coeffs[m] = value
-        landed = equations_on_cover(ring, scenario, coeffs, constant)
-        if not landed:
-            raise DocumentError(
-                f"no cover context contains {sorted(coeffs)} jointly", path=eq_path
-            )
-        raw.append(RawEquation(tuple(sorted(coeffs.items())), ring.canon(constant)))
+            _expect(c, int, "an integer", f"{eq_path}.coefficients.{m}")
+        equation, landed = _expand_equation(ring, scenario, coeffs_obj, constant, eq_path)
+        raw.append(equation)
         expanded.extend(landed)
     return Theory(ring, tuple(expanded)), tuple(raw), modulus
+
+
+def _expand_equation(ring: RingSpec, scenario: Scenario, coefficients: Mapping, constant: int, path="$"):
+    """The equation as written (canonical nonzero coefficients) and its
+    copies on the cover contexts that contain its measurements jointly."""
+    kept = {m: ring.canon(c) for m, c in coefficients.items() if ring.canon(c)}
+    landed = equations_on_cover(ring, scenario, kept, constant)
+    if not landed:
+        raise DocumentError(f"no cover context contains {sorted(kept)} jointly", path=path)
+    return RawEquation(tuple(sorted(kept.items())), ring.canon(constant)), landed
 
 
 def _parse_liar(obj: Any, path: str) -> LiarCycle:
@@ -673,11 +676,8 @@ def document_from_equations(
     raw = []
     expanded = []
     for coeffs, constant in equations:
-        kept = {m: ring.canon(c) for m, c in coeffs.items() if ring.canon(c) != 0}
-        landed = equations_on_cover(ring, scenario, kept, constant)
-        if not landed:
-            raise DocumentError(f"no cover context contains {sorted(kept)} jointly")
-        raw.append(RawEquation(tuple(sorted(kept.items())), ring.canon(constant)))
+        equation, landed = _expand_equation(ring, scenario, coeffs, constant)
+        raw.append(equation)
         expanded.extend(landed)
     return ModelDocument(
         theory=Theory(ring, tuple(expanded)),

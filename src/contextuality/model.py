@@ -44,10 +44,11 @@ class EmpiricalModel:
     them. Either way two models are equal when their scenarios and supports
     are, and the model is immutable.
 
-    Construction with validate=False skips E1/E2 for diagnostic use (for
-    example feeding a deliberately signalling table to check_no_signalling);
-    every ingestion path in the library validates, and the model keeps the
-    verdict of that check.
+    E2 runs in one place, `check_no_signalling`, at most once per model,
+    and the model keeps its verdict. Construction raises SignallingError
+    on a false verdict, and so does the degree-0 complex of a model built
+    with validate=False, which skips E1/E2 for diagnostic use (for example
+    feeding a deliberately signalling table to check_no_signalling).
     """
 
     def __init__(
@@ -128,17 +129,13 @@ class EmpiricalModel:
         object.__setattr__(self, "_support_sets", [None] * len(scenario.contexts))
         object.__setattr__(self, "_positions", [None] * len(scenario.contexts))
         object.__setattr__(self, "_restriction_cache", {})
-        # the E2 verdict of construction, when it ran; `check_no_signalling`
-        # returns it instead of checking again
+        # the E2 verdict, kept by `check_no_signalling` when it first runs
         object.__setattr__(self, "_no_signalling", None)
         if validate:
             for ctx, vs in zip(scenario.contexts, self._values):
                 if not vs:
                     raise EmptySupportError(f"context {ctx} has empty support (E1)")
-            witness = _signalling_witness(self)
-            if witness is not None:
-                raise _signalling_error(scenario, witness)
-            object.__setattr__(self, "_no_signalling", NoSignallingVerdict(True))
+            _require_no_signalling(self)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -255,57 +252,6 @@ def _check_count(scenario: Scenario, supports: tuple) -> None:
         raise ModelError(f"expected {len(scenario.contexts)} supports, got {len(supports)}")
 
 
-def _signalling_witness(model: EmpiricalModel):
-    """First E2 violation in canonical order, or None.
-
-    Canonical order: context pairs (i, j) with i < j in cover order, overlap
-    sections in lexicographic order. Each context's support is projected
-    once onto each of its overlaps (the incidences of the scenario's
-    overlap index). Agreeing on an overlap is transitive, so the pairs on
-    the index's forest decide E2; only when one of them disagrees is every
-    pair scanned for the first witness.
-    """
-    index = model.scenario.overlap_index
-    values = model._values
-    seen = [set(map(project, values[c])) for c, _, project in index.incidences]
-    for _, _, _, left, right, _ in index.forest:
-        if seen[left] != seen[right]:
-            break
-    else:
-        return None
-    for i, j, overlap, left, right, _ in index.pairs:
-        if seen[left] != seen[right]:
-            t = min(seen[left].symmetric_difference(seen[right]), key=model._lexicographic)
-            side = "first" if t in seen[left] else "second"
-            return (i, j), sections_over(overlap, [t])[0], side
-
-
-def _overlap_images(model: EmpiricalModel) -> list[list[tuple[int, ...]]]:
-    """Each context's outcome tuples projected onto each of its overlaps,
-    aligned with the incidences of the scenario's overlap index. A model
-    not validated at construction is checked for E2 first, and a signalling
-    one raises SignallingError."""
-    if model._no_signalling is None:
-        witness = _signalling_witness(model)
-        if witness is not None:
-            raise _signalling_error(model.scenario, witness)
-    values = model._values
-    return [
-        list(map(project, values[c]))
-        for c, _, project in model.scenario.overlap_index.incidences
-    ]
-
-
-def _signalling_error(scenario: Scenario, witness) -> SignallingError:
-    (i, j), t, _ = witness
-    return SignallingError(
-        f"supports of {scenario.contexts[i]} and {scenario.contexts[j]} disagree "
-        f"on overlap section {t} (E2)",
-        contexts=(scenario.contexts[i], scenario.contexts[j]),
-        section=t,
-    )
-
-
 @dataclass(frozen=True)
 class SignallingWitness:
     context_a: tuple[str, ...]
@@ -321,25 +267,61 @@ class NoSignallingVerdict:
 
 
 def check_no_signalling(model: EmpiricalModel) -> NoSignallingVerdict:
-    """Support-level E2 over every context pair; a false verdict carries the
-    first violating pair and overlap section in canonical order. A model
-    validated at construction passed this check there and is not checked
-    again."""
-    if model._no_signalling is not None:
-        return model._no_signalling
-    w = _signalling_witness(model)
-    if w is None:
-        return NoSignallingVerdict(True)
-    (i, j), t, side = w
-    return NoSignallingVerdict(
-        False,
-        SignallingWitness(
-            context_a=model.scenario.contexts[i],
-            context_b=model.scenario.contexts[j],
-            section=t,
-            present_in=side,
-        ),
-    )
+    """Support-level E2; a false verdict carries the first context pair,
+    i < j in cover order, whose supports disagree on their overlap, and the
+    first overlap section in lexicographic order that only one side's
+    restriction contains. The check runs once per model, whether at
+    construction or here, and the model keeps its verdict."""
+    verdict = model._no_signalling
+    if verdict is None:
+        witness = _signalling_witness(model)
+        verdict = NoSignallingVerdict(witness is None, witness)
+        object.__setattr__(model, "_no_signalling", verdict)
+    return verdict
+
+
+def _require_no_signalling(model: EmpiricalModel) -> None:
+    witness = check_no_signalling(model).witness
+    if witness is not None:
+        raise SignallingError(
+            f"supports of {witness.context_a} and {witness.context_b} disagree "
+            f"on overlap section {witness.section} (E2)",
+            contexts=(witness.context_a, witness.context_b),
+            section=witness.section,
+        )
+
+
+def _signalling_witness(model: EmpiricalModel) -> SignallingWitness | None:
+    """The witness of `check_no_signalling`, or None.
+
+    Each context's support is projected once onto each of its overlaps
+    (the incidences of the scenario's overlap index), and only the pairs on
+    the index's forest are compared. A pair off the forest joins two
+    contexts that earlier forest pairs with the same overlap already join,
+    and agreeing on an overlap is transitive, so the first pair that
+    disagrees is a forest pair."""
+    contexts = model.scenario.contexts
+    index = model.scenario.overlap_index
+    values = model._values
+    seen = [set(map(project, values[c])) for c, _, project in index.incidences]
+    for i, j, overlap, left, right, _ in index.forest:
+        if seen[left] != seen[right]:
+            t = min(seen[left] ^ seen[right], key=model._lexicographic)
+            side = "first" if t in seen[left] else "second"
+            return SignallingWitness(contexts[i], contexts[j], sections_over(overlap, [t])[0], side)
+    return None
+
+
+def _overlap_images(model: EmpiricalModel) -> list[list[tuple[int, ...]]]:
+    """Each context's outcome tuples projected onto each of its overlaps,
+    aligned with the incidences of the scenario's overlap index. A
+    signalling model raises SignallingError."""
+    _require_no_signalling(model)
+    values = model._values
+    return [
+        list(map(project, values[c]))
+        for c, _, project in model.scenario.overlap_index.incidences
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +417,8 @@ class ProbabilityTable:
         differing overlap section in the order of its text; `scaled` holds
         the weights over a common denominator. Each context's row is
         projected once onto each of its overlaps (the incidences of the
-        scenario's overlap index)."""
+        scenario's overlap index), and, as in E2, equal marginals are
+        transitive, so only the forest pairs are compared."""
         scn = self.scenario
         index = scn.overlap_index
         marginals = []
@@ -445,7 +428,7 @@ class ProbabilityTable:
                 t = project(v)
                 marginal[t] = marginal.get(t, 0) + n
             marginals.append(marginal)
-        for i, j, overlap, left, right, _ in index.pairs:
+        for i, j, overlap, left, right, _ in index.forest:
             mi, mj = marginals[left], marginals[right]
             if mi != mj:
                 differing = [t for t in mi.keys() | mj.keys() if mi.get(t) != mj.get(t)]

@@ -88,18 +88,17 @@ def sections_over(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
 
 @dataclass(frozen=True)
 class OverlapIndex:
-    """The overlapping pairs of a cover, listed once, when the scenario is
-    built; E2, the degree-0 complex and the connectivity check all read it.
+    """The overlaps of a cover, indexed once, when the scenario is built;
+    E2, the degree-0 complex and the connectivity check all read it.
 
-    pairs: one record (i, j, overlap, left, right, group) per pair of
-        contexts i < j that share a measurement, in lexicographic order.
-        `overlap` is U = C_i & C_j in declared order; `left` and `right`
-        number the incidences (C_i, U) and (C_j, U); `group` numbers U, in
-        order of first appearance.
-    forest: the records of the pairs on a spanning forest of the pairs
-        whose overlap is exactly U, for each U, in the same order. A
-        union-find per U keeps a pair when it joins two trees, so the first
-        pair of each U is always kept.
+    forest: one record (i, j, overlap, left, right, group) per pair of
+        contexts i < j on a spanning forest of the pairs whose overlap is
+        exactly U, for each U, in lexicographic order. `overlap` is
+        U = C_i & C_j in declared order; `left` and `right` number the
+        incidences (C_i, U) and (C_j, U); `group` numbers U, in order of
+        first appearance. The pairs are walked in lexicographic order and
+        a union-find per U keeps a pair when it joins two trees, so the
+        first pair of each U is always kept.
     incidences: one record (context, positions, project) per incidence: the
         positions of U in the context and the projection of the context's
         outcome tuples onto U (`projection(positions)`).
@@ -111,7 +110,6 @@ class OverlapIndex:
     pairs off the forest add nothing to E2 or to ker delta0.
     """
 
-    pairs: tuple[tuple[int, int, tuple[str, ...], int, int, int], ...]
     forest: tuple[tuple[int, int, tuple[str, ...], int, int, int], ...]
     incidences: tuple[tuple[int, tuple[int, ...], Callable], ...]
     group_pairs: tuple[int, ...]
@@ -150,7 +148,6 @@ def _overlap_index(contexts: tuple[tuple[str, ...], ...], at: dict) -> OverlapIn
     to its (context, position) incidences in cover order. Raises
     ScenarioError for the first context, in cover order, that lies inside
     another, the first such other context in cover order."""
-    pairs = []
     forest = []
     incidences = []
     groups: dict[tuple[str, ...], int] = {}
@@ -205,21 +202,17 @@ def _overlap_index(contexts: tuple[tuple[str, ...], ...], at: dict) -> OverlapIn
                     project = shared[there] = projection(there)
                 incidences.append((j, there, project))
                 trees.append(right)
-            pair = (i, j, overlap, left, right, group)
-            pairs.append(pair)
             a, b = _find(trees, left), _find(trees, right)
             if a != b:
                 trees[b] = a
-                forest.append(pair)
+                forest.append((i, j, overlap, left, right, group))
     if nested:
         a, b = min(nested)
         kind = "duplicates" if set(contexts[a]) == set(contexts[b]) else "is contained in"
         raise ScenarioError(
             f"cover is not an antichain: context {contexts[a]} {kind} context {contexts[b]}"
         )
-    return OverlapIndex(
-        tuple(pairs), tuple(forest), tuple(incidences), tuple(group_pairs), len(contexts)
-    )
+    return OverlapIndex(tuple(forest), tuple(incidences), tuple(group_pairs), len(contexts))
 
 
 @dataclass(frozen=True)
@@ -233,10 +226,10 @@ class Scenario:
 
     Construction also indexes the cover once: each measurement's position
     in the declared order, its contexts with its position in each, and the
-    overlap index (`overlap_index`, an `OverlapIndex`): every overlapping
-    pair of contexts in lexicographic order with its overlap U and the
-    positions of U in both contexts, a spanning forest of the pairs with
-    each U, and the cover's connected components, read off that forest.
+    overlap index (`overlap_index`, an `OverlapIndex`): each overlap U with
+    its positions in every context containing it, a spanning forest of the
+    pairs of contexts with overlap U, and the cover's connected
+    components, read off that forest.
     The antichain check reads the same pass: a context lies inside another
     exactly when their overlap is all of it.
     """

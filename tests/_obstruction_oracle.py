@@ -19,6 +19,8 @@ from contextuality import EmpiricalModel, RingSpec, cochain_basis
 from contextuality.cohomology import _Degree0Complex, coboundary_entries
 from contextuality.rings import echelon
 
+from conftest import nerve_pairs
+
 
 def reference_degree0_rows(model: EmpiricalModel):
     """The 0-cochain basis, the number m of 1-cochain basis positions and
@@ -41,11 +43,12 @@ def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     each overlap U span every component of the pairs with that overlap
     without a cycle. Every other pair's block is the sum of the forest
     blocks along the forest path between its two contexts, each taken with
-    the sign of the direction it is walked in."""
+    the sign of the direction it is walked in. The pairs are those of the
+    reference nerve, not the overlap index's."""
     basis = cochain_basis(model, 0)
     upper = cochain_basis(model, 1)
-    index = model.scenario.overlap_index
-    assert [sigma.contexts for sigma in upper.simplices] == [p[:2] for p in index.pairs]
+    pairs = nerve_pairs(model.scenario)
+    assert [sigma.contexts for sigma in upper.simplices] == [pair[:2] for pair in pairs]
     # delta0 as rows over the 0-cochain positions, from both constructions
     reference = [{} for _ in range(len(upper))]
     for row, col, sign in coboundary_entries(basis, upper):
@@ -61,8 +64,12 @@ def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     def block(p):
         return reference[upper.offsets[p] : upper.offsets[p + 1]]
 
-    on_forest = set(index.forest)
-    forest = [p for p, pair in enumerate(index.pairs) if pair in on_forest]
+    index = model.scenario.overlap_index
+    records = [(i, j, overlap) for i, j, overlap, *_ in index.forest]
+    on_forest = set(records)
+    forest = [p for p, pair in enumerate(pairs) if pair in on_forest]
+    # each forest record is a nerve pair with its overlap, in nerve order
+    assert [pairs[p] for p in forest] == records
     assert sum(len(block(p)) for p in forest) == head
     at = 0
     for p in forest:
@@ -73,16 +80,16 @@ def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     # per overlap, the forest as an adjacency map, and the reference blocks
     # of the pairs that are not on it
     trees: dict[tuple, dict[int, list[tuple[int, int]]]] = {}
-    for p, pair in enumerate(index.pairs):
-        i, j, overlap = pair[:3]
+    for p, pair in enumerate(pairs):
+        i, j, overlap = pair
         adjacent = trees.setdefault(overlap, {})
         if pair in on_forest:
             adjacent.setdefault(i, []).append((j, p))
             adjacent.setdefault(j, []).append((i, p))
-    for p, pair in enumerate(index.pairs):
+    for p, pair in enumerate(pairs):
         if pair in on_forest:
             continue
-        i, j, overlap = pair[:3]
+        i, j, overlap = pair
         adjacent = trees[overlap]
         # the forest path from i to j, as (pair, sign) steps
         paths = {i: []}

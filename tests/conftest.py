@@ -6,6 +6,7 @@ from contextuality import (
     EmpiricalModel,
     ProbabilityTable,
     Scenario,
+    build_nerve,
     corpus,
     corpus_names,
     materialize,
@@ -60,6 +61,15 @@ def bell_table() -> ProbabilityTable:
             row(("a2", "b2"), ("1/8", "3/8", "3/8", "1/8")),
         ),
     )
+
+
+def nerve_pairs(scenario):
+    """(i, j, overlap) for every pair of contexts i < j that share a
+    measurement, in lexicographic order, with the overlap in declared
+    order: the 1-simplices of the reference nerve, which the overlap index
+    does not build."""
+    levels = build_nerve(scenario, 1)
+    return [(*sigma.contexts, sigma.intersection) for sigma in levels[1]] if len(levels) > 1 else []
 
 
 def with_sections(model, flags):

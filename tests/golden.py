@@ -1,6 +1,6 @@
 """Golden digests of command-line outputs.
 
-    python3 tests/golden.py [PATH]
+    PYTHONPATH=src python3 tests/golden.py [PATH]
 
 runs every command below in-process through `contextuality.cli.main` and
 writes, to PATH (default tests/golden.json next to this file), one entry
@@ -106,7 +106,8 @@ def digests() -> dict[str, str]:
     import contextuality as lib
     from contextuality.cli import main
 
-    sys.path.insert(0, str(ROOT / "bench"))
+    if str(ROOT / "bench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "bench"))
     from workloads import WORKLOADS, build
 
     found: dict[str, str] = {}
@@ -133,7 +134,6 @@ def digests() -> dict[str, str]:
 
 
 def main(argv: list[str]) -> int:
-    sys.path.insert(0, str(TESTS))
     target = Path(argv[0]) if argv else GOLDEN
     target.write_text(json.dumps(digests(), indent=0, sort_keys=True) + "\n", encoding="utf-8")
     return 0

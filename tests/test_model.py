@@ -246,8 +246,8 @@ def test_signalling_witness_matches_all_pairs_reference():
     )
     tables = [fixed] + signalling_tables(40, seed=20240820)
     assert len(tables) == 41
-    # overlaps shared by three or more contexts: the forest check finds the
-    # disagreement, and the scan of every pair names the first witness
+    # overlaps shared by three or more contexts, where pairs lie off the
+    # overlap forest: the first forest pair that disagrees is the first pair
     tables += perturbed_colourings(20, seed=20261019)
     models = random_models(25, seed=20240818) + tables
     for model in models + [reversed_orders(m) for m in models]:

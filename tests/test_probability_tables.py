@@ -43,7 +43,7 @@ from _reference_probabilities import (
     reference_support,
     reference_text,
 )
-from conftest import BIPARTITE, bell_table
+from conftest import BIPARTITE, bell_table, nerve_pairs
 
 _LABELS = ("b", "a", "x10", "x2", "c", "y")
 _OUTCOMES = (0, 1, 2, 10, -1)
@@ -71,15 +71,13 @@ def _outcome(run):
 def _library(text):
     doc = parse_model(text)
     table = doc.table
-    marginals = [
-        table.marginal(i, overlap) for i, _, overlap, *_ in table.scenario.overlap_index.pairs
-    ]
+    marginals = [table.marginal(i, overlap) for i, _, overlap in nerve_pairs(table.scenario)]
     return table.rows, materialize(doc).supports, marginals, print_model(doc), document_hash(doc)
 
 
 def _reference(text):
     scenario, rows, printed = reference_document(text)
-    marginals = [reference_marginal(rows, i, overlap) for i, _, overlap, *_ in scenario.overlap_index.pairs]
+    marginals = [reference_marginal(rows, i, overlap) for i, _, overlap in nerve_pairs(scenario)]
     support = reference_support(scenario, rows).supports
     return rows, support, marginals, printed, hashlib.sha256(printed.encode("utf-8")).hexdigest()
 
@@ -282,7 +280,7 @@ def test_the_first_signalling_pair_lies_on_the_overlap_forest():
         scenario = random_scenario(rng)
         index = scenario.overlap_index
         forest = {(i, j) for i, j, *_ in index.forest}
-        off_forest += len(index.pairs) - len(forest)
+        off_forest += len(nerve_pairs(scenario)) - len(forest)
         text = document_text(rng, scenario, perturb(rng, scenario, mixture_rows(rng, scenario)))
         found = assert_document_agrees(text)
         if found[0] is SignallingError:
