@@ -27,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .cohomology import ObstructionReport, _degree0_complex, classify_cohomological
 from .documents import ModelDocument, canonical_json, document_hash, materialize
@@ -40,6 +40,7 @@ from .model import (
     check_no_signalling,
 )
 from .rings import INTEGERS, RingSpec
+from .scenario import section_text
 from .theory import AvnReport, is_avn
 
 
@@ -96,8 +97,6 @@ def default_rings(doc: ModelDocument) -> tuple[RingSpec, ...]:
     alphabet size when the alphabet is an initial segment 0..n-1."""
     if doc.modulus is not None:
         return (RingSpec(doc.modulus),)
-    if doc.payload_kind == "pauli_triple":
-        return (RingSpec(2),)
     outcomes = doc.scenario.outcomes
     if outcomes == tuple(range(len(outcomes))) and len(outcomes) >= 2:
         return (RingSpec(len(outcomes)),)
@@ -251,17 +250,6 @@ def _decided(value: bool | None, rule: str | None) -> str:
     return _verdict(value) if rule is None else f"{_verdict(value)} ({rule})"
 
 
-def _section_text(measurements: tuple[str, ...]) -> Callable[[tuple[int, ...]], str]:
-    """The map taking an outcome tuple over the measurements to
-    `str(Section)` of that section, without building it: one format
-    template with the labels sorted and their braces escaped."""
-    template = ",".join(
-        measurements[k].replace("{", "{{").replace("}", "}}") + f"={{{k}}}"
-        for k in sorted(range(len(measurements)), key=measurements.__getitem__)
-    )
-    return lambda v: template.format(*v)
-
-
 def _non_extending(report: AnalysisReport) -> Iterator[tuple[tuple[str, ...], str]]:
     """The context and the text of each section that extends to no global
     section, in support order, written from its outcome tuple with one
@@ -272,7 +260,7 @@ def _non_extending(report: AnalysisReport) -> Iterator[tuple[tuple[str, ...], st
         text = None
         for v, extends in zip(model.support_values(ci), flags):
             if extends is False:
-                text = text or _section_text(ctx)
+                text = text or section_text(ctx)
                 yield ctx, text(v)
 
 

@@ -66,12 +66,10 @@ def export_bundle_dot(model: EmpiricalModel) -> str:
         for o in scn.outcomes:
             lines.append(f"    {_quote(f'{m}:{o}')} [label={_quote(f'{m}:{o}')}];")
     for pair in pairs:
-        ci = containing[pair]
-        for s in model.restricted_support(ci, pair):
-            a, b = pair
-            lines.append(
-                f"    {_quote(f'{a}:{s[a]}')} -- {_quote(f'{b}:{s[b]}')};"
-            )
+        # the pair is in declared order, as are its outcome tuples
+        a, b = pair
+        for x, y in model.restricted_values(containing[pair], pair):
+            lines.append(f"    {_quote(f'{a}:{x}')} -- {_quote(f'{b}:{y}')};")
     lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -13,7 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import _section_text, analyze, render_json, render_text
+from .analysis import analyze, render_json, render_text
 from .bundle import export_bundle_dot
 from .cohomology import ObstructionSolver
 from .corpus import corpus_names, corpus_text
@@ -28,7 +28,7 @@ from .errors import ContextualityError, DocumentError, SelfCheckError
 from .model import DEFAULT_SEARCH_BUDGET
 from .pauli import is_avn_triple, generate_subgroup, parse_triple, triple_model, triple_scenario
 from .rings import RingSpec, dense
-from .scenario import Section
+from .scenario import Section, section_text
 from .theory import is_avn, is_avn_at
 
 BUDGET_VARIABLE = "CONTEXTUALITY_BUDGET"
@@ -123,7 +123,7 @@ def _family_texts(model, weights: dict[int, int]) -> list[str]:
         if not terms:
             texts.append("0")
             continue
-        text = _section_text(ctx)
+        text = section_text(ctx)
         texts.append(
             " + ".join(f"[{text(v)}]" if w == 1 else f"{w}*[{text(v)}]" for v, w in terms)
         )

@@ -22,9 +22,9 @@ from typing import Any, Iterable, Mapping
 from .errors import DocumentError
 from .model import EmpiricalModel, ProbabilityTable, support_of_probability_table
 from .paradox import LiarCycle, liar_cycle_model
-from .pauli import PauliOperator, generate_subgroup, theory_of_subgroup
+from .pauli import PauliOperator, generate_subgroup, theory_of_subgroup, triple_scenario
 from .rings import RingSpec
-from .scenario import Scenario, Section
+from .scenario import Scenario
 from .theory import LinearEquation, Theory, equations_on_cover, model_of_theory
 
 SCHEMA = "contextuality-model/1"
@@ -125,11 +125,8 @@ def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
     return scenario, ring_outcomes
 
 
-def _parse_section(
-    obj: Any, scenario: Scenario, context: tuple[str, ...], labels: tuple[str, ...], path: str
-) -> Section:
-    """A section over the context; `labels` is the context sorted once by
-    label, so the checked values build the label-sorted Section directly."""
+def _parse_section(obj: Any, scenario: Scenario, context: tuple[str, ...], path: str) -> tuple[int, ...]:
+    """The outcome tuple, in context order, of a section object over the context."""
     _expect(obj, dict, "a section object", path)
     for m in obj:
         if m not in context:
@@ -145,7 +142,7 @@ def _parse_section(
                 f"outcome {o} is not in the alphabet {scenario.outcomes}",
                 path=f"{path}.{m}",
             )
-    return Section(tuple((m, obj[m]) for m in labels))
+    return tuple(obj[m] for m in context)
 
 
 def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
@@ -167,12 +164,8 @@ def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
     values = []
     for i, (ctx, row) in enumerate(zip(contexts, rows)):
         _expect(row, list, "a list of sections", f"{path}[{i}]")
-        labels = tuple(sorted(ctx))
         values.append(
-            [
-                _parse_section(s, scenario, ctx, labels, f"{path}[{i}][{j}]").values_on(ctx)
-                for j, s in enumerate(row)
-            ]
+            [_parse_section(s, scenario, ctx, f"{path}[{i}][{j}]") for j, s in enumerate(row)]
         )
     return EmpiricalModel._of_checked_values(scenario, values)
 
@@ -243,7 +236,6 @@ def _parse_probabilities(obj: Any, scenario: Scenario, path: str) -> Probability
     values, weights = [], []
     for i, (ctx, row) in enumerate(zip(contexts, rows)):
         _expect(row, list, "a list of probability entries", f"{path}[{i}]")
-        labels = tuple(sorted(ctx))
         vs, ws = [], []
         for j, entry in enumerate(row):
             entry_path = f"{path}[{i}][{j}]"
@@ -252,8 +244,7 @@ def _parse_probabilities(obj: Any, scenario: Scenario, path: str) -> Probability
             for field in ("section", "p"):
                 if field not in entry:
                     raise DocumentError(f"missing field {field!r}", path=entry_path)
-            section = _parse_section(entry["section"], scenario, ctx, labels, f"{entry_path}.section")
-            vs.append(section.values_on(ctx))
+            vs.append(_parse_section(entry["section"], scenario, ctx, f"{entry_path}.section"))
             ws.append(_parse_fraction(entry["p"], f"{entry_path}.p"))
         values.append(vs)
         weights.append(ws)
@@ -619,6 +610,8 @@ def materialize(doc: ModelDocument) -> EmpiricalModel:
                 path="$.scenario",
             )
         return model
+    if triple_scenario(*doc.pauli_triple) != doc.scenario:
+        raise DocumentError("declared scenario does not match the Pauli triple", path="$.scenario")
     subgroup = generate_subgroup(doc.pauli_triple)
     theory = theory_of_subgroup(subgroup, doc.scenario)
     return model_of_theory(theory, doc.scenario)

@@ -10,7 +10,7 @@ model is strongly contextual when no global assignment exists at all.
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain
@@ -31,6 +31,7 @@ from .scenario import Scenario, Section, projection, sections_over
 DEFAULT_SEARCH_BUDGET = 2_000_000
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class EmpiricalModel:
     """Supports S(C) for each cover context, E1 and E2 enforced on entry.
 
@@ -38,11 +39,11 @@ class EmpiricalModel:
     without repeats and in lexicographic order (`support_values`); every
     solver and every restriction inside the library reads those tuples.
     `Section`s are the API boundary: `EmpiricalModel(scenario, supports)`
-    keeps the sections it is given, while a model built from outcome tuples
-    (`from_values`, which parsing and theories use) builds a context's
-    sections the first time `support`, `supports` or `support_set` reads
-    them. Either way two models are equal when their scenarios and supports
-    are, and the model is immutable.
+    reads the given sections into outcome tuples, as `from_values` (which
+    parsing and theories use) takes them, and a context's sections are
+    built the first time `support`, `supports` or `support_set` reads them.
+    Two models are equal when their scenarios and supports are, and the
+    model is immutable.
 
     E2 runs in one place, `check_no_signalling`, at most once per model,
     and the model keeps its verdict. Construction raises SignallingError
@@ -50,6 +51,9 @@ class EmpiricalModel:
     with validate=False, which skips E1/E2 for diagnostic use (for example
     feeding a deliberately signalling table to check_no_signalling).
     """
+
+    scenario: Scenario
+    _values: tuple[tuple[tuple[int, ...], ...], ...]
 
     def __init__(
         self,
@@ -60,28 +64,8 @@ class EmpiricalModel:
         supports = tuple(supports)
         _check_count(scenario, supports)
         alphabet = set(scenario.outcomes)
-        label, outcome = itemgetter(0), itemgetter(1)
-        given = []
-        for ctx, sup in zip(scenario.contexts, supports):
-            # items are label-sorted: the domain is the context exactly when
-            # the labels match, and `in_context_order` reorders the outcomes
-            labels = tuple(sorted(ctx))
-            in_context_order = projection([labels.index(m) for m in ctx])
-            seen: dict[tuple[int, ...], Section] = {}
-            for s in sup:
-                if tuple(map(label, s.items)) != labels:
-                    raise ModelError(f"section {s} is not a section over context {ctx}")
-                v = in_context_order(tuple(map(outcome, s.items)))
-                if not alphabet.issuperset(v):
-                    raise ModelError(f"section {s} uses outcome outside the alphabet")
-                seen[v] = s
-            given.append(seen)
+        given = [set(_context_values(c, sup, alphabet)) for c, sup in zip(scenario.contexts, supports)]
         self._store(scenario, given, validate)
-        object.__setattr__(
-            self,
-            "_sections",
-            [tuple(map(seen.__getitem__, vs)) for seen, vs in zip(given, self._values)],
-        )
 
     @classmethod
     def from_values(
@@ -117,7 +101,6 @@ class EmpiricalModel:
         measurement; E1 and E2 are checked."""
         model = cls.__new__(cls)
         model._store(scenario, map(set, values), True)
-        object.__setattr__(model, "_sections", [None] * len(scenario.contexts))
         return model
 
     def _store(self, scenario: Scenario, given, validate: bool) -> None:
@@ -126,7 +109,9 @@ class EmpiricalModel:
         key = _lexicographic_key(scenario.outcomes)
         object.__setattr__(self, "_lexicographic", key)
         object.__setattr__(self, "_values", tuple(tuple(sorted(vs, key=key)) for vs in given))
-        object.__setattr__(self, "_support_sets", [None] * len(scenario.contexts))
+        # per context, its sections and its positions by outcome tuple, each
+        # built when first read
+        object.__setattr__(self, "_sections", [None] * len(scenario.contexts))
         object.__setattr__(self, "_positions", [None] * len(scenario.contexts))
         object.__setattr__(self, "_restriction_cache", {})
         # the E2 verdict, kept by `check_no_signalling` when it first runs
@@ -136,20 +121,6 @@ class EmpiricalModel:
                 if not vs:
                     raise EmptySupportError(f"context {ctx} has empty support (E1)")
             _require_no_signalling(self)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.scenario == other.scenario and self._values == other._values
-
-    def __hash__(self):
-        return hash((self.scenario, self._values))
 
     def __repr__(self) -> str:
         return f"EmpiricalModel(scenario={self.scenario!r}, supports={self.supports!r})"
@@ -169,10 +140,7 @@ class EmpiricalModel:
         return found
 
     def support_set(self, index: int) -> frozenset[Section]:
-        found = self._support_sets[index]
-        if found is None:
-            found = self._support_sets[index] = frozenset(self.support(index))
-        return found
+        return frozenset(self.support(index))
 
     def support_values(self, index: int) -> tuple[tuple[int, ...], ...]:
         """S(C_index) as outcome tuples in context order, aligned with
@@ -245,6 +213,24 @@ def _lexicographic_key(outcomes: tuple[int, ...]):
         return tuple(map(position.__getitem__, v))
 
     return key
+
+
+def _context_values(context: tuple[str, ...], sections: Iterable[Section], alphabet: set[int]):
+    """The outcome tuple in context order of each section, read in order; a
+    section over another domain or with an outcome outside the alphabet
+    raises. Both constructors read their sections through this."""
+    # items are label-sorted: the domain is the context exactly when the
+    # labels match, and `in_context_order` reorders the outcomes
+    labels = tuple(sorted(context))
+    in_context_order = projection([labels.index(m) for m in context])
+    label, outcome = itemgetter(0), itemgetter(1)
+    for s in sections:
+        if tuple(map(label, s.items)) != labels:
+            raise ModelError(f"{s} is not a section over {context}")
+        v = in_context_order(tuple(map(outcome, s.items)))
+        if not alphabet.issuperset(v):
+            raise ModelError(f"section {s} uses outcome outside the alphabet")
+        yield v
 
 
 def _check_count(scenario: Scenario, supports: tuple) -> None:
@@ -359,10 +345,10 @@ class ProbabilityTable:
             raise ModelError(f"expected {len(scenario.contexts)} rows, got {len(rows)}")
         alphabet = set(scenario.outcomes)
         # each entry is converted and checked before the next is read
-        checked = [
-            _checked_entries(ctx, _section_entries(ctx, row, alphabet))
-            for ctx, row in zip(scenario.contexts, rows)
-        ]
+        checked = []
+        for ctx, row in zip(scenario.contexts, map(tuple, rows)):
+            values = _context_values(ctx, (s for s, _ in row), alphabet)
+            checked.append(_checked_entries(ctx, zip(values, (Fraction(p) for _, p in row))))
         self._store(scenario, [vs for vs, _ in checked], [ws for _, ws in checked], validate)
 
     @classmethod
@@ -491,20 +477,6 @@ class ProbabilityTable:
         values = [model.support_values(ci) for ci in range(len(model.scenario.contexts))]
         weights = [[Fraction(1, len(vs))] * len(vs) for vs in values]
         return cls._of_checked_values(model.scenario, values, weights, validate)
-
-
-def _section_entries(context: tuple[str, ...], row, alphabet: set[int]):
-    """(outcome tuple in context order, weight) of each (section, p) entry
-    of a row over the context, in order."""
-    labels = tuple(sorted(context))
-    in_context_order = projection([labels.index(m) for m in context])
-    for s, p in row:
-        if tuple(m for m, _ in s.items) != labels:
-            raise ModelError(f"{s} is not a section over {context}")
-        v = in_context_order(tuple(o for _, o in s.items))
-        if not alphabet.issuperset(v):
-            raise ModelError(f"section {s} uses outcome outside the alphabet")
-        yield v, Fraction(p)
 
 
 def _checked_entries(context: tuple[str, ...], entries):

@@ -86,6 +86,17 @@ def sections_over(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
     return tuple(Section(tuple(zip(labels, [v[k] for k in order]))) for v in rows)
 
 
+def section_text(measurements: tuple[str, ...]) -> Callable[[tuple[int, ...]], str]:
+    """The map taking an outcome tuple over the measurements to
+    `str(Section)` of that section, without building it: one format
+    template with the labels sorted and their braces escaped."""
+    template = ",".join(
+        measurements[k].replace("{", "{{").replace("}", "}}") + f"={{{k}}}"
+        for k in sorted(range(len(measurements)), key=measurements.__getitem__)
+    )
+    return lambda v: template.format(*v)
+
+
 @dataclass(frozen=True)
 class OverlapIndex:
     """The overlaps of a cover, indexed once, when the scenario is built;

@@ -27,7 +27,6 @@ from .rings import (
     Row,
     dense,
     echelon,
-    linear_decomposition,
     sparse,
 )
 from .scenario import Scenario, Section
@@ -149,10 +148,16 @@ def _kernel_generators(
     values: Iterable[tuple[int, ...]],
     embedding: Mapping[int, int],
 ) -> list[list[int]]:
-    """Generators (a_1..a_width, b) of the kernel of the matrix with one
-    row [v_1..v_width, -1] per outcome tuple v in context order."""
-    rows = [[embedding[o] for o in v] + [ring.canon(-1)] for v in values]
-    return linear_decomposition(ring, rows, width + 1).kernel()
+    """Generators (a_1..a_width, b) of the kernel of the matrix A with one
+    row [v_1..v_width, -1] per outcome tuple v in context order: the tails
+    of the echelon rows of [A^T | I] whose head reduced to zero."""
+    embedded = [[embedding[o] for o in v] for v in values]
+    m = len(embedded)
+    rows = [{i: x for i, v in enumerate(embedded) if (x := v[j])} for j in range(width)]
+    rows.append(dict.fromkeys(range(m), ring.canon(-1)))
+    for j, row in enumerate(rows):
+        row[m + j] = 1
+    return [dense(row, width + 1, m) for row in echelon(ring, rows, m).kernel]
 
 
 def _equations(

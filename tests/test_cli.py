@@ -18,8 +18,11 @@ from contextuality import (
     SelfCheckError,
     corpus_names,
     corpus_text,
+    document_from_model,
+    ghz_model,
     materialize,
     parse_model,
+    print_model,
 )
 from contextuality.cli import BUDGET_VARIABLE, main
 import contextuality.cli as cli_module
@@ -401,6 +404,38 @@ def test_stabiliser_emit_model_is_a_document(capsys):
     doc = parse_model(capsys.readouterr().out)
     model = materialize(doc)
     assert sorted(len(s) for s in model.supports) == [4, 4, 4, 4, 8, 8, 8, 8]
+
+
+def test_stabiliser_emitted_document_analyses_as_the_ghz_model(tmp_path, capsys):
+    assert main(["stabiliser", "--triple", "XYY,YXY,YYX", "--emit-model"]) == 0
+    triple = tmp_path / "triple.json"
+    triple.write_text(capsys.readouterr().out, encoding="utf-8")
+    model = tmp_path / "model.json"
+    model.write_text(print_model(document_from_model(ghz_model())), encoding="utf-8")
+    assert main(["analyze", str(triple)]) == 0
+    assert "strongly contextual (SC): yes (AvN over Z2)\n" in capsys.readouterr().out
+    reports = []
+    for path in (triple, model):
+        assert main(["analyze", str(path), "--json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [entry["ring"] for entry in reports[0]["rings"]] == ["Z2", "Z"]
+    # the payload, its name and its hash, and the timings are all that differ
+    for report in reports:
+        for key in ("name", "payload", "sha256", "timings"):
+            del report[key]
+    assert reports[0] == reports[1]
+
+
+def test_triple_document_with_another_scenario_is_an_input_error(tmp_path, capsys):
+    assert main(["stabiliser", "--triple", "XYY,YXY,YYX", "--emit-model"]) == 0
+    document = json.loads(capsys.readouterr().out)
+    document["scenario"] = {"measurements": ["a", "b"], "contexts": [["a", "b"]], "outcomes": [0, 1]}
+    path = tmp_path / "mismatched.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: $.scenario: declared scenario does not match the Pauli triple\n"
+    )
 
 
 def test_stabiliser_malformed_triple(capsys):

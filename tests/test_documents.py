@@ -231,6 +231,15 @@ def test_support_payload_errors():
     )
 
 
+def test_a_measurement_name_that_is_not_a_string_carries_its_path():
+    document = json.loads(doc('{"supports": [[{"a1": 0, "b1": 0}]]}'))
+    document["scenario"]["measurements"] = ["a1", 1]
+    with pytest.raises(DocumentError) as err:
+        parse_model(json.dumps(document))
+    path = "$.scenario.measurements[1]"
+    assert (err.value.path, str(err.value)) == (path, f"{path}: expected a measurement name, got int")
+
+
 def test_probability_payload_errors():
     def table(p):
         return doc(

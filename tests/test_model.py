@@ -2,6 +2,7 @@
 enumeration of global assignments."""
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -278,6 +279,37 @@ def test_restricted_support_matches_all_pairs_reference():
                     assert model.restricted_values(ci, set(sub)) == tuple(
                         s.values_on(order) for s in expected
                     )
+
+
+def test_models_are_immutable_values():
+    model = pr_box()
+    twin = EmpiricalModel.from_values(BIPARTITE, map(model.support_values, range(4)))
+    assert model == twin and twin == model and hash(model) == hash(twin)
+    assert model != hardy_model() and model != model.scenario
+    for attempt in (
+        lambda: setattr(model, "scenario", BIPARTITE),
+        lambda: setattr(model, "_values", twin._values),
+        lambda: setattr(model, "extra", 1),
+        lambda: delattr(model, "scenario"),
+        lambda: delattr(twin, "_values"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            attempt()
+    assert model == twin and model.supports == twin.supports
+
+
+def test_models_and_tables_reject_a_foreign_section_alike():
+    # the table's wording, which tests/_reference_probabilities.py pins
+    for section, message in (
+        (BIPARTITE.section(("a1", "b2"), (0, 0)), "a1=0,b2=0 is not a section over ('a1', 'b1')"),
+        (Section.of({"a1": 0, "b1": 2}), "section a1=0,b1=2 uses outcome outside the alphabet"),
+    ):
+        supports = ((*pr_box().support(0), section), *pr_box().supports[1:])
+        rows = ((*bell_table().rows[0], (section, Fraction(0))), *bell_table().rows[1:])
+        for build in (lambda: EmpiricalModel(BIPARTITE, supports), lambda: ProbabilityTable(BIPARTITE, rows)):
+            with pytest.raises(ModelError) as err:
+                build()
+            assert type(err.value) is ModelError and str(err.value) == message
 
 
 def test_context_of_section_requires_support():

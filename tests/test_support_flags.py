@@ -32,8 +32,8 @@ from contextuality import (
 )
 from contextuality.cohomology import cochain_basis, vector_to_cochain
 from contextuality.rings import echelon, sparse
+from contextuality.scenario import section_text
 
-import contextuality.analysis as analysis_module
 import contextuality.cli as cli_module
 import contextuality.theory as theory_module
 
@@ -87,7 +87,7 @@ def _models(corpus_models) -> list[EmpiricalModel]:
 def test_the_report_writes_a_section_as_its_text():
     for labels in (LABELS, ("中", "}b", "α{"), ("b", "a", "c", "{}", "{1}"), ("{", "}", "z,=")):
         for v in ((0, 1, 2, 3, 4)[: len(labels)], (-1, 10, 0, 7, 2)[: len(labels)]):
-            assert analysis_module._section_text(labels)(v) == str(Section.of(zip(labels, v)))
+            assert section_text(labels)(v) == str(Section.of(zip(labels, v)))
 
 
 # ---------------------------------------------------------------------------

@@ -167,11 +167,11 @@ def test_theory_of_model_shares_kernels_between_equal_supports(corpus_models, mo
     # the reference computes one kernel per context; the equations, their
     # order included, must not change
     kernels = []
-    decomposition = theory_module.linear_decomposition
+    generators = theory_module._kernel_generators
 
-    def counted(ring, rows, ncols=None):
-        kernels.append(ncols)
-        return decomposition(ring, rows, ncols)
+    def counted(ring, width, values, embedding):
+        kernels.append(width)
+        return generators(ring, width, values, embedding)
 
     models = list(corpus_models.values()) + [liar_cycle_model(48)]
     models += random_models(40, seed=20240825) + random_contextual_models(20, seed=20240826)
@@ -189,10 +189,10 @@ def test_theory_of_model_shares_kernels_between_equal_supports(corpus_models, mo
                 for ci, ctx in enumerate(scn.contexts)
                 for eq in theory_of_sections(ring, ctx, model.support(ci), embedding)
             )
-            monkeypatch.setattr(theory_module, "linear_decomposition", counted)
+            monkeypatch.setattr(theory_module, "_kernel_generators", counted)
             kernels.clear()
             theory = theory_of_model(model, ring)
-            monkeypatch.setattr(theory_module, "linear_decomposition", decomposition)
+            monkeypatch.setattr(theory_module, "_kernel_generators", generators)
             assert theory.equations == Theory(ring, expected).equations
             distinct = {model.support_values(ci) for ci in range(len(scn.contexts))}
             assert len(kernels) == len(distinct)
@@ -201,7 +201,7 @@ def test_theory_of_model_shares_kernels_between_equal_supports(corpus_models, mo
     # 48 contexts with 2 distinct supports, 20 with 1
     assert len({liar_cycle_model(48).support_values(ci) for ci in range(48)}) == 2
     kernels.clear()
-    monkeypatch.setattr(theory_module, "linear_decomposition", counted)
+    monkeypatch.setattr(theory_module, "_kernel_generators", counted)
     theory_of_model(groetzsch_colouring(3), RingSpec(3))
     assert len(kernels) == 1
 
@@ -472,15 +472,27 @@ def test_avn_reports_match_the_dense_system(corpus_models):
 
 def test_avn_decides_from_one_echelon_form(monkeypatch):
     # the theory's per-context kernels aside, a verdict costs one echelon
-    # form of [A | b], whichever way it goes
+    # form of [A | b], whichever way it goes; the echelon forms that
+    # `_kernel_generators` makes are not counted
     calls = []
     original = theory_module.echelon
+    generators = theory_module._kernel_generators
+    in_kernel = []
 
     def counting(*args):
-        calls.append(args)
+        if not in_kernel:
+            calls.append(args)
         return original(*args)
 
+    def uncounted(*args):
+        in_kernel.append(True)
+        try:
+            return generators(*args)
+        finally:
+            in_kernel.pop()
+
     monkeypatch.setattr(theory_module, "echelon", counting)
+    monkeypatch.setattr(theory_module, "_kernel_generators", uncounted)
     model = bipartite_model(CORR, CORR, CORR, ALL4)
     for decide in (
         lambda: is_avn(pr_box(), RingSpec(2)),
