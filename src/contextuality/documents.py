@@ -328,8 +328,10 @@ def _parse_liar(obj: Any, path: str) -> LiarCycle:
     if "length" not in obj:
         raise DocumentError("missing field 'length'", path=path)
     n = _expect(obj["length"], int, "an integer", f"{path}.length")
-    if n < 1:
-        raise DocumentError(f"length must be positive, got {n}", path=f"{path}.length")
+    if n < 3:
+        # shorter cycles collapse onto one context whose constraints
+        # contradict each other, so they denote no model
+        raise DocumentError(f"length must be at least 3, got {n}", path=f"{path}.length")
     return LiarCycle(n)
 
 
@@ -352,6 +354,8 @@ def _parse_triple(obj: Any, path: str) -> tuple[PauliOperator, ...]:
             raise DocumentError(str(exc), path=f"{path}.operators[{i}]") from None
     if len({op.arity for op in ops}) != 1:
         raise DocumentError("operators must share an arity", path=f"{path}.operators")
+    if all(p == "I" for op in ops for p in op.letters):
+        raise DocumentError("the triple measures nothing", path=f"{path}.operators")
     return tuple(ops)
 
 

@@ -8,9 +8,10 @@ an equation x = 0 as the assertion of x.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, count, permutations, product
 from typing import Iterable, Mapping, Union
 
 from .errors import BudgetExceededError, DegenerateModelError, FormulaError
@@ -257,11 +258,9 @@ def proposition_probability(table: ProbabilityTable, context: Iterable[str], for
     """Probability of the event the formula describes, under the table's
     distribution on the context."""
     ci = table.scenario.context_index(context)
-    total = Fraction(0)
-    for section, p in table.rows[ci]:
-        if holds_in(section, formula):
-            total += p
-    return total
+    ctx = table.scenario.contexts[ci]
+    held = (evaluate(formula, {m: truth(o) for m, o in zip(ctx, v)}) for v in table.row_values(ci))
+    return sum((p for p, h in zip(table.row_weights(ci), held) if h), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -363,40 +362,34 @@ class LiarCycle:
             raise FormulaError(f"cycle length must be positive, got {self.length}")
 
 
+# the outcome tuples an assertion (equal outcomes) and a denial (differing
+# ones) allow, by the number of measurements constrained; a pair's tuples
+# read the same in either order of the pair
+_ALLOWED = {
+    (False, 2): {(0, 0), (1, 1)},
+    (True, 2): {(0, 1), (1, 0)},
+    (False, 1): {(0,), (1,)},
+    (True, 1): set(),
+}
+
+
 def _pair_model(
     measurements: tuple[str, ...],
     constraints: list[tuple[str, str, bool]],
 ) -> EmpiricalModel:
     """Model from equality/inequality constraints on pairs; constraints on
-    the same underlying context are merged."""
-    grouped: dict[frozenset, list[tuple[str, str, bool]]] = {}
-    order: list[frozenset] = []
+    the same underlying context are intersected."""
+    supports: dict[frozenset, set[tuple[int, ...]]] = {}
     for a, b, anti in constraints:
         key = frozenset((a, b))
-        if key not in grouped:
-            grouped[key] = []
-            order.append(key)
-        grouped[key].append((a, b, anti))
-    contexts = tuple(
-        tuple(m for m in measurements if m in key) for key in order
-    )
+        allowed = _ALLOWED[anti, len(key)]
+        supports[key] = supports.get(key, allowed) & allowed
+    contexts = tuple(tuple(m for m in measurements if m in key) for key in supports)
     scenario = Scenario(measurements, contexts, (0, 1))
-    supports = []
-    for key, ctx in zip(order, contexts):
-        found = []
-        for values in product((0, 1), repeat=len(ctx)):
-            s = dict(zip(ctx, values))
-            if all(
-                (s[a] != s[b]) == anti if a != b else (anti is False)
-                for a, b, anti in grouped[key]
-            ):
-                found.append(values)
-        if not found:
-            raise DegenerateModelError(
-                f"contradictory constraints on context {ctx}", context=ctx
-            )
-        supports.append(found)
-    return EmpiricalModel.from_values(scenario, supports)
+    for ctx, values in zip(contexts, supports.values()):
+        if not values:
+            raise DegenerateModelError(f"contradictory constraints on context {ctx}", context=ctx)
+    return EmpiricalModel.from_values(scenario, supports.values())
 
 
 def liar_cycle_model(cycle: LiarCycle | int) -> EmpiricalModel:
@@ -406,20 +399,14 @@ def liar_cycle_model(cycle: LiarCycle | int) -> EmpiricalModel:
     each other outright, which is reported as degeneracy."""
     n = cycle.length if isinstance(cycle, LiarCycle) else LiarCycle(cycle).length
     names = tuple(f"x{i}" for i in range(1, n + 1))
-    constraints = [(names[i], names[i + 1], False) for i in range(n - 1)]
-    constraints.append((names[n - 1], names[0], True))
-    return _pair_model(names, constraints)
+    constraints = [(a, b, False) for a, b in zip(names, names[1:])]
+    return _pair_model(names, constraints + [(names[-1], names[0], True)])
 
 
 def specker_triangle() -> EmpiricalModel:
     """Three pairwise contexts, every pair forced to disagree."""
     names = ("x1", "x2", "x3")
-    constraints = [
-        (names[0], names[1], True),
-        (names[1], names[2], True),
-        (names[2], names[0], True),
-    ]
-    return _pair_model(names, constraints)
+    return _pair_model(names, [(a, b, True) for a, b in zip(names, names[1:] + names[:1])])
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +440,22 @@ class IsomorphismReport:
     witnesses: tuple[IsomorphismWitness, ...]
 
 
+def _shape(model: EmpiricalModel) -> tuple:
+    scn = model.scenario
+    supports = (len(model.support_values(ci)) for ci in range(len(scn.contexts)))
+    return len(scn.measurements), len(scn.outcomes), sorted(map(len, scn.contexts)), sorted(supports)
+
+
+def _meetings(scenario: Scenario) -> dict[str, Counter]:
+    """Per measurement, the number of contexts it shares with each
+    measurement, itself included."""
+    contexts = scenario.contexts
+    return {
+        m: Counter(chain.from_iterable(contexts[ci] for ci in scenario.contexts_containing(m)))
+        for m in scenario.measurements
+    }
+
+
 def model_isomorphic(
     first: EmpiricalModel,
     second: EmpiricalModel,
@@ -461,122 +464,79 @@ def model_isomorphic(
     """Search for all isomorphisms: bijections of measurements preserving
     the cover, with per-measurement outcome bijections carrying supports
     exactly onto supports. Deterministic order: measurements are assigned
-    in the first model's declaration order, targets tried in the second's.
+    in the first model's declaration order, targets tried in the second's;
+    then each measurement's outcome bijections, in the order of
+    `permutations(second.outcomes)`.
+
+    A target must share as many contexts with each earlier target as the
+    measurement does with its preimage, itself included (its degree). A
+    context is checked when its last measurement is assigned: its image
+    must be a context, and the mapped outcome tuples, in the image's
+    order, must be the image's.
     """
     sa, sb = first.scenario, second.scenario
-    shape_a = sorted(len(c) for c in sa.contexts)
-    shape_b = sorted(len(c) for c in sb.contexts)
-    support_shape_a = sorted(len(s) for s in first.supports)
-    support_shape_b = sorted(len(s) for s in second.supports)
-    if (
-        len(sa.measurements) != len(sb.measurements)
-        or len(sa.outcomes) != len(sb.outcomes)
-        or shape_a != shape_b
-        or support_shape_a != support_shape_b
-    ):
+    if _shape(first) != _shape(second):
         return IsomorphismReport(False, ())
-
-    contexts_b = {frozenset(c) for c in sb.contexts}
-    degree_a = {
-        m: sum(1 for c in sa.contexts if m in c) for m in sa.measurements
-    }
-    degree_b = {
-        m: sum(1 for c in sb.contexts if m in c) for m in sb.measurements
-    }
-    nodes = 0
+    measurements = sa.measurements
+    targets = {frozenset(c): cj for cj, c in enumerate(sb.contexts)}
+    meets_a, meets_b = _meetings(sa), _meetings(sb)
+    # the contexts each measurement completes: a stored context follows the
+    # declared order, so its last measurement comes last
+    closing: list[list[int]] = [[] for _ in measurements]
+    for ci, ctx in enumerate(sa.contexts):
+        closing[sa.measurement_index(ctx[-1])].append(ci)
+    mapping: dict[str, str] = {}
+    perms: dict[str, dict[int, int]] = {}
+    checks: list[list[tuple]] = []  # per measurement, `check` of each context it completes
     witnesses: list[IsomorphismWitness] = []
+    nodes = count(1)
 
-    def cover_consistent(mapping: dict[str, str]) -> bool:
-        for ctx in sa.contexts:
-            image = {mapping[m] for m in ctx if m in mapping}
-            if len(image) < sum(1 for m in ctx if m in mapping):
-                return False
-            if len(image) == len(ctx):
-                if frozenset(image) not in contexts_b:
-                    return False
-            elif not any(
-                image <= other and len(other) == len(ctx) for other in contexts_b
-            ):
-                return False
-        return True
+    def check(ci: int) -> tuple:
+        """Context ci's outcome tuples, its (position, measurement) columns
+        in the order of its image, and the image's outcome tuples."""
+        ctx = sa.contexts[ci]
+        columns = sorted(enumerate(ctx), key=lambda column: sb.measurement_index(mapping[column[1]]))
+        image = targets[frozenset(map(mapping.get, ctx))]
+        return first.support_values(ci), columns, set(second.support_values(image))
 
-    def try_outcomes(mapping: dict[str, str]) -> None:
-        nonlocal nodes
-        # context correspondence is fixed by the measurement bijection
-        matched = []
-        for ci, ctx in enumerate(sa.contexts):
-            image = frozenset(mapping[m] for m in ctx)
-            cj = sb.context_index(sb.sorted_measurements(image))
-            if len(first.support(ci)) != len(second.support(cj)):
-                return
-            matched.append((ci, cj))
-
-        outcome_order = sa.outcomes
-        target_sets = {cj: second.support_set(cj) for _, cj in matched}
-
-        def assign_perms(
-            idx: int, perms: dict[str, dict[int, int]]
-        ) -> None:
-            nonlocal nodes
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"isomorphism search exceeded {budget} nodes"
-                )
-            if idx == len(sa.measurements):
-                witnesses.append(
-                    IsomorphismWitness(
-                        tuple((m, mapping[m]) for m in sa.measurements),
-                        tuple(
-                            (m, tuple(sorted(perms[m].items())))
-                            for m in sa.measurements
-                        ),
-                    )
-                )
-                return
-            m = sa.measurements[idx]
-            for target_values in product(sb.outcomes, repeat=len(outcome_order)):
-                if len(set(target_values)) != len(target_values):
-                    continue
-                perms[m] = dict(zip(outcome_order, target_values))
-                ok = True
-                for ci, cj in matched:
-                    ctx = sa.contexts[ci]
-                    if not all(x in perms for x in ctx):
-                        continue
-                    mapped = {
-                        Section.of(
-                            (mapping[x], perms[x][s[x]]) for x in ctx
-                        )
-                        for s in first.support(ci)
-                    }
-                    if mapped != target_sets[cj]:
-                        ok = False
-                        break
-                if ok:
-                    assign_perms(idx + 1, perms)
-            perms.pop(m, None)
-
-        assign_perms(0, {})
-
-    def assign(idx: int, mapping: dict[str, str], used: set[str]) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
+    def assign_perms(idx: int) -> None:
+        if next(nodes) > budget:
             raise BudgetExceededError(f"isomorphism search exceeded {budget} nodes")
-        if idx == len(sa.measurements):
-            try_outcomes(dict(mapping))
+        if idx == len(measurements):
+            witnesses.append(
+                IsomorphismWitness(
+                    tuple((m, mapping[m]) for m in measurements),
+                    tuple((m, tuple(sorted(perms[m].items()))) for m in measurements),
+                )
+            )
             return
-        m = sa.measurements[idx]
+        m = measurements[idx]
+        for images in permutations(sb.outcomes):
+            perms[m] = dict(zip(sa.outcomes, images))
+            if all(
+                {tuple(perms[x][v[k]] for k, x in columns) for v in values} == image
+                for values, columns, image in checks[idx]
+            ):
+                assign_perms(idx + 1)
+        del perms[m]
+
+    def assign(idx: int) -> None:
+        if next(nodes) > budget:
+            raise BudgetExceededError(f"isomorphism search exceeded {budget} nodes")
+        if idx == len(measurements):
+            checks[:] = [list(map(check, cis)) for cis in closing]
+            assign_perms(0)
+            return
+        m = measurements[idx]
         for candidate in sb.measurements:
-            if candidate in used or degree_b[candidate] != degree_a[m]:
+            if candidate in mapping.values():
                 continue
             mapping[m] = candidate
-            used.add(candidate)
-            if cover_consistent(mapping):
-                assign(idx + 1, mapping, used)
-            used.remove(candidate)
+            if all(meets_a[m][x] == meets_b[candidate][mapping[x]] for x in measurements[: idx + 1]) and all(
+                frozenset(map(mapping.get, sa.contexts[ci])) in targets for ci in closing[idx]
+            ):
+                assign(idx + 1)
             del mapping[m]
 
-    assign(0, {}, set())
+    assign(0)
     return IsomorphismReport(bool(witnesses), tuple(witnesses))

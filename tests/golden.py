@@ -15,6 +15,9 @@ The commands:
   `analyze` of every entry in text and JSON;
 - every operation of the four benchmark workloads at seed 1
   (`bench/workloads.py`, imported read-only);
+- `analyze`, in text and JSON, of the liar-cycle payload documents of
+  lengths 3, 5 and 6, and of the Pauli-triple document that
+  `stabiliser --triple XYY,YXY,YYX --emit-model` prints;
 - `analyze` of signalling documents, which exits 1 and names the first
   pair that disagrees: supports documents (random covers, and Groetzsch
   colourings with one perturbed support, whose vertices lie in three to
@@ -42,6 +45,7 @@ ROOT = TESTS.parent
 GOLDEN = TESTS / "golden.json"
 SEED = 1
 SIGNALLING_DOCUMENTS = 20
+LIAR_LENGTHS = (3, 5, 6)
 
 _TIMINGS = re.compile(r',\n  "timings": \{[^}]*\}|^timings: .*\n', re.MULTILINE)
 
@@ -76,6 +80,17 @@ def corpus_commands(lib):
                         yield f"obstruction {name} {ring} {ci} {j} {fmt}", name, [*where, "--ring", ring, *flag]
                     for ring in ("z2", "z3"):
                         yield f"avn {name} {ring} {ci} {j} {fmt}", name, ["--ring", ring, f"--at={s}", *flag]
+
+
+def payload_texts(lib, main):
+    """Key stem and text of the liar-cycle and Pauli-triple payload
+    documents."""
+    for n in LIAR_LENGTHS:
+        yield f"liar-cycle-{n}", lib.print_model(lib.document_from_liar_cycle(n, name=f"liar-{n}"))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        main(["stabiliser", "--triple", "XYY,YXY,YYX", "--emit-model"])
+    yield "ghz-triple", out.getvalue()
 
 
 def signalling_texts(lib):
@@ -128,6 +143,10 @@ def digests() -> dict[str, str]:
             paths = {stem: write(f"{workload}-{stem}", text) for stem, text in texts.items()}
             for op in operations:
                 found[f"{workload}: {op.key}"] = run(main, [op.command, paths[op.doc], *op.argv])
+        for stem, text in payload_texts(lib, main):
+            path = write(stem, text)
+            for fmt, flag in (("text", []), ("json", ["--json"])):
+                found[f"analyze {stem} {fmt}"] = run(main, ["analyze", path, *flag])
         for key, text in signalling_texts(lib):
             found[key] = run(main, ["analyze", write("signalling", text)])
     return found

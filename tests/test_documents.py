@@ -8,6 +8,7 @@ import json
 import pytest
 
 from contextuality import (
+    DegenerateModelError,
     DocumentError,
     LiarCycle,
     ModelDocument,
@@ -324,6 +325,24 @@ def test_liar_and_triple_payload_errors():
         parse_model(doc('{"pauli_triple": {"operators": ["XX", "WW", "YY"]}}'))
     with pytest.raises(DocumentError, match="share an arity"):
         parse_model(doc('{"pauli_triple": {"operators": ["XX", "YYY", "XX"]}}'))
+    # a cycle shorter than three, and a triple of identities, denote no
+    # model: both fail at parse time, at their own path
+    for n in (1, 2):
+        with pytest.raises(DocumentError) as err:
+            parse_model(doc({"liar_cycle": {"length": n}}))
+        assert (err.value.path, str(err.value)) == (
+            "$.liar_cycle.length",
+            f"$.liar_cycle.length: length must be at least 3, got {n}",
+        )
+        with pytest.raises(DegenerateModelError):
+            liar_cycle_model(n)
+    for identities in (["II", "II", "II"], ["I", "I", "I"]):
+        with pytest.raises(DocumentError) as err:
+            parse_model(doc({"pauli_triple": {"operators": identities}}))
+        assert (err.value.path, str(err.value)) == (
+            "$.pauli_triple.operators",
+            "$.pauli_triple.operators: the triple measures nothing",
+        )
 
 
 MISSING_FIELDS = [

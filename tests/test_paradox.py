@@ -2,7 +2,9 @@
 bound is exact over Fractions, and the liar constructions land on the known
 models (length four is the PR box, the correspondence included)."""
 
+import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from contextuality import (
     ProbabilityTable,
     Proposition,
     Scenario,
+    Section,
     Var,
     chsh_propositions,
     classify_contextuality,
@@ -36,6 +39,7 @@ from contextuality import (
 from contextuality.paradox import evaluate, truth, variables
 
 from conftest import BIPARTITE, bell_table, bipartite_model, pr_box, ALL4, CORR
+from _random_models import random_models
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +137,12 @@ def test_proposition_probability_on_the_bell_table():
     assert proposition_probability(
         table, ("a2", "b2"), Iff(Var("a2"), Not(Var("b2")))
     ) == Fraction(3, 4)
+    # a row that is not symmetric under swapping the two measurements
+    scn = Scenario(("a", "b"), (("a", "b"),), (0, 1))
+    weights = {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 4), (1, 0): Fraction(1, 8), (1, 1): Fraction(1, 8)}
+    skewed = ProbabilityTable(scn, (tuple((scn.section(("a", "b"), v), w) for v, w in weights.items()),))
+    assert proposition_probability(skewed, ("a", "b"), parse_formula("a & !b")) == Fraction(1, 4)
+    assert proposition_probability(skewed, ("b", "a"), parse_formula("!a | b")) == Fraction(3, 4)
 
 
 def test_chsh_bound_on_the_bell_table():
@@ -261,6 +271,106 @@ def test_non_isomorphic_pairs():
     bell = bipartite_model(CORR, ALL4, ALL4, ALL4)
     assert not model_isomorphic(pr_box(), bell).isomorphic
     assert not model_isomorphic(liar_cycle_model(4), liar_cycle_model(5)).isomorphic
+
+
+def oracle_isomorphisms(first, second):
+    """Every isomorphism by brute force, as (measurement map, outcome maps)
+    pairs: each ordering of the second model's measurements as the images
+    of the first's, in declared order, then each choice of one ordering of
+    the second's outcomes per measurement as the images of the first's. The
+    cover and the supports are compared as sets of Sections."""
+    sa, sb = first.scenario, second.scenario
+    if (len(sa.measurements), len(sa.outcomes)) != (len(sb.measurements), len(sb.outcomes)):
+        return []
+    cover_b = {frozenset(c) for c in sb.contexts}
+    found = []
+    for images in permutations(sb.measurements):
+        name = dict(zip(sa.measurements, images))
+        if {frozenset(name[m] for m in c) for c in sa.contexts} != cover_b:
+            continue
+        for orderings in product(permutations(sb.outcomes), repeat=len(sa.measurements)):
+            value = {m: dict(zip(sa.outcomes, o)) for m, o in zip(sa.measurements, orderings)}
+            mapped = {
+                frozenset(
+                    Section.of((name[m], value[m][o]) for m, o in s.as_dict().items())
+                    for s in first.support(ci)
+                )
+                for ci in range(len(sa.contexts))
+            }
+            if mapped == {second.support_set(cj) for cj in range(len(sb.contexts))}:
+                found.append((
+                    tuple(name.items()),
+                    tuple((m, tuple(sorted(value[m].items()))) for m in sa.measurements),
+                ))
+    return found
+
+
+def shuffled_copy(model, rng):
+    """The model with its measurements renamed and redeclared in a random
+    order, each measurement's outcomes permuted, and its contexts
+    reordered."""
+    scn = model.scenario
+    names = list(scn.measurements)
+    rng.shuffle(names)
+    name = {m: f"y{k}" for k, m in enumerate(names)}
+    value = {m: dict(zip(scn.outcomes, rng.sample(scn.outcomes, len(scn.outcomes)))) for m in names}
+    order = list(range(len(scn.contexts)))
+    rng.shuffle(order)
+    copy = Scenario(
+        tuple(name[m] for m in names),
+        tuple(tuple(name[m] for m in scn.contexts[ci]) for ci in order),
+        scn.outcomes,
+    )
+    return EmpiricalModel(
+        copy,
+        tuple(
+            tuple(Section.of((name[m], value[m][o]) for m, o in s.as_dict().items()) for s in model.support(ci))
+            for ci in order
+        ),
+    )
+
+
+def pasch(contexts):
+    """Even parity on each of four three-measurement contexts over
+    p1..p6."""
+    names = tuple(f"p{i}" for i in range(1, 7))
+    scn = Scenario(names, tuple(tuple(f"p{i}" for i in c) for c in contexts), (0, 1))
+    even = [v for v in product((0, 1), repeat=3) if sum(v) % 2 == 0]
+    return EmpiricalModel.from_values(scn, [even] * len(contexts))
+
+
+def oracle_pairs():
+    """Named model pairs; the random models have at most four measurements."""
+    rng = random.Random(11)
+    small = random_models(13, 5)
+    pairs = [
+        ("pr-box", pr_box(), pr_box()),
+        ("liar-4/pr-box", liar_cycle_model(4), pr_box()),
+        ("specker", specker_triangle(), specker_triangle()),
+        ("liar-3/specker", liar_cycle_model(3), specker_triangle()),
+    ]
+    pairs += [(f"liar-{n}", liar_cycle_model(n), liar_cycle_model(n)) for n in (3, 4, 5)]
+    # two covers with the same pairs of measurements sharing a context, so
+    # only the contexts themselves tell the identity map from an isomorphism
+    pairs.append((
+        "pasch",
+        pasch(((1, 2, 3), (1, 4, 5), (2, 4, 6), (3, 5, 6))),
+        pasch(((1, 2, 4), (1, 3, 5), (2, 3, 6), (4, 5, 6))),
+    ))
+    pairs += [(f"random-{k}/copy", m, shuffled_copy(m, rng)) for k, m in enumerate(small[:12])]
+    pairs += [(f"random-{k}/next", a, b) for k, (a, b) in enumerate(zip(small, small[1:]))]
+    return pairs
+
+
+ORACLE_PAIRS = oracle_pairs()
+
+
+@pytest.mark.parametrize("first, second", [p[1:] for p in ORACLE_PAIRS], ids=[p[0] for p in ORACLE_PAIRS])
+def test_isomorphism_search_matches_the_brute_force_oracle(first, second):
+    report = model_isomorphic(first, second)
+    found = [(w.measurement_map, w.outcome_maps) for w in report.witnesses]
+    assert found == oracle_isomorphisms(first, second)
+    assert report.isomorphic == bool(found)
 
 
 def test_isomorphism_search_budget():
