@@ -19,7 +19,7 @@ from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import itemgetter, mul
 from typing import Any, Iterable, Mapping
 
-from .errors import DocumentError
+from .errors import DocumentError, PauliError
 from .model import EmpiricalModel, ProbabilityTable, support_of_probability_table
 from .paradox import LiarCycle, liar_cycle_model
 from .pauli import PauliOperator, generate_subgroup, theory_of_subgroup, triple_scenario
@@ -352,10 +352,10 @@ def _parse_triple(obj: Any, path: str) -> tuple[PauliOperator, ...]:
             ops.append(PauliOperator.parse(text))
         except Exception as exc:
             raise DocumentError(str(exc), path=f"{path}.operators[{i}]") from None
-    if len({op.arity for op in ops}) != 1:
-        raise DocumentError("operators must share an arity", path=f"{path}.operators")
-    if all(p == "I" for op in ops for p in op.letters):
-        raise DocumentError("the triple measures nothing", path=f"{path}.operators")
+    try:
+        triple_scenario(*ops)
+    except PauliError as exc:
+        raise DocumentError(str(exc), path=f"{path}.operators") from None
     return tuple(ops)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, count, permutations, product
+from itertools import count, permutations, product
 from typing import Iterable, Mapping, Union
 
 from .errors import BudgetExceededError, DegenerateModelError, FormulaError
@@ -259,8 +259,11 @@ def proposition_probability(table: ProbabilityTable, context: Iterable[str], for
     distribution on the context."""
     ci = table.scenario.context_index(context)
     ctx = table.scenario.contexts[ci]
-    held = (evaluate(formula, {m: truth(o) for m, o in zip(ctx, v)}) for v in table.row_values(ci))
-    return sum((p for p, h in zip(table.row_weights(ci), held) if h), Fraction(0))
+    total = Fraction(0)
+    for values, p in zip(table.row_values(ci), table.row_weights(ci)):
+        if evaluate(formula, {m: truth(o) for m, o in zip(ctx, values)}):
+            total += p
+    return total
 
 
 @dataclass(frozen=True)
@@ -362,17 +365,6 @@ class LiarCycle:
             raise FormulaError(f"cycle length must be positive, got {self.length}")
 
 
-# the outcome tuples an assertion (equal outcomes) and a denial (differing
-# ones) allow, by the number of measurements constrained; a pair's tuples
-# read the same in either order of the pair
-_ALLOWED = {
-    (False, 2): {(0, 0), (1, 1)},
-    (True, 2): {(0, 1), (1, 0)},
-    (False, 1): {(0,), (1,)},
-    (True, 1): set(),
-}
-
-
 def _pair_model(
     measurements: tuple[str, ...],
     constraints: list[tuple[str, str, bool]],
@@ -382,13 +374,20 @@ def _pair_model(
     supports: dict[frozenset, set[tuple[int, ...]]] = {}
     for a, b, anti in constraints:
         key = frozenset((a, b))
-        allowed = _ALLOWED[anti, len(key)]
+        # an assertion allows equal outcomes and a denial differing ones, in
+        # either order of the pair; a measurement never differs from itself
+        if a == b:
+            allowed = set() if anti else {(0,), (1,)}
+        else:
+            allowed = {(0, 1), (1, 0)} if anti else {(0, 0), (1, 1)}
         supports[key] = supports.get(key, allowed) & allowed
     contexts = tuple(tuple(m for m in measurements if m in key) for key in supports)
     scenario = Scenario(measurements, contexts, (0, 1))
     for ctx, values in zip(contexts, supports.values()):
         if not values:
-            raise DegenerateModelError(f"contradictory constraints on context {ctx}", context=ctx)
+            raise DegenerateModelError(
+                f"contradictory constraints on context {ctx}", context=ctx
+            )
     return EmpiricalModel.from_values(scenario, supports.values())
 
 
@@ -400,13 +399,19 @@ def liar_cycle_model(cycle: LiarCycle | int) -> EmpiricalModel:
     n = cycle.length if isinstance(cycle, LiarCycle) else LiarCycle(cycle).length
     names = tuple(f"x{i}" for i in range(1, n + 1))
     constraints = [(a, b, False) for a, b in zip(names, names[1:])]
-    return _pair_model(names, constraints + [(names[-1], names[0], True)])
+    constraints.append((names[-1], names[0], True))
+    return _pair_model(names, constraints)
 
 
 def specker_triangle() -> EmpiricalModel:
     """Three pairwise contexts, every pair forced to disagree."""
     names = ("x1", "x2", "x3")
-    return _pair_model(names, [(a, b, True) for a, b in zip(names, names[1:] + names[:1])])
+    constraints = [
+        (names[0], names[1], True),
+        (names[1], names[2], True),
+        (names[2], names[0], True),
+    ]
+    return _pair_model(names, constraints)
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +447,19 @@ class IsomorphismReport:
 
 def _shape(model: EmpiricalModel) -> tuple:
     scn = model.scenario
-    supports = (len(model.support_values(ci)) for ci in range(len(scn.contexts)))
-    return len(scn.measurements), len(scn.outcomes), sorted(map(len, scn.contexts)), sorted(supports)
+    contexts = sorted(len(c) for c in scn.contexts)
+    supports = sorted(len(model.support_values(ci)) for ci in range(len(contexts)))
+    return len(scn.measurements), len(scn.outcomes), contexts, supports
 
 
 def _meetings(scenario: Scenario) -> dict[str, Counter]:
     """Per measurement, the number of contexts it shares with each
     measurement, itself included."""
-    contexts = scenario.contexts
-    return {
-        m: Counter(chain.from_iterable(contexts[ci] for ci in scenario.contexts_containing(m)))
-        for m in scenario.measurements
-    }
+    meetings = {}
+    for m in scenario.measurements:
+        shared = [scenario.contexts[ci] for ci in scenario.contexts_containing(m)]
+        meetings[m] = Counter(x for ctx in shared for x in ctx)
+    return meetings
 
 
 def model_isomorphic(
@@ -467,12 +473,6 @@ def model_isomorphic(
     in the first model's declaration order, targets tried in the second's;
     then each measurement's outcome bijections, in the order of
     `permutations(second.outcomes)`.
-
-    A target must share as many contexts with each earlier target as the
-    measurement does with its preimage, itself included (its degree). A
-    context is checked when its last measurement is assigned: its image
-    must be a context, and the mapped outcome tuples, in the image's
-    order, must be the image's.
     """
     sa, sb = first.scenario, second.scenario
     if _shape(first) != _shape(second):
@@ -480,14 +480,13 @@ def model_isomorphic(
     measurements = sa.measurements
     targets = {frozenset(c): cj for cj, c in enumerate(sb.contexts)}
     meets_a, meets_b = _meetings(sa), _meetings(sb)
-    # the contexts each measurement completes: a stored context follows the
-    # declared order, so its last measurement comes last
+    # each context is checked once, when its last measurement is assigned;
+    # a stored context follows the declared order, so that is ctx[-1]
     closing: list[list[int]] = [[] for _ in measurements]
     for ci, ctx in enumerate(sa.contexts):
         closing[sa.measurement_index(ctx[-1])].append(ci)
     mapping: dict[str, str] = {}
     perms: dict[str, dict[int, int]] = {}
-    checks: list[list[tuple]] = []  # per measurement, `check` of each context it completes
     witnesses: list[IsomorphismWitness] = []
     nodes = count(1)
 
@@ -495,18 +494,21 @@ def model_isomorphic(
         """Context ci's outcome tuples, its (position, measurement) columns
         in the order of its image, and the image's outcome tuples."""
         ctx = sa.contexts[ci]
-        columns = sorted(enumerate(ctx), key=lambda column: sb.measurement_index(mapping[column[1]]))
         image = targets[frozenset(map(mapping.get, ctx))]
+        order = sb.measurement_index
+        columns = sorted(enumerate(ctx), key=lambda col: order(mapping[col[1]]))
         return first.support_values(ci), columns, set(second.support_values(image))
 
-    def assign_perms(idx: int) -> None:
+    def assign_perms(idx: int, checks: list[list[tuple]]) -> None:
         if next(nodes) > budget:
             raise BudgetExceededError(f"isomorphism search exceeded {budget} nodes")
         if idx == len(measurements):
             witnesses.append(
                 IsomorphismWitness(
                     tuple((m, mapping[m]) for m in measurements),
-                    tuple((m, tuple(sorted(perms[m].items()))) for m in measurements),
+                    tuple(
+                        (m, tuple(sorted(perms[m].items()))) for m in measurements
+                    ),
                 )
             )
             return
@@ -517,23 +519,28 @@ def model_isomorphic(
                 {tuple(perms[x][v[k]] for k, x in columns) for v in values} == image
                 for values, columns, image in checks[idx]
             ):
-                assign_perms(idx + 1)
+                assign_perms(idx + 1, checks)
         del perms[m]
 
     def assign(idx: int) -> None:
         if next(nodes) > budget:
             raise BudgetExceededError(f"isomorphism search exceeded {budget} nodes")
         if idx == len(measurements):
-            checks[:] = [list(map(check, cis)) for cis in closing]
-            assign_perms(0)
+            assign_perms(0, [[check(ci) for ci in cis] for cis in closing])
             return
         m = measurements[idx]
         for candidate in sb.measurements:
             if candidate in mapping.values():
                 continue
             mapping[m] = candidate
-            if all(meets_a[m][x] == meets_b[candidate][mapping[x]] for x in measurements[: idx + 1]) and all(
-                frozenset(map(mapping.get, sa.contexts[ci])) in targets for ci in closing[idx]
+            # the target shares as many contexts with each earlier target as
+            # m does with its preimage; with itself, that is the degree
+            if all(
+                meets_a[m][x] == meets_b[candidate][mapping[x]]
+                for x in measurements[: idx + 1]
+            ) and all(
+                frozenset(map(mapping.get, sa.contexts[ci])) in targets
+                for ci in closing[idx]
             ):
                 assign(idx + 1)
             del mapping[m]

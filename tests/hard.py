@@ -1,11 +1,8 @@
 """Hard instances, each with the LC and SC verdicts its construction fixes.
 
-    PYTHONPATH=src python3 tests/hard.py
-
-analyses every instance at `BUDGET` search nodes and prints its verdicts,
-its oracle's and the time taken. `test_hard.py` asserts that every decided
-verdict is the oracle's and that exactly the pairs in `UNDECIDED_TODAY`
-are left undecided.
+`test_hard.py` analyses every instance at `BUDGET` search nodes and
+asserts that every decided verdict is the oracle's and that exactly the
+pairs in `UNDECIDED_TODAY` are left undecided.
 
 Every oracle follows from how its instance is built, not from library
 code:
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 import random
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -49,7 +45,7 @@ from contextuality import (  # noqa: E402
     document_from_equations,
     document_from_model,
 )
-from workloads import disconnected_pr_box, mycielski_graph  # noqa: E402
+from workloads import colouring, disconnected_pr_box  # noqa: E402
 
 from _random_models import tseitin_model  # noqa: E402
 
@@ -70,17 +66,6 @@ class Instance:
     build: Callable[[], ModelDocument]
     lc: bool
     sc: bool
-
-
-def mycielski_colouring(order: int, colours: int) -> ModelDocument:
-    """One context per edge of M_order, supported on the pairs of distinct
-    colours."""
-    n, edges = mycielski_graph(order)
-    names = tuple(f"v{i}" for i in range(n))
-    scenario = Scenario(names, tuple((names[a], names[b]) for a, b in edges), tuple(range(colours)))
-    pairs = [(x, y) for x in range(colours) for y in range(colours) if x != y]
-    model = EmpiricalModel.from_values(scenario, [pairs] * len(edges))
-    return document_from_model(model, name=f"mycielski-{order}-{colours}col")
 
 
 def bijection_tree(contexts: int, seed: int) -> ModelDocument:
@@ -109,7 +94,7 @@ def parity_theory(modulus: int, width: int) -> ModelDocument:
 
 def instances() -> list[Instance]:
     found = [
-        Instance(f"mycielski-{k}-{c}col", lambda k=k, c=c: mycielski_colouring(k, c), c < k, c < k)
+        Instance(f"mycielski-{k}-{c}col", lambda k=k, c=c: colouring(k, c, 1)[0], c < k, c < k)
         for k, c in ((5, 4), (6, 4), (7, 4), (5, 5))
     ]
     found += [
@@ -123,22 +108,3 @@ def instances() -> list[Instance]:
     found.append(Instance("pr-box-twice", lambda: disconnected_pr_box(1)[0], True, True))
     return found
 
-
-def main() -> int:
-    from contextuality import ContextualityError, analyze
-
-    for instance in instances():
-        doc = instance.build()
-        start = time.perf_counter()
-        try:
-            report = analyze(doc, budget=BUDGET)
-            found = f"LC {report.lc}, SC {report.sc} (by {report.lc_decided_by}, {report.sc_decided_by})"
-        except ContextualityError as exc:
-            found = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - start
-        print(f"{instance.name}: {found}; oracle LC {instance.lc}, SC {instance.sc}; {elapsed:.2f} s")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
