@@ -24,13 +24,21 @@ searched here; the tests keep that search as an oracle for the equivalence.
 
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from typing import Iterator
 
 from .cohomology import ObstructionReport, _degree0_complex, classify_cohomological
-from .documents import ModelDocument, canonical_json, document_hash, materialize
+from .documents import (
+    _JSON_LITERALS,
+    ModelDocument,
+    _json_block,
+    document_hash,
+    materialize,
+)
 from .errors import OutcomeCoercionError, SelfCheckError
 from .model import (
     DEFAULT_SEARCH_BUDGET,
@@ -40,7 +48,7 @@ from .model import (
     check_no_signalling,
 )
 from .rings import INTEGERS, RingSpec
-from .scenario import section_text
+from .scenario import section_template
 from .theory import AvnReport, is_avn
 
 
@@ -250,18 +258,16 @@ def _decided(value: bool | None, rule: str | None) -> str:
     return _verdict(value) if rule is None else f"{_verdict(value)} ({rule})"
 
 
-def _non_extending(report: AnalysisReport) -> Iterator[tuple[tuple[str, ...], str]]:
-    """The context and the text of each section that extends to no global
-    section, in support order, written from its outcome tuple with one
-    template per context."""
+def _non_extending(report: AnalysisReport) -> Iterator[tuple[tuple[str, ...], str, list]]:
+    """Each context with a section that extends to no global section, its
+    section template and the outcome tuples of those sections in support
+    order."""
     model = report.model
     flags = iter(report.classification.extends)
     for ci, ctx in enumerate(model.scenario.contexts):
-        text = None
-        for v, extends in zip(model.support_values(ci), flags):
-            if extends is False:
-                text = text or section_text(ctx)
-                yield ctx, text(v)
+        failing = [v for v, extends in zip(model.support_values(ci), flags) if extends is False]
+        if failing:
+            yield ctx, section_template(ctx), failing
 
 
 def render_text(report: AnalysisReport) -> str:
@@ -272,7 +278,7 @@ def render_text(report: AnalysisReport) -> str:
     lines.append(f"{title}  (sha256 {report.sha256[:12]})")
     lines.append(
         f"scenario: {len(scn.measurements)} measurements, "
-        f"{len(scn.contexts)} contexts, alphabet {set(scn.outcomes)}; "
+        f"{len(scn.contexts)} contexts, alphabet {{{', '.join(map(str, scn.outcomes))}}}; "
         f"payload {report.payload_kind}"
     )
     lines.append(f"no-signalling: {_verdict(report.no_signalling)}")
@@ -283,9 +289,12 @@ def render_text(report: AnalysisReport) -> str:
     )
     failing = cls.extends.count(False)
     if failing:
-        shown = ", ".join(
-            f"{text} at ({', '.join(ctx)})" for ctx, text in islice(_non_extending(report), 4)
+        texts = (
+            f"{template.format(*v)} at ({', '.join(ctx)})"
+            for ctx, template, failing_values in _non_extending(report)
+            for v in failing_values
         )
+        shown = ", ".join(islice(texts, 4))
         more = "" if failing <= 4 else f" and {failing - 4} more"
         lines.append(f"  non-extending: {shown}{more}")
     lines.append(
@@ -298,22 +307,17 @@ def render_text(report: AnalysisReport) -> str:
         lines.append(f"  search budget exhausted after {cls.nodes_used} nodes")
     for entry in report.rings:
         lines.append(f"ring {entry.ring}:")
-        if entry.avn is not None:
-            detail = ""
-            if entry.avn_report is not None:
-                if entry.avn_report.solution is not None:
-                    detail = f" (solution {entry.avn_report.solution})"
-                else:
-                    rows = len(entry.avn_report.howell_rows)
-                    detail = f" (unsolvable; {rows} reduced rows)"
-            lines.append(f"  AvN: {_verdict(entry.avn)}{detail}")
-        else:
-            lines.append(f"  AvN: skipped ({entry.avn_skipped})")
         # SC of the affine closure is AvN itself (see the module docstring)
-        if entry.avn is not None:
-            lines.append(f"  SC of affine closure: {_verdict(entry.avn)}")
-        elif entry.avn_skipped is not None:
+        if entry.avn_report is None:
+            lines.append(f"  AvN: skipped ({entry.avn_skipped})")
             lines.append(f"  SC of affine closure: skipped ({entry.avn_skipped})")
+        else:
+            solution, rows = entry.avn_report.solution, entry.avn_report.howell_rows
+            detail = f"solution {solution}"
+            if solution is None:
+                detail = f"unsolvable; {len(rows)} reduced rows"
+            lines.append(f"  AvN: {_verdict(entry.avn)} ({detail})")
+            lines.append(f"  SC of affine closure: {_verdict(entry.avn)}")
         obs = entry.obstructions
         total = len(obs.vanishes)
         non_vanishing = obs.vanishes.count(False)
@@ -331,51 +335,74 @@ def render_text(report: AnalysisReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def report_json(report: AnalysisReport) -> dict:
-    cls = report.classification
-    return {
-        "name": report.name,
-        "sha256": report.sha256,
-        "payload": report.payload_kind,
-        "measurements": list(report.model.scenario.measurements),
-        "contexts": [list(c) for c in report.model.scenario.contexts],
-        "no_signalling": report.no_signalling,
-        "logically_contextual": cls.logically_contextual,
-        "strongly_contextual": cls.strongly_contextual,
-        "global_section": str(cls.global_section) if cls.global_section else None,
-        "non_extending": [
-            {"context": list(ctx), "section": text} for ctx, text in _non_extending(report)
-        ],
-        "rings": [
-            {
-                "ring": str(entry.ring),
-                "avn": entry.avn,
-                "avn_skipped": entry.avn_skipped,
-                "avn_solution": (
-                    str(entry.avn_report.solution)
-                    if entry.avn_report and entry.avn_report.solution is not None
-                    else None
-                ),
-                "aff_sc": entry.avn,
-                "aff_skipped": entry.avn_skipped,
-                "clc": entry.obstructions.clc,
-                "csc": entry.obstructions.csc,
-                "non_vanishing": entry.obstructions.vanishes.count(False),
-                "sections": len(entry.obstructions.vanishes),
-                "system": {
-                    "unknowns": entry.obstructions.unknowns,
-                    "compatibility_rows": entry.obstructions.compatibility_rows,
-                },
-            }
-            for entry in report.rings
-        ],
-        "budget": report.budget,
-        "decided_by": {"lc": report.lc_decided_by, "sc": report.sc_decided_by},
-        "nodes": cls.nodes_used,
-        "timings": {t.stage: t.seconds for t in report.timings},
-        "hierarchy": "ok",
-    }
+def _text(value: str | None) -> str:
+    return "null" if value is None else encode_basestring_ascii(value)
+
+
+def _ring_json(entry: RingAnalysis) -> str:
+    obs = entry.obstructions
+    solution = entry.avn_report.solution if entry.avn_report else None
+    avn, skipped = _JSON_LITERALS[entry.avn], _text(entry.avn_skipped)
+    return f"""{{
+      "aff_sc": {avn},
+      "aff_skipped": {skipped},
+      "avn": {avn},
+      "avn_skipped": {skipped},
+      "avn_solution": {_text(None if solution is None else str(solution))},
+      "clc": {_JSON_LITERALS[obs.clc]},
+      "csc": {_JSON_LITERALS[obs.csc]},
+      "non_vanishing": {obs.vanishes.count(False)},
+      "ring": {_text(str(entry.ring))},
+      "sections": {len(obs.vanishes)},
+      "system": {{
+        "compatibility_rows": {obs.compatibility_rows},
+        "unknowns": {obs.unknowns}
+      }}
+    }}"""
 
 
 def render_json(report: AnalysisReport) -> str:
-    return canonical_json(report_json(report)) + "\n"
+    """`json.dumps(..., indent=2, sort_keys=True)` of the report's JSON
+    object, written from fixed templates in sorted-key order. Each context
+    with a non-extending section gets one template for its whole entry,
+    filled in with each such section's outcomes."""
+    quote, level1, level2, level3 = encode_basestring_ascii, "\n  ", "\n    ", "\n      "
+    scn = report.model.scenario
+    cls = report.classification
+    contexts = _json_block((_json_block(map(quote, c), level2) for c in scn.contexts), level1)
+    entries = []
+    for ctx, template, failing in _non_extending(report):
+        # the entry is a format template, so its own braces are doubled
+        context = _json_block(map(quote, ctx), level3).replace("{", "{{").replace("}", "}}")
+        members = f'{level3}"context": {context},{level3}"section": {quote(template)}'
+        entry = "{{" + members + level2 + "}}"
+        entries.extend(entry.format(*v) for v in failing)
+    timings = {t.stage: t.seconds for t in report.timings}
+    timings = [f"{quote(stage)}: {timings[stage]!r}" for stage in sorted(timings)]
+    return f"""{{
+  "budget": {report.budget},
+  "contexts": {contexts},
+  "decided_by": {{
+    "lc": {_text(report.lc_decided_by)},
+    "sc": {_text(report.sc_decided_by)}
+  }},
+  "global_section": {_text(str(cls.global_section) if cls.global_section else None)},
+  "hierarchy": "ok",
+  "logically_contextual": {_JSON_LITERALS[cls.logically_contextual]},
+  "measurements": {_json_block(map(quote, scn.measurements), level1)},
+  "name": {_text(report.name)},
+  "no_signalling": {_JSON_LITERALS[report.no_signalling]},
+  "nodes": {cls.nodes_used},
+  "non_extending": {_json_block(entries, level1)},
+  "payload": {quote(report.payload_kind)},
+  "rings": {_json_block(map(_ring_json, report.rings), level1)},
+  "sha256": {quote(report.sha256)},
+  "strongly_contextual": {_JSON_LITERALS[cls.strongly_contextual]},
+  "timings": {_json_block(timings, level1, "{}")}
+}}
+"""
+
+
+def report_json(report: AnalysisReport) -> dict:
+    """The report's JSON object, read back from `render_json`."""
+    return json.loads(render_json(report))

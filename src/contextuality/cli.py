@@ -28,7 +28,7 @@ from .errors import ContextualityError, DocumentError, SelfCheckError
 from .model import DEFAULT_SEARCH_BUDGET
 from .pauli import is_avn_triple, generate_subgroup, parse_triple, triple_model, triple_scenario
 from .rings import RingSpec, dense
-from .scenario import Section, section_text
+from .scenario import Section, section_template
 from .theory import is_avn, is_avn_at
 
 BUDGET_VARIABLE = "CONTEXTUALITY_BUDGET"
@@ -123,9 +123,9 @@ def _family_texts(model, weights: dict[int, int]) -> list[str]:
         if not terms:
             texts.append("0")
             continue
-        text = section_text(ctx)
+        text = section_template(ctx).format
         texts.append(
-            " + ".join(f"[{text(v)}]" if w == 1 else f"{w}*[{text(v)}]" for v, w in terms)
+            " + ".join(f"[{text(*v)}]" if w == 1 else f"{w}*[{text(*v)}]" for v, w in terms)
         )
     return texts
 

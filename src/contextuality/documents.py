@@ -36,6 +36,9 @@ _TOP_KEYS = {"format", "name", "notes", "provenance", "scenario", *PAYLOAD_KINDS
 # the only types each JSON list may hold, for one-pass checks
 _STR, _LIST, _DICT, _INT = {str}, {list}, {dict}, {int}
 
+# the JSON of None and the booleans
+_JSON_LITERALS = {None: "null", True: "true", False: "false"}
+
 
 @dataclass(frozen=True)
 class RawEquation:
@@ -418,59 +421,51 @@ def parse_model(text: str) -> ModelDocument:
 # printing
 
 
-def _scenario_json(doc: ModelDocument) -> dict:
+def _json_block(items: Iterable[str], newline: str, brackets: str = "[]") -> str:
+    """Items already written, one to a line, inside the brackets, as
+    `canonical_json` writes a list (or, with "{}", an object's members) that
+    starts on a line beginning with `newline`."""
+    inner = newline + "  "
+    body = ("," + inner).join(items)
+    return f"{brackets[0]}{inner}{body}{newline}{brackets[1]}" if body else brackets
+
+
+def _scenario_json(doc: ModelDocument) -> str:
+    """The scenario block, as `canonical_json` writes it under a top-level
+    key, with each list of labels joined in one call."""
     scn = doc.scenario
-    outcomes: Any
+    quote, level2, level3 = encode_basestring, "\n    ", "\n      "
+    contexts = _json_block((_json_block(map(quote, c), level3) for c in scn.contexts), level2)
+    measurements = _json_block(map(quote, scn.measurements), level2)
     if doc.ring_outcomes:
-        outcomes = {"modulus": len(scn.outcomes)}
+        outcomes = f'{{\n      "modulus": {len(scn.outcomes)}\n    }}'
     else:
-        outcomes = list(scn.outcomes)
-    return {
-        "measurements": list(scn.measurements),
-        "contexts": [list(c) for c in scn.contexts],
-        "outcomes": outcomes,
-    }
+        outcomes = _json_block(map(str, scn.outcomes), level2)
+    return f"""{{
+    "contexts": {contexts},
+    "measurements": {measurements},
+    "outcomes": {outcomes}
+  }}"""
 
 
-def _write_json(value: Any, quote, out: list[str], newline: str) -> None:
-    """Append the indented JSON of `value` to `out`; `newline` is the line
-    break plus the indentation of the line `value` starts on."""
+def _write_json(value: Any, quote, newline: str) -> str:
+    """The indented JSON of `value`; `newline` is the line break plus the
+    indentation of the line `value` starts on."""
     if isinstance(value, str):
-        out.append(quote(value))
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(float.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        separator = "[" + inner
-        for item in value:
-            out.append(separator)
-            _write_json(item, quote, out, inner)
-            separator = "," + inner
-        out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        separator = "{" + inner
-        for key in sorted(value):
-            out.append(separator + quote(key) + ": ")
-            _write_json(value[key], quote, out, inner)
-            separator = "," + inner
-        out.append(newline + "}")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return quote(value)
+    if value is None or value is True or value is False:
+        return _JSON_LITERALS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        return _json_block([_write_json(item, quote, inner) for item in value], newline)
+    if isinstance(value, dict):
+        members = [f"{quote(key)}: {_write_json(value[key], quote, inner)}" for key in sorted(value)]
+        return _json_block(members, newline, "{}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def canonical_json(value: Any, ensure_ascii: bool = True) -> str:
@@ -482,10 +477,8 @@ def canonical_json(value: Any, ensure_ascii: bool = True) -> str:
     With `indent` set, `json.dumps` runs its pure-Python encoder; this writer
     makes one pass and quotes strings through `json.encoder`'s C routines.
     """
-    out: list[str] = []
     quote = encode_basestring_ascii if ensure_ascii else encode_basestring
-    _write_json(value, quote, out, "\n")
-    return "".join(out)
+    return _write_json(value, quote, "\n")
 
 
 def _section_template(context: tuple[str, ...], indent: str) -> str:
@@ -502,14 +495,6 @@ def _section_template(context: tuple[str, ...], indent: str) -> str:
     return "{{" + fields + f"\n{indent}}}}}"
 
 
-def _rows_json(rows: Iterable[list[str]]) -> str:
-    """A payload of one list per context, each holding objects already
-    written, as `canonical_json` writes it under a top-level key."""
-    return "[\n    " + ",\n    ".join(
-        "[\n      " + ",\n      ".join(row) + "\n    ]" if row else "[]" for row in rows
-    ) + "\n  ]"
-
-
 def _supports_json(model: EmpiricalModel) -> str:
     """The supports payload straight from the outcome tuples, with one
     template per context."""
@@ -517,7 +502,7 @@ def _supports_json(model: EmpiricalModel) -> str:
     for ci, ctx in enumerate(model.scenario.contexts):
         template = _section_template(ctx, "      ")
         rows.append([template.format(*v) for v in model.support_values(ci)])
-    return _rows_json(rows)
+    return _json_block((_json_block(row, "\n    ") for row in rows), "\n  ")
 
 
 def _probabilities_json(table: ProbabilityTable) -> str:
@@ -525,18 +510,11 @@ def _probabilities_json(table: ProbabilityTable) -> str:
     weights, with one template per context."""
     rows = []
     for ci, ctx in enumerate(table.scenario.contexts):
-        template = (
-            '{{\n        "p": "{p}",\n        "section": '
-            + _section_template(ctx, "        ")
-            + "\n      }}"
-        )
-        rows.append(
-            [
-                template.format(*v, p=str(w))
-                for v, w in zip(table.row_values(ci), table.row_weights(ci))
-            ]
-        )
-    return _rows_json(rows)
+        section = _section_template(ctx, "        ")
+        template = '{{\n        "p": "{p}",\n        "section": ' + section + "\n      }}"
+        weighted = zip(table.row_values(ci), table.row_weights(ci))
+        rows.append([template.format(*v, p=str(w)) for v, w in weighted])
+    return _json_block((_json_block(row, "\n    ") for row in rows), "\n  ")
 
 
 def _payload_json(doc: ModelDocument) -> Any:
@@ -559,29 +537,23 @@ def print_model(doc: ModelDocument) -> str:
     printing is the identity on canonical text.
 
     The text is `json.dumps(..., indent=2, sort_keys=True,
-    ensure_ascii=False)` of the document's JSON object. A supports or
-    probabilities payload is written from outcome tuples without building
-    sections, and takes its sorted place among the other top-level keys."""
-    data: dict[str, Any] = {"format": SCHEMA}
+    ensure_ascii=False)` of the document's JSON object, written from
+    templates (a supports or probabilities payload from outcome tuples);
+    only a theory, liar-cycle or Pauli-triple payload goes through `_write_json`."""
+    members = {"format": encode_basestring(SCHEMA), "scenario": _scenario_json(doc)}
     for field in ("name", "notes", "provenance"):
         value = getattr(doc, field)
         if value is not None:
-            data[field] = value
-    data["scenario"] = _scenario_json(doc)
+            members[field] = encode_basestring(value)
     kind = doc.payload_kind
     if kind == "supports":
-        payload = _supports_json(doc.model)
+        members[kind] = _supports_json(doc.model)
     elif kind == "probabilities":
-        payload = _probabilities_json(doc.table)
+        members[kind] = _probabilities_json(doc.table)
     else:
-        data[kind] = _payload_json(doc)
-        return canonical_json(data, ensure_ascii=False) + "\n"
-    # each side's object without its braces; an empty one is "{}" and
-    # leaves nothing
-    before = canonical_json({k: v for k, v in data.items() if k < kind}, ensure_ascii=False)
-    after = canonical_json({k: v for k, v in data.items() if k > kind}, ensure_ascii=False)
-    members = (before[2:-2], f'  "{kind}": {payload}', after[2:-2])
-    return "{\n" + ",\n".join(filter(None, members)) + "\n}\n"
+        members[kind] = _write_json(_payload_json(doc), encode_basestring, "\n  ")
+    ordered = (f'"{key}": {members[key]}' for key in sorted(members))
+    return _json_block(ordered, "\n", "{}") + "\n"
 
 
 def document_hash(doc: ModelDocument) -> str:

@@ -86,15 +86,15 @@ def sections_over(measurements: tuple[str, ...], rows) -> tuple[Section, ...]:
     return tuple(Section(tuple(zip(labels, [v[k] for k in order]))) for v in rows)
 
 
-def section_text(measurements: tuple[str, ...]) -> Callable[[tuple[int, ...]], str]:
-    """The map taking an outcome tuple over the measurements to
-    `str(Section)` of that section, without building it: one format
-    template with the labels sorted and their braces escaped."""
-    template = ",".join(
+def section_template(measurements: tuple[str, ...]) -> str:
+    """The `str.format` template that writes an outcome tuple over the
+    measurements as `str(Section)` of that section, without building it:
+    the labels sorted and their braces escaped, with the field {k} for the
+    outcome at position k."""
+    return ",".join(
         measurements[k].replace("{", "{{").replace("}", "}}") + f"={{{k}}}"
         for k in sorted(range(len(measurements)), key=measurements.__getitem__)
     )
-    return lambda v: template.format(*v)
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,20 @@ def nerve_pairs(scenario):
     return [(*sigma.contexts, sigma.intersection) for sigma in levels[1]] if len(levels) > 1 else []
 
 
+def relabelled(model: EmpiricalModel, labels) -> EmpiricalModel:
+    """The same supports over measurements renamed in declared order."""
+    scn = model.scenario
+    rename = dict(zip(scn.measurements, labels))
+    scenario = Scenario(
+        tuple(labels),
+        tuple(tuple(map(rename.__getitem__, ctx)) for ctx in scn.contexts),
+        scn.outcomes,
+    )
+    return EmpiricalModel.from_values(
+        scenario, (model.support_values(ci) for ci in range(len(scn.contexts)))
+    )
+
+
 def with_sections(model, flags):
     """Each per-section flag of a report as (context index, context, section,
     flag), its section read from `model.support(ci)` in flag order."""

@@ -29,6 +29,7 @@ from contextuality import analysis as analysis_module
 from contextuality.model import _Restrictor
 
 from _random_models import random_contextual_models, random_models, tseitin_model
+from _reference_report import reference_report
 from conftest import (
     ALL4,
     CORR,
@@ -171,9 +172,22 @@ def test_render_text_carries_the_verdicts(corpus_documents):
     ) or "skipped" in text
 
 
+@pytest.mark.parametrize(
+    "outcomes, shown",
+    [((0, 1), "{0, 1}"), ((1, 0), "{1, 0}"), ((-1, 1), "{-1, 1}"), ((32, 0), "{32, 0}")],
+)
+def test_render_text_writes_the_alphabet_in_declared_order(outcomes, shown):
+    scenario = Scenario(("a", "b"), (("a", "b"),), outcomes)
+    model = EmpiricalModel.from_values(scenario, [[outcomes, outcomes[::-1]]])
+    text = render_text(analyze(document_from_model(model)))
+    assert f"2 measurements, 1 contexts, alphabet {shown}; payload supports" in text
+
+
 def test_render_json_is_valid_and_faithful(corpus_documents):
     report = analyze(corpus_documents["ghz-mermin"], rings=(Z2,))
-    data = json.loads(render_json(report))
+    text = render_json(report)
+    assert text == json.dumps(reference_report(report), indent=2, sort_keys=True) + "\n"
+    data = json.loads(text)
     assert data == report_json(report)
     assert data["name"] == "ghz-mermin"
     assert data["no_signalling"] is True

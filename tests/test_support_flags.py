@@ -32,13 +32,13 @@ from contextuality import (
 )
 from contextuality.cohomology import cochain_basis, vector_to_cochain
 from contextuality.rings import echelon, sparse
-from contextuality.scenario import section_text
+from contextuality.scenario import section_template
 
 import contextuality.cli as cli_module
 import contextuality.theory as theory_module
 
 from _random_models import random_contextual_models, random_models
-from conftest import ALL4, CORR, bipartite_model, hardy_model, pr_box, with_sections
+from conftest import ALL4, CORR, bipartite_model, hardy_model, pr_box, relabelled, with_sections
 
 Z2, Z3, Z4 = RingSpec(2), RingSpec(3), RingSpec(4)
 
@@ -48,17 +48,7 @@ LABELS = ("{0}", "a=2,x", "β}", "b{{2")
 
 
 def _relabelled(model: EmpiricalModel, labels=LABELS) -> EmpiricalModel:
-    """The same supports over measurements renamed in declared order."""
-    scn = model.scenario
-    rename = dict(zip(scn.measurements, labels))
-    scenario = Scenario(
-        tuple(labels),
-        tuple(tuple(map(rename.__getitem__, ctx)) for ctx in scn.contexts),
-        scn.outcomes,
-    )
-    return EmpiricalModel.from_values(
-        scenario, (model.support_values(ci) for ci in range(len(scn.contexts)))
-    )
+    return relabelled(model, labels)
 
 
 def _awkward() -> EmpiricalModel:
@@ -87,7 +77,7 @@ def _models(corpus_models) -> list[EmpiricalModel]:
 def test_the_report_writes_a_section_as_its_text():
     for labels in (LABELS, ("中", "}b", "α{"), ("b", "a", "c", "{}", "{1}"), ("{", "}", "z,=")):
         for v in ((0, 1, 2, 3, 4)[: len(labels)], (-1, 10, 0, 7, 2)[: len(labels)]):
-            assert section_text(labels)(v) == str(Section.of(zip(labels, v)))
+            assert section_template(labels).format(*v) == str(Section.of(zip(labels, v)))
 
 
 # ---------------------------------------------------------------------------
