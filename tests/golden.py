@@ -12,7 +12,7 @@ change from run to run.
 The commands:
 - at every supported section of every corpus entry: `obstruction` over
   Z2, Z3, Z4, Z6 and Z, and `avn --at` over Z2 and Z3, in text and JSON;
-  `analyze` of every entry in text and JSON;
+  `analyze` of every entry in text and JSON, and `bundle` of every entry;
 - every operation of the four benchmark workloads at seed 1
   (`bench/workloads.py`, imported read-only);
 - `analyze`, in text and JSON, of the liar-cycle payload documents of
@@ -70,6 +70,7 @@ def corpus_commands(lib):
     commands; the document stem is the corpus name."""
     for name in lib.corpus_names():
         model = lib.materialize(lib.corpus(name))
+        yield f"bundle {name}", name, []
         for fmt in ("text", "json"):
             flag = ["--json"] if fmt == "json" else []
             yield f"analyze {name} {fmt}", name, flag

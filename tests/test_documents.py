@@ -373,9 +373,212 @@ MISSING_FIELDS = [
     (json.dumps({"format": SCHEMA, "supports": []}), "$", "missing field 'scenario'"),
 ]
 
+TOP = json.loads(doc(SUPPORTS))
+SCENARIO = TOP["scenario"]
+ENTRY = {"section": {"a1": 0, "b1": 0}, "p": "1"}
+EQUATION = {"coefficients": {"a1": 1}, "constant": 0}
+THEORY = {"modulus": 2, "equations": [EQUATION]}
+TRIPLE = {"operators": ["XX", "YY", "ZZ"]}
+
+
+def without(obj: dict, *fields: str, **extra) -> dict:
+    return {**{k: v for k, v in obj.items() if k not in fields}, **extra}
+
+
+def with_scenario(scenario) -> str:
+    return doc(SUPPORTS, scenario=scenario)
+
+
+def with_outcomes(outcomes) -> str:
+    return with_scenario({**SCENARIO, "outcomes": outcomes})
+
+
+def with_entry(entry) -> str:
+    return doc({"probabilities": [[entry]]})
+
+
+def with_equation(equation) -> str:
+    return doc({"theory": {**THEORY, "equations": [equation]}})
+
+
+def bipartite(payload: dict) -> str:
+    scenario = {
+        "measurements": ["a1", "a2", "b1", "b2"],
+        "contexts": [["a1", "b1"], ["a1", "b2"], ["a2", "b1"], ["a2", "b2"]],
+        "outcomes": [0, 1],
+    }
+    return json.dumps({"format": SCHEMA, "scenario": scenario, **payload})
+
+
+UNKNOWN = "unknown field 'zz'"
+NOT_AN_OBJECT = "expected an object, got list"
+
+# every JSON object of a document against each shape offence: a list in its
+# place, an unknown field, each required field missing, and an unknown field
+# with a missing one (the unknown is reported); then the rows-per-context and
+# modulus rules, and documents with two offences, of which the first is
+# reported; (id, text, path, message)
+OBJECT_SHAPES = [
+    ("$ list", json.dumps([TOP]), "$", NOT_AN_OBJECT),
+    ("$ zz", doc(SUPPORTS, zz=0), "$.zz", UNKNOWN),
+    ("$ -format", json.dumps(without(TOP, "format")), "$", "missing field 'format'"),
+    ("$ zz -format", json.dumps(without(TOP, "format", zz=0)), "$.zz", UNKNOWN),
+    (
+        "$ format before scenario",
+        json.dumps({"format": "contextuality-model/0", "supports": []}),
+        "$.format",
+        f"unsupported format 'contextuality-model/0'; this reader understands {SCHEMA!r}",
+    ),
+    ("$ name before scenario", json.dumps({"format": SCHEMA, "name": 3}), "$.name", "expected a string, got int"),
+    ("$ no payload", json.dumps(without(TOP, "supports")), "$", (
+        "a document carries exactly one payload out of ('supports', 'probabilities', "
+        "'theory', 'liar_cycle', 'pauli_triple'), found none"
+    )),
+    ("$.scenario list", with_scenario([SCENARIO]), "$.scenario", NOT_AN_OBJECT),
+    ("$.scenario zz", with_scenario({**SCENARIO, "zz": 0}), "$.scenario.zz", UNKNOWN),
+    (
+        "$.scenario -measurements",
+        with_scenario(without(SCENARIO, "measurements")),
+        "$.scenario",
+        "missing field 'measurements'",
+    ),
+    ("$.scenario -contexts", with_scenario(without(SCENARIO, "contexts")), "$.scenario", "missing field 'contexts'"),
+    # two unknown fields: the first in the object's own order, not sorted
+    ("$.scenario zz yy -outcomes", with_scenario(without(SCENARIO, "outcomes", zz=0, yy=0)), "$.scenario.zz", UNKNOWN),
+    (
+        "$.scenario.outcomes list",
+        with_outcomes([{"modulus": 2}]),
+        "$.scenario.outcomes[0]",
+        "expected an integer outcome, got dict",
+    ),
+    (
+        "$.scenario.outcomes str",
+        with_outcomes("01"),
+        "$.scenario.outcomes",
+        "expected a list or a modulus object, got str",
+    ),
+    ("$.scenario.outcomes zz", with_outcomes({"modulus": 2, "zz": 0}), "$.scenario.outcomes.zz", UNKNOWN),
+    ("$.scenario.outcomes zz -modulus", with_outcomes({"zz": 0}), "$.scenario.outcomes.zz", UNKNOWN),
+    (
+        "$.scenario.outcomes.modulus 1",
+        with_outcomes({"modulus": 1}),
+        "$.scenario.outcomes.modulus",
+        "modulus must be at least 2, got 1",
+    ),
+    (
+        "$.scenario.outcomes.modulus str",
+        with_outcomes({"modulus": "2"}),
+        "$.scenario.outcomes.modulus",
+        "expected an integer, got str",
+    ),
+    ("$.supports rows", doc({"supports": []}), "$.supports", "expected 1 rows (one per context), got 0"),
+    (
+        "$.probabilities rows",
+        doc({"probabilities": [[ENTRY], [ENTRY]]}),
+        "$.probabilities",
+        "expected 1 rows (one per context), got 2",
+    ),
+    ("$.probabilities[0][0] list", with_entry([ENTRY]), "$.probabilities[0][0]", NOT_AN_OBJECT),
+    ("$.probabilities[0][0] zz", with_entry({**ENTRY, "zz": 0}), "$.probabilities[0][0].zz", UNKNOWN),
+    (
+        "$.probabilities[0][0] -section",
+        with_entry(without(ENTRY, "section")),
+        "$.probabilities[0][0]",
+        "missing field 'section'",
+    ),
+    # two fields, as a valid entry has, but not the two it needs
+    ("$.probabilities[0][0] zz -p", with_entry(without(ENTRY, "p", zz="1")), "$.probabilities[0][0].zz", UNKNOWN),
+    ("$.theory list", doc({"theory": [THEORY]}), "$.theory", NOT_AN_OBJECT),
+    ("$.theory zz", doc({"theory": {**THEORY, "zz": 0}}), "$.theory.zz", UNKNOWN),
+    ("$.theory -modulus", doc({"theory": without(THEORY, "modulus")}), "$.theory", "missing field 'modulus'"),
+    ("$.theory zz -modulus", doc({"theory": without(THEORY, "modulus", zz=0)}), "$.theory.zz", UNKNOWN),
+    (
+        "$.theory.modulus 1",
+        doc({"theory": {**THEORY, "modulus": 1}}),
+        "$.theory.modulus",
+        "modulus must be at least 2, got 1",
+    ),
+    (
+        "$.theory.modulus bool",
+        doc({"theory": {**THEORY, "modulus": True}}),
+        "$.theory.modulus",
+        "expected an integer, got a boolean",
+    ),
+    ("$.theory.equations[0] list", with_equation([EQUATION]), "$.theory.equations[0]", NOT_AN_OBJECT),
+    ("$.theory.equations[0] zz", with_equation({**EQUATION, "zz": 0}), "$.theory.equations[0].zz", UNKNOWN),
+    (
+        "$.theory.equations[0] -coefficients",
+        with_equation(without(EQUATION, "coefficients")),
+        "$.theory.equations[0]",
+        "missing field 'coefficients'",
+    ),
+    (
+        "$.theory.equations[0] zz -constant",
+        with_equation(without(EQUATION, "constant", zz=0)),
+        "$.theory.equations[0].zz",
+        UNKNOWN,
+    ),
+    ("$.liar_cycle list", doc({"liar_cycle": [{"length": 4}]}), "$.liar_cycle", NOT_AN_OBJECT),
+    ("$.liar_cycle zz", doc({"liar_cycle": {"length": 4, "zz": 0}}), "$.liar_cycle.zz", UNKNOWN),
+    ("$.liar_cycle zz -length", doc({"liar_cycle": {"zz": 4}}), "$.liar_cycle.zz", UNKNOWN),
+    ("$.pauli_triple list", doc({"pauli_triple": [TRIPLE]}), "$.pauli_triple", NOT_AN_OBJECT),
+    ("$.pauli_triple zz", doc({"pauli_triple": {**TRIPLE, "zz": 0}}), "$.pauli_triple.zz", UNKNOWN),
+    ("$.pauli_triple zz -operators", doc({"pauli_triple": {"zz": 0}}), "$.pauli_triple.zz", UNKNOWN),
+    (
+        "$.supports two faults",
+        bipartite(
+            {
+                "supports": [
+                    [{"a1": 0, "b1": 5}],
+                    [{"a1": "0", "b2": 0}],
+                    [{"a2": 0, "b1": 0}],
+                    [{"a2": 0, "b2": 0}],
+                ]
+            }
+        ),
+        "$.supports[0][0].b1",
+        "outcome 5 is not in the alphabet (0, 1)",
+    ),
+    (
+        "$.probabilities two faults",
+        bipartite(
+            {
+                "probabilities": [
+                    [{"section": {"a1": 0, "b1": 0}, "p": "1/0"}],
+                    [{"p": "1"}],
+                    [{"section": {"a2": 0, "b1": 0}, "p": "1"}],
+                    [{"section": {"a2": 0, "b2": 0}, "p": "1"}],
+                ]
+            }
+        ),
+        "$.probabilities[0][0].p",
+        "invalid rational '1/0': Fraction(1, 0)",
+    ),
+    # equation 0 lands on no context and equation 1 has a string constant:
+    # equations are read and landed one at a time, so equation 0 is reported
+    (
+        "$.theory two faults",
+        bipartite(
+            {
+                "theory": {
+                    "modulus": 2,
+                    "equations": [
+                        {"coefficients": {"a1": 1, "a2": 1}, "constant": 0},
+                        {"coefficients": {"a1": 1}, "constant": "1"},
+                    ],
+                }
+            }
+        ),
+        "$.theory.equations[0]",
+        "no cover context contains ['a1', 'a2'] jointly",
+    ),
+]
+
 
 @pytest.mark.parametrize(
-    "text, path, message", MISSING_FIELDS, ids=[path for _, path, _ in MISSING_FIELDS]
+    "text, path, message",
+    MISSING_FIELDS + [case[1:] for case in OBJECT_SHAPES],
+    ids=[path for _, path, _ in MISSING_FIELDS] + [case[0] for case in OBJECT_SHAPES],
 )
 def test_missing_fields_and_row_counts_carry_their_path(text, path, message):
     with pytest.raises(DocumentError) as err:
