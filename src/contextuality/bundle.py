@@ -23,23 +23,14 @@ def export_bundle_dot(model: EmpiricalModel) -> str:
     scn = model.scenario
     index = {m: i for i, m in enumerate(scn.measurements)}
 
-    pairs: list[tuple[str, str]] = []
-    seen = set()
-    for ctx in scn.contexts:
+    # each co-measurable pair, in declared order as contexts store their
+    # measurements, with the first context that contains it
+    containing: dict[tuple[str, str], int] = {}
+    for ci, ctx in enumerate(scn.contexts):
         for i, a in enumerate(ctx):
             for b in ctx[i + 1 :]:
-                key = (min(a, b, key=index.get), max(a, b, key=index.get))
-                if key not in seen:
-                    seen.add(key)
-                    pairs.append(key)
-    pairs.sort(key=lambda p: (index[p[0]], index[p[1]]))
-
-    containing = {}
-    for pair in pairs:
-        for ci, ctx in enumerate(scn.contexts):
-            if pair[0] in ctx and pair[1] in ctx:
-                containing[pair] = ci
-                break
+                containing.setdefault((a, b), ci)
+    pairs = sorted(containing, key=lambda p: (index[p[0]], index[p[1]]))
 
     lines = ["graph bundle {"]
     wide = [ctx for ctx in scn.contexts if len(ctx) > 2]

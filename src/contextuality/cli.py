@@ -332,18 +332,11 @@ def main(argv=None) -> int:
         _PARSER = build_parser()
     try:
         args = _PARSER.parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    try:
         return args.run(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except SelfCheckError as exc:
         sys.stderr.write(f"self-check failure: {exc}\n")
         return 2
-    except ContextualityError as exc:
+    except (_UsageError, ContextualityError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring, encode_basestring_ascii
 from operator import itemgetter, mul
-from typing import Any, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from .errors import DocumentError, PauliError
 from .model import EmpiricalModel, ProbabilityTable, support_of_probability_table
@@ -31,7 +31,9 @@ SCHEMA = "contextuality-model/1"
 
 PAYLOAD_KINDS = ("supports", "probabilities", "theory", "liar_cycle", "pauli_triple")
 
-_TOP_KEYS = {"format", "name", "notes", "provenance", "scenario", *PAYLOAD_KINDS}
+_METADATA = ("name", "notes", "provenance")
+
+_TOP_KEYS = {"format", "scenario", *_METADATA, *PAYLOAD_KINDS}
 
 # the only types each JSON list may hold, for one-pass checks
 _STR, _LIST, _DICT, _INT = {str}, {list}, {dict}, {int}
@@ -80,18 +82,43 @@ def _expect(value: Any, kind: type, what: str, path: str):
     return value
 
 
-def _check_keys(obj: Mapping, allowed: set[str], path: str) -> None:
+def _check_keys(obj: Mapping, allowed: Collection[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
             raise DocumentError(f"unknown field {key!r}", path=f"{path}.{key}")
 
 
-def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
+def _object(obj: Any, fields: tuple[str, ...], path: str) -> Mapping:
+    """`obj`, an object with exactly these fields. The offence is the first
+    unknown field, in the object's own order, then the first missing one."""
     _expect(obj, dict, "an object", path)
-    _check_keys(obj, {"measurements", "contexts", "outcomes"}, path)
-    for field in ("measurements", "contexts", "outcomes"):
+    _check_keys(obj, fields, path)
+    for field in fields:
         if field not in obj:
             raise DocumentError(f"missing field {field!r}", path=path)
+    return obj
+
+
+def _rows(obj: Any, scenario: Scenario, what: str, path: str) -> list:
+    """A payload's list of rows, one per context."""
+    rows = _expect(obj, list, f"a list of {what} rows", path)
+    if len(rows) != len(scenario.contexts):
+        raise DocumentError(
+            f"expected {len(scenario.contexts)} rows (one per context), got {len(rows)}",
+            path=path,
+        )
+    return rows
+
+
+def _modulus(value: Any, path: str) -> int:
+    n = _expect(value, int, "an integer", path)
+    if n < 2:
+        raise DocumentError(f"modulus must be at least 2, got {n}", path=path)
+    return n
+
+
+def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
+    _object(obj, ("measurements", "contexts", "outcomes"), path)
     # each list is type-checked in one pass, and walked item by item only
     # to name the first offence
     measurements = _expect(obj["measurements"], list, "a list", f"{path}.measurements")
@@ -110,13 +137,8 @@ def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
     outcomes_obj = obj["outcomes"]
     ring_outcomes = False
     if isinstance(outcomes_obj, dict):
-        _check_keys(outcomes_obj, {"modulus"}, f"{path}.outcomes")
-        if "modulus" not in outcomes_obj:
-            raise DocumentError("missing field 'modulus'", path=f"{path}.outcomes")
-        n = _expect(outcomes_obj["modulus"], int, "an integer", f"{path}.outcomes.modulus")
-        if n < 2:
-            raise DocumentError(f"modulus must be at least 2, got {n}", path=f"{path}.outcomes.modulus")
-        outcomes = tuple(range(n))
+        _object(outcomes_obj, ("modulus",), f"{path}.outcomes")
+        outcomes = tuple(range(_modulus(outcomes_obj["modulus"], f"{path}.outcomes.modulus")))
         ring_outcomes = True
     else:
         outcomes_list = _expect(outcomes_obj, list, "a list or a modulus object", f"{path}.outcomes")
@@ -154,18 +176,12 @@ def _parse_supports(obj: Any, scenario: Scenario, path: str) -> EmpiricalModel:
     The payload passes in a few whole-payload checks (`_read_sections`) and
     its tuples go to the model unchecked. Otherwise the rows are walked
     section by section, and `_parse_section` reports the first offence."""
-    rows = _expect(obj, list, "a list of support rows", path)
-    contexts = scenario.contexts
-    if len(rows) != len(contexts):
-        raise DocumentError(
-            f"expected {len(contexts)} rows (one per context), got {len(rows)}",
-            path=path,
-        )
+    rows = _rows(obj, scenario, "support", path)
     values = _read_sections(scenario, rows) if set(map(type, rows)) <= _LIST else None
     if values is not None:
         return EmpiricalModel._of_checked_values(scenario, values)
     values = []
-    for i, (ctx, row) in enumerate(zip(contexts, rows)):
+    for i, (ctx, row) in enumerate(zip(scenario.contexts, rows)):
         _expect(row, list, "a list of sections", f"{path}[{i}]")
         values.append(
             [_parse_section(s, scenario, ctx, f"{path}[{i}][{j}]") for j, s in enumerate(row)]
@@ -226,27 +242,17 @@ def _parse_probabilities(obj: Any, scenario: Scenario, path: str) -> Probability
     `Fraction` reads, each distinct string read once. Otherwise the
     entries are walked one by one to report the first offence. The table
     then checks the weights."""
-    rows = _expect(obj, list, "a list of probability rows", path)
-    contexts = scenario.contexts
-    if len(rows) != len(contexts):
-        raise DocumentError(
-            f"expected {len(contexts)} rows (one per context), got {len(rows)}",
-            path=path,
-        )
+    rows = _rows(obj, scenario, "probability", path)
     read = _read_entries(scenario, rows) if set(map(type, rows)) <= _LIST else None
     if read is not None:
         return ProbabilityTable._of_checked_values(scenario, *read)
     values, weights = [], []
-    for i, (ctx, row) in enumerate(zip(contexts, rows)):
+    for i, (ctx, row) in enumerate(zip(scenario.contexts, rows)):
         _expect(row, list, "a list of probability entries", f"{path}[{i}]")
         vs, ws = [], []
         for j, entry in enumerate(row):
             entry_path = f"{path}[{i}][{j}]"
-            _expect(entry, dict, "an object", entry_path)
-            _check_keys(entry, {"section", "p"}, entry_path)
-            for field in ("section", "p"):
-                if field not in entry:
-                    raise DocumentError(f"missing field {field!r}", path=entry_path)
+            _object(entry, ("section", "p"), entry_path)
             vs.append(_parse_section(entry["section"], scenario, ctx, f"{entry_path}.section"))
             ws.append(_parse_fraction(entry["p"], f"{entry_path}.p"))
         values.append(vs)
@@ -280,14 +286,8 @@ def _read_entries(scenario: Scenario, rows: list[list]):
 
 
 def _parse_theory(obj: Any, scenario: Scenario, path: str) -> tuple[Theory, tuple[RawEquation, ...], int]:
-    _expect(obj, dict, "an object", path)
-    _check_keys(obj, {"modulus", "equations"}, path)
-    for field in ("modulus", "equations"):
-        if field not in obj:
-            raise DocumentError(f"missing field {field!r}", path=path)
-    modulus = _expect(obj["modulus"], int, "an integer", f"{path}.modulus")
-    if modulus < 2:
-        raise DocumentError(f"modulus must be at least 2, got {modulus}", path=f"{path}.modulus")
+    _object(obj, ("modulus", "equations"), path)
+    modulus = _modulus(obj["modulus"], f"{path}.modulus")
     ring = RingSpec(modulus)
     equations_obj = _expect(obj["equations"], list, "a list of equations", f"{path}.equations")
     raw: list[RawEquation] = []
@@ -295,11 +295,7 @@ def _parse_theory(obj: Any, scenario: Scenario, path: str) -> tuple[Theory, tupl
     measurements = set(scenario.measurements)
     for i, eq in enumerate(equations_obj):
         eq_path = f"{path}.equations[{i}]"
-        _expect(eq, dict, "an object", eq_path)
-        _check_keys(eq, {"coefficients", "constant"}, eq_path)
-        for field in ("coefficients", "constant"):
-            if field not in eq:
-                raise DocumentError(f"missing field {field!r}", path=eq_path)
+        _object(eq, ("coefficients", "constant"), eq_path)
         coeffs_obj = _expect(eq["coefficients"], dict, "an object", f"{eq_path}.coefficients")
         constant = _expect(eq["constant"], int, "an integer", f"{eq_path}.constant")
         for m, c in coeffs_obj.items():
@@ -326,11 +322,8 @@ def _expand_equation(ring: RingSpec, scenario: Scenario, coefficients: Mapping, 
 
 
 def _parse_liar(obj: Any, path: str) -> LiarCycle:
-    _expect(obj, dict, "an object", path)
-    _check_keys(obj, {"length"}, path)
-    if "length" not in obj:
-        raise DocumentError("missing field 'length'", path=path)
-    n = _expect(obj["length"], int, "an integer", f"{path}.length")
+    length = _object(obj, ("length",), path)["length"]
+    n = _expect(length, int, "an integer", f"{path}.length")
     if n < 3:
         # shorter cycles collapse onto one context whose constraints
         # contradict each other, so they denote no model
@@ -339,11 +332,8 @@ def _parse_liar(obj: Any, path: str) -> LiarCycle:
 
 
 def _parse_triple(obj: Any, path: str) -> tuple[PauliOperator, ...]:
-    _expect(obj, dict, "an object", path)
-    _check_keys(obj, {"operators"}, path)
-    if "operators" not in obj:
-        raise DocumentError("missing field 'operators'", path=path)
-    ops_obj = _expect(obj["operators"], list, "a list of three operators", f"{path}.operators")
+    operators = _object(obj, ("operators",), path)["operators"]
+    ops_obj = _expect(operators, list, "a list of three operators", f"{path}.operators")
     if len(ops_obj) != 3:
         raise DocumentError(
             f"expected exactly three operators, got {len(ops_obj)}", path=f"{path}.operators"
@@ -382,7 +372,7 @@ def parse_model(text: str) -> ModelDocument:
             f"unsupported format {fmt!r}; this reader understands {SCHEMA!r}",
             path="$.format",
         )
-    for field in ("name", "notes", "provenance"):
+    for field in _METADATA:
         if field in data:
             _expect(data[field], str, "a string", f"$.{field}")
     if "scenario" not in data:
@@ -397,14 +387,7 @@ def parse_model(text: str) -> ModelDocument:
             path="$",
         )
     kind = present[0]
-    common = dict(
-        scenario=scenario,
-        payload_kind=kind,
-        name=data.get("name"),
-        notes=data.get("notes"),
-        provenance=data.get("provenance"),
-        ring_outcomes=ring_outcomes,
-    )
+    common = _common(*map(data.get, _METADATA), scenario, kind, ring_outcomes)
     if kind == "supports":
         return ModelDocument(model=_parse_supports(data[kind], scenario, "$.supports"), **common)
     if kind == "probabilities":
@@ -541,7 +524,7 @@ def print_model(doc: ModelDocument) -> str:
     templates (a supports or probabilities payload from outcome tuples);
     only a theory, liar-cycle or Pauli-triple payload goes through `_write_json`."""
     members = {"format": encode_basestring(SCHEMA), "scenario": _scenario_json(doc)}
-    for field in ("name", "notes", "provenance"):
+    for field in _METADATA:
         value = getattr(doc, field)
         if value is not None:
             members[field] = encode_basestring(value)
