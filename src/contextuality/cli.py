@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 for a completed run (whatever the verdicts), 1 for any input
-problem (unreadable file, malformed document, unknown ring, bad section),
-2 when the library's own hierarchy self-check fails, which would mean the
-implementation contradicts itself on the given model.
+problem (unreadable file, malformed document, unknown ring, bad section)
+or unwritable output file, 2 when the library's own hierarchy self-check
+fails, which would mean the implementation contradicts itself on the given
+model.
 """
 
 from __future__ import annotations
@@ -44,13 +45,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_document(path: str):
-    if path == "-":
-        return parse_model(sys.stdin.read())
-    p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from None
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise DocumentError(f"cannot read {path}: {reason}") from None
     return parse_model(text)
 
 
@@ -221,7 +220,10 @@ def _cmd_bundle(args) -> int:
     if args.output is None or args.output == "-":
         sys.stdout.write(dot)
     else:
-        Path(args.output).write_text(dot, encoding="utf-8")
+        try:
+            Path(args.output).write_text(dot, encoding="utf-8")
+        except OSError as exc:
+            raise ContextualityError(f"cannot write {args.output}: {exc.strerror or exc}") from None
     return 0
 
 

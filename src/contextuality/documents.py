@@ -99,6 +99,22 @@ def _object(obj: Any, fields: tuple[str, ...], path: str) -> Mapping:
     return obj
 
 
+def _encodable(texts: list[str], path_of) -> None:
+    """Rejects a string that UTF-8 cannot encode: one holding a lone
+    surrogate, as the JSON escape "\\ud800" writes. The strings are encoded
+    once, together, and walked only to name the offender, at `path_of(i)`."""
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError:
+        for i, text in enumerate(texts):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                raise DocumentError(
+                    "a string with a lone surrogate cannot be written as UTF-8", path=path_of(i)
+                ) from None
+
+
 def _rows(obj: Any, scenario: Scenario, what: str, path: str) -> list:
     """A payload's list of rows, one per context."""
     rows = _expect(obj, list, f"a list of {what} rows", path)
@@ -125,6 +141,7 @@ def _parse_scenario(obj: Any, path: str) -> tuple[Scenario, bool]:
     if not set(map(type, measurements)) <= _STR:
         for i, m in enumerate(measurements):
             _expect(m, str, "a measurement name", f"{path}.measurements[{i}]")
+    _encodable(measurements, lambda i: f"{path}.measurements[{i}]")
     contexts = _expect(obj["contexts"], list, "a list", f"{path}.contexts")
     if not (
         set(map(type, contexts)) <= _LIST
@@ -362,6 +379,10 @@ def parse_model(text: str) -> ModelDocument:
         raise DocumentError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the decoder recurses, or an integer longer
+        # than int() converts
+        raise DocumentError(f"invalid JSON: {exc}") from None
     _expect(data, dict, "an object", "$")
     _check_keys(data, _TOP_KEYS, "$")
     if "format" not in data:
@@ -372,9 +393,10 @@ def parse_model(text: str) -> ModelDocument:
             f"unsupported format {fmt!r}; this reader understands {SCHEMA!r}",
             path="$.format",
         )
-    for field in _METADATA:
-        if field in data:
-            _expect(data[field], str, "a string", f"$.{field}")
+    metadata = [field for field in _METADATA if field in data]
+    for field in metadata:
+        _expect(data[field], str, "a string", f"$.{field}")
+    _encodable([data[field] for field in metadata], lambda i: f"$.{metadata[i]}")
     if "scenario" not in data:
         raise DocumentError("missing field 'scenario'", path="$")
     scenario, ring_outcomes = _parse_scenario(data["scenario"], "$.scenario")

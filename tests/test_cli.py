@@ -450,3 +450,48 @@ def test_document_missing_a_field_is_an_input_error(tmp_path, capsys):
     path.write_text(json.dumps(document), encoding="utf-8")
     assert main(["analyze", str(path)]) == 1
     assert capsys.readouterr().err == "error: $.scenario: missing field 'outcomes'\n"
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_documents_the_reader_cannot_decode_are_input_errors(tmp_path, capsys):
+    name = json.loads(corpus_text("pr-box"))
+    name["name"] = "\ud800"
+    label = json.loads(corpus_text("pr-box"))
+    label["scenario"]["measurements"][1] = "\ud800"
+    texts = {
+        "deep": "[" * 100_000 + "]" * 100_000,
+        "name": json.dumps(name),
+        "label": json.dumps(label),
+    }
+    expected = {
+        "deep": "error: invalid JSON: maximum recursion depth exceeded",
+        "name": "error: $.name: a string with a lone surrogate",
+        "label": "error: $.scenario.measurements[1]: a string with a lone surrogate",
+    }
+    for stem, text in texts.items():
+        path = tmp_path / f"{stem}.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert one_error_line(capsys).startswith(expected[stem])
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b"\xff")
+    assert main(["analyze", str(path)]) == 1
+    assert one_error_line(capsys) == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+
+
+def test_bundle_into_a_missing_directory_is_an_output_error(pr_path, tmp_path, capsys):
+    target = tmp_path / "missing" / "pr.dot"
+    assert main(["bundle", pr_path, "-o", str(target)]) == 1
+    assert one_error_line(capsys) == f"error: cannot write {target}: No such file or directory\n"
+    assert not target.parent.exists()

@@ -139,6 +139,12 @@ def test_modulus_outcome_form_round_trips():
 def test_json_and_shape_errors():
     with pytest.raises(DocumentError, match="invalid JSON at line 1"):
         parse_model("{not json")
+    # nesting deeper than the decoder recurses, and an integer longer than
+    # int() converts, fail at the root like any invalid JSON
+    for text in ("[" * 100_000 + "]" * 100_000, '{"format": ' + "1" * 5000 + "}"):
+        with pytest.raises(DocumentError, match="^invalid JSON: ") as err:
+            parse_model(text)
+        assert err.value.path == "$"
     with pytest.raises(DocumentError, match=r"expected an object"):
         parse_model("[]")
     with pytest.raises(DocumentError, match=r"\$\.bogus"):
@@ -588,6 +594,30 @@ def test_missing_fields_and_row_counts_carry_their_path(text, path, message):
         path,
         message if path == "$" else f"{path}: {message}",
     )
+
+
+SURROGATE = "a string with a lone surrogate cannot be written as UTF-8"
+
+
+@pytest.mark.parametrize("field", ["name", "notes", "provenance"])
+def test_metadata_that_utf8_cannot_encode_is_rejected(field):
+    # the escape is kept in the text, so json.loads makes the lone surrogate
+    text = doc(SUPPORTS, **{field: "ok"}).replace('"ok"', '"x\\ud800"')
+    with pytest.raises(DocumentError) as err:
+        parse_model(text)
+    assert (err.value.path, str(err.value)) == (f"$.{field}", f"$.{field}: {SURROGATE}")
+    # a surrogate pair written as two escapes is one astral character
+    text = doc(SUPPORTS, **{field: "ok"}).replace('"ok"', '"x\\ud83d\\ude00"')
+    assert getattr(parse_model(text), field) == "x\U0001f600"
+
+
+def test_a_measurement_label_that_utf8_cannot_encode_is_rejected():
+    document = json.loads(corpus_text("pr-box"))
+    document["scenario"]["measurements"][1] = "\udc00"
+    with pytest.raises(DocumentError) as err:
+        parse_model(json.dumps(document))
+    path = "$.scenario.measurements[1]"
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {SURROGATE}")
 
 
 def test_root_errors_carry_no_path_prefix():
