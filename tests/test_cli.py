@@ -463,21 +463,16 @@ def test_documents_the_reader_cannot_decode_are_input_errors(tmp_path, capsys):
     name["name"] = "\ud800"
     label = json.loads(corpus_text("pr-box"))
     label["scenario"]["measurements"][1] = "\ud800"
-    texts = {
-        "deep": "[" * 100_000 + "]" * 100_000,
-        "name": json.dumps(name),
-        "label": json.dumps(label),
+    cases = {
+        "deep": ("[" * 100_000 + "]" * 100_000, "error: invalid JSON: maximum recursion depth exceeded"),
+        "name": (json.dumps(name), "error: $.name: a string with a lone surrogate"),
+        "label": (json.dumps(label), "error: $.scenario.measurements[1]: a string with a lone surrogate"),
     }
-    expected = {
-        "deep": "error: invalid JSON: maximum recursion depth exceeded",
-        "name": "error: $.name: a string with a lone surrogate",
-        "label": "error: $.scenario.measurements[1]: a string with a lone surrogate",
-    }
-    for stem, text in texts.items():
+    for stem, (text, expected) in cases.items():
         path = tmp_path / f"{stem}.json"
         path.write_text(text, encoding="utf-8")
         assert main(["analyze", str(path)]) == 1
-        assert one_error_line(capsys).startswith(expected[stem])
+        assert one_error_line(capsys).startswith(expected)
 
 
 def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
