@@ -34,6 +34,7 @@ from .rings import (
 from .scenario import (
     Section,
     Simplex,
+    _find,
     build_nerve,
     connected_components,
     projection,
@@ -296,12 +297,11 @@ def _require_connected(model: EmpiricalModel) -> None:
 class _Degree0Complex:
     """The ring-independent part of a model's obstruction systems, built
     once per model by `_degree0_complex`: the offsets of each context's
-    positions in the 0-cochain basis, the sparse rows [D^T | I] for the
-    rows D of delta0 kept below (row j holds column j of D below key
-    m = `forest_rows` and a 1 at tail key m + j), the context owning each
-    basis position, and the number of 1-cochain basis positions of the
-    whole nerve (`compatibility_rows`). It builds no section, no basis
-    and no nerve: a position's section is read from `model.support`.
+    positions in the 0-cochain basis, the rows D of delta0 kept below
+    (`forest_rows` of them), the context owning each basis position, and
+    the number of 1-cochain basis positions of the whole nerve
+    (`compatibility_rows`). It builds no section, no basis and no nerve: a
+    position's section is read from `model.support`.
 
     D holds the rows of delta0 of the pairs on the spanning forest of the
     scenario's overlap index, in nerve order: each such pair (i, j) with
@@ -317,22 +317,41 @@ class _Degree0Complex:
     and mod every n: K = ker delta0 and every K_n are the same for D, and
     what follows holds for D as it stands.
 
-    The rows are eliminated once per model over Z: a unimodular U, recorded
-    in the tails, with U*D^T = [H; 0], whose kernel rows generate K. Each
-    generator's part at each context, at its basis positions, is one row;
-    parts at different contexts share no column, so their one echelon
+    A forest pair is glued when both its contexts have as many supported
+    sections as U's image has values (E2 gives both sides that image).
+    Each side's sections then restrict one to one onto the image, so each
+    row of D of the pair is -e_p + e_q for the one position p at C_i and
+    the one position q at C_j over that value, and every x with x*D^T = 0
+    has x_p = x_q, over Z and mod every n alike, as the entries are units.
+    A union-find over the glued pairs splits the positions into classes
+    (`_glued`), and x is in K (or K_n) exactly when it is constant on each
+    class and its class values y solve the rows of the pairs not glued,
+    with a class's column the sum of its positions' columns: K and every
+    K_n are the expansions of the kernels of that smaller system D'. The
+    liar cycles, the PR box and the Specker triangle glue into one class.
+
+    The rows [D'^T | I], one per class (row c holds class c's column of D'
+    below key m = `forest_rows` and a 1 at tail key m + c), are eliminated
+    once per model over Z: a unimodular U, recorded in the tails, with
+    U*D'^T = [H; 0], whose kernel rows generate ker D', and expanded to
+    the positions, K. With no glued pair, each class is one position and
+    these are the per-position rows [D^T | I] (`rows`) in their order.
+    Each generator's part at each context, at its basis positions, is one
+    row; parts at different contexts share no column, so their one echelon
     (`form`) is block diagonal and holds every context's form of pi_C(K).
     `classify_cohomological` reads every verdict off its pivots;
-    `ObstructionSolver` reads only the rows and eliminates them over its
-    own ring.
+    `ObstructionSolver` reads only the per-position rows and eliminates
+    them over its own ring.
 
     When every pivot of H is 1, mod n U stays invertible and the rows of H
     stay independent (each has a 1 where the rows after it are zero), so
-    x*D^T = 0 mod n makes x a combination of the kernel rows of U:
-    K_n = K mod n. Then pi_C(K_n) is spanned by the integer parts reduced
-    mod n, and so by the integer form's pivot rows reduced mod n, its other
-    rows having reduced to zero. Their Howell form is the Z_n form.
-    Otherwise each finite ring eliminates the rows itself.
+    y*D'^T = 0 mod n makes y a combination of the kernel rows of U:
+    ker D' mod n is the kernel of D' over Z_n. Expanding both through the
+    same classes, which the glued rows' unit entries force over every
+    ring, gives K_n = K mod n. Then pi_C(K_n) is spanned by the integer
+    parts reduced mod n, and so by the integer form's pivot rows reduced
+    mod n, its other rows having reduced to zero. Their Howell form is the
+    Z_n form. Otherwise each finite ring eliminates the rows itself.
     """
 
     def __init__(self, model: EmpiricalModel):
@@ -346,39 +365,99 @@ class _Degree0Complex:
         index = scenario.overlap_index
         images = _overlap_images(model)
         # each overlap's image numbered in lexicographic order, from the
-        # first pair with that overlap, which is on the forest
+        # first pair with that overlap, which is on the forest; each forest
+        # pair keeps its contexts, their projections onto the overlap, the
+        # numbering, the key of its first row and whether it glues
         key = model._lexicographic
         numbers: list[dict | None] = [None] * len(index.group_pairs)
+        pairs = []
         m = 0
-        for _, _, _, left, _, group in index.forest:
+        for i, j, _, left, right, group in index.forest:
             number = numbers[group]
             if number is None:
                 image = sorted(set(images[left]), key=key)
                 number = numbers[group] = {v: k for k, v in enumerate(image)}
+            glued = len(values[i]) == len(number) == len(values[j])
+            pairs.append((i, j, images[left], images[right], number, m, glued))
             m += len(number)
         self.forest_rows = m
+        self._pairs = pairs
         # every pair with an overlap has that overlap's image
         self.compatibility_rows = sum(len(n) * c for n, c in zip(numbers, index.group_pairs))
-        rows = self.rows = [{m + k: 1} for k in range(offsets[-1])]
-        m = 0
-        for i, j, _, left, right, group in index.forest:
-            number = numbers[group]
-            for row, v in zip(rows[offsets[i] : offsets[i + 1]], images[left]):
-                row[m + number[v]] = -1
-            for row, v in zip(rows[offsets[j] : offsets[j + 1]], images[right]):
-                row[m + number[v]] = 1
-            m += len(number)
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
+
+    @cached_property
+    def rows(self) -> list[Row]:
+        """The rows [D^T | I], one per basis position: row j holds column j
+        of D below key m = `forest_rows` and a 1 at tail key m + j."""
+        offsets, m = self.offsets, self.forest_rows
+        rows = [{m + k: 1} for k in range(offsets[-1])]
+        for i, j, left, right, number, at, _ in self._pairs:
+            for row, v in zip(rows[offsets[i] : offsets[i + 1]], left):
+                row[at + number[v]] = -1
+            for row, v in zip(rows[offsets[j] : offsets[j + 1]], right):
+                row[at + number[v]] = 1
+        return rows
+
+    @cached_property
+    def _glued(self) -> tuple[list[list[int]], list[Row]] | None:
+        """The classes of basis positions that the glued pairs join, each
+        in position order and numbered by its first position, with the rows
+        [D'^T | I], one per class; None when no pair glues."""
+        offsets, pairs = self.offsets, self._pairs
+        if not any(pair[-1] for pair in pairs):
+            return None
+        # each root is the smallest position of its tree
+        linked = list(range(offsets[-1]))
+        for i, j, left, right, _, _, glued in pairs:
+            if glued:
+                at = dict(zip(left, range(offsets[i], offsets[i + 1])))
+                for q, v in zip(range(offsets[j], offsets[j + 1]), right):
+                    a, b = _find(linked, at[v]), _find(linked, q)
+                    if a < b:
+                        linked[b] = a
+                    elif b < a:
+                        linked[a] = b
+        where: list[int] = []
+        classes: list[list[int]] = []
+        for p in range(offsets[-1]):
+            root = _find(linked, p)
+            if root == p:
+                where.append(len(classes))
+                classes.append([p])
+            else:
+                where.append(where[root])
+                classes[where[root]].append(p)
+        m = self.forest_rows
+        rows: list[Row] = [{m + c: 1} for c in range(len(classes))]
+        for i, j, left, right, number, at, glued in pairs:
+            if glued:
+                continue
+            for sign, ci, image in ((-1, i, left), (1, j, right)):
+                for p, v in zip(range(offsets[ci], offsets[ci + 1]), image):
+                    row = rows[where[p]]
+                    k = at + number[v]
+                    row[k] = row.get(k, 0) + sign
+        return classes, rows
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,
-        and whether every pivot is 1. The rows are eliminated from the last
-        basis position to the first, which was measured to cut fill-in: the
+        and whether every pivot is 1: one row per glued class, expanded to
+        its positions. The rows are eliminated from the last class to the
+        first, which was measured to cut fill-in: with no pair glued, the
         pivot rows hold 307 nonzeros instead of 1,039 on the Groetzsch
         3-colouring, and 6,716 instead of 119,630 on M6 with 4 colours."""
         m = self.forest_rows
-        form = echelon(ring, reversed(self.rows), m)
-        kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
+        glued = self._glued
+        if glued is None:
+            form = echelon(ring, reversed(self.rows), m)
+            kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
+        else:
+            classes, rows = glued
+            form = echelon(ring, reversed(rows), m)
+            kernel = [
+                {p: x for k, x in row.items() for p in classes[k - m]} for row in form.kernel
+            ]
         return kernel, all(h[c] == 1 for c, h in form.rows.items())
 
     @cached_property
@@ -438,7 +517,8 @@ class ObstructionSolver:
     whether D_s0 is a combination of the columns D_j with j outside C0.
     So the solver brings the rows of every position outside C0 to echelon
     form on D's columns over its own ring, in reversed order as the
-    complex's integer elimination does, once per context asked about.
+    complex's integer elimination does when no pair glues, once per
+    context asked about.
     Over Z_n it is a Howell form, so reduction decides membership. The
     row of s0 reduces to a zero head exactly when the obstruction
     vanishes, and what it leaves is (0 | x) with x = e_s0 - sum c_j*e_j

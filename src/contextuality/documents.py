@@ -82,10 +82,17 @@ def _expect(value: Any, kind: type, what: str, path: str):
     return value
 
 
+def _member(path: str, key: str) -> str:
+    """The path of an object's member. A key holding a lone surrogate is
+    written with its backslash escape, so that the path, like the rest of
+    the message, can be written as UTF-8."""
+    return f"{path}.{key.encode('utf-8', 'backslashreplace').decode('utf-8')}"
+
+
 def _check_keys(obj: Mapping, allowed: Collection[str], path: str) -> None:
     for key in obj:
         if key not in allowed:
-            raise DocumentError(f"unknown field {key!r}", path=f"{path}.{key}")
+            raise DocumentError(f"unknown field {key!r}", path=_member(path, key))
 
 
 def _object(obj: Any, fields: tuple[str, ...], path: str) -> Mapping:
@@ -173,16 +180,16 @@ def _parse_section(obj: Any, scenario: Scenario, context: tuple[str, ...], path:
     for m in obj:
         if m not in context:
             raise DocumentError(
-                f"{m!r} is not a measurement of context {context}", path=f"{path}.{m}"
+                f"{m!r} is not a measurement of context {context}", path=_member(path, m)
             )
     for m in context:
         if m not in obj:
             raise DocumentError(f"missing value for {m!r}", path=path)
-        o = _expect(obj[m], int, "an integer outcome", f"{path}.{m}")
+        o = _expect(obj[m], int, "an integer outcome", _member(path, m))
         if o not in scenario.outcomes:
             raise DocumentError(
                 f"outcome {o} is not in the alphabet {scenario.outcomes}",
-                path=f"{path}.{m}",
+                path=_member(path, m),
             )
     return tuple(obj[m] for m in context)
 
@@ -319,9 +326,9 @@ def _parse_theory(obj: Any, scenario: Scenario, path: str) -> tuple[Theory, tupl
             if m not in measurements:
                 raise DocumentError(
                     f"{m!r} is not a measurement of the scenario",
-                    path=f"{eq_path}.coefficients.{m}",
+                    path=_member(f"{eq_path}.coefficients", m),
                 )
-            _expect(c, int, "an integer", f"{eq_path}.coefficients.{m}")
+            _expect(c, int, "an integer", _member(f"{eq_path}.coefficients", m))
         equation, landed = _expand_equation(ring, scenario, coeffs_obj, constant, eq_path)
         raw.append(equation)
         expanded.extend(landed)

@@ -475,6 +475,29 @@ def test_documents_the_reader_cannot_decode_are_input_errors(tmp_path, capsys):
         assert one_error_line(capsys).startswith(expected)
 
 
+def test_a_key_that_utf8_cannot_encode_is_an_input_error(tmp_path, capsys):
+    # a lone surrogate as a key, at each site that writes a member path
+    top = json.loads(corpus_text("pr-box"))
+    top["\ud800"] = 0
+    scenario = json.loads(corpus_text("pr-box"))
+    scenario["scenario"]["\ud800"] = 0
+    section = json.loads(corpus_text("pr-box"))
+    section["supports"][0][0]["\ud800"] = 0
+    coefficient = json.loads(corpus_text("ghz-mermin"))
+    coefficient["theory"]["equations"][0]["coefficients"]["\ud800"] = 1
+    cases = {
+        "top": (top, "error: $.\\ud800: unknown field '\\ud800'\n"),
+        "scenario": (scenario, "error: $.scenario.\\ud800: unknown field '\\ud800'\n"),
+        "section": (section, "error: $.supports[0][0].\\ud800: '\\ud800' is not a measurement"),
+        "coefficient": (coefficient, "error: $.theory.equations[0].coefficients.\\ud800: '\\ud800' is not"),
+    }
+    for stem, (document, expected) in cases.items():
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 1
+        assert one_error_line(capsys).startswith(expected), stem
+
+
 def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes(b"\xff")

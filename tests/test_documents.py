@@ -620,6 +620,45 @@ def test_a_measurement_label_that_utf8_cannot_encode_is_rejected():
     assert (err.value.path, str(err.value)) == (path, f"{path}: {SURROGATE}")
 
 
+# a lone surrogate as an object's key, at each site that writes a member
+# path: an unknown top-level field, an unknown scenario field, a section key
+# outside its context, and a theory coefficient of no measurement;
+# (id, text, path, message)
+SURROGATE_KEYS = [
+    ("$", doc(SUPPORTS, **{"\ud800": 0}), "$.\\ud800", "unknown field '\\ud800'"),
+    (
+        "$.scenario",
+        with_scenario({**SCENARIO, "\ud800": 0}),
+        "$.scenario.\\ud800",
+        "unknown field '\\ud800'",
+    ),
+    (
+        "$.supports",
+        doc({"supports": [[{"a1": 0, "b1": 0, "\ud800": 0}]]}),
+        "$.supports[0][0].\\ud800",
+        "'\\ud800' is not a measurement of context ('a1', 'b1')",
+    ),
+    (
+        "$.theory",
+        with_equation({**EQUATION, "coefficients": {"\ud800": 1}}),
+        "$.theory.equations[0].coefficients.\\ud800",
+        "'\\ud800' is not a measurement of the scenario",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "text, path, message", [case[1:] for case in SURROGATE_KEYS], ids=[case[0] for case in SURROGATE_KEYS]
+)
+def test_a_key_that_utf8_cannot_encode_is_escaped_in_the_path(text, path, message):
+    # the path writes the key with its backslash escape, as the message's
+    # repr of it does, so the whole error can be written as UTF-8
+    with pytest.raises(DocumentError) as err:
+        parse_model(text)
+    assert (err.value.path, str(err.value)) == (path, f"{path}: {message}")
+    str(err.value).encode("utf-8")
+
+
 def test_root_errors_carry_no_path_prefix():
     try:
         parse_model("[]")
