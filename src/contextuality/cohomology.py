@@ -365,38 +365,37 @@ class _Degree0Complex:
         index = scenario.overlap_index
         images = _overlap_images(model)
         # each overlap's image numbered in lexicographic order, from the
-        # first pair with that overlap, which is on the forest; each forest
-        # pair keeps its contexts, their projections onto the overlap, the
-        # numbering, the key of its first row and whether it glues
+        # first pair with that overlap, which is on the forest
         key = model._lexicographic
         numbers: list[dict | None] = [None] * len(index.group_pairs)
-        pairs = []
         m = 0
-        for i, j, _, left, right, group in index.forest:
+        for _, _, _, left, _, group in index.forest:
             number = numbers[group]
             if number is None:
                 image = sorted(set(images[left]), key=key)
                 number = numbers[group] = {v: k for k, v in enumerate(image)}
-            glued = len(values[i]) == len(number) == len(values[j])
-            pairs.append((i, j, images[left], images[right], number, m, glued))
             m += len(number)
         self.forest_rows = m
-        self._pairs = pairs
         # every pair with an overlap has that overlap's image
         self.compatibility_rows = sum(len(n) * c for n, c in zip(numbers, index.group_pairs))
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
+        self._forest, self._images, self._numbers = index.forest, images, numbers
 
     @cached_property
     def rows(self) -> list[Row]:
         """The rows [D^T | I], one per basis position: row j holds column j
         of D below key m = `forest_rows` and a 1 at tail key m + j."""
-        offsets, m = self.offsets, self.forest_rows
+        offsets, images, numbers = self.offsets, self._images, self._numbers
+        m = self.forest_rows
         rows = [{m + k: 1} for k in range(offsets[-1])]
-        for i, j, left, right, number, at, _ in self._pairs:
-            for row, v in zip(rows[offsets[i] : offsets[i + 1]], left):
-                row[at + number[v]] = -1
-            for row, v in zip(rows[offsets[j] : offsets[j + 1]], right):
-                row[at + number[v]] = 1
+        m = 0
+        for i, j, _, left, right, group in self._forest:
+            number = numbers[group]
+            for row, v in zip(rows[offsets[i] : offsets[i + 1]], images[left]):
+                row[m + number[v]] = -1
+            for row, v in zip(rows[offsets[j] : offsets[j + 1]], images[right]):
+                row[m + number[v]] = 1
+            m += len(number)
         return rows
 
     @cached_property
@@ -404,15 +403,20 @@ class _Degree0Complex:
         """The classes of basis positions that the glued pairs join, each
         in position order and numbered by its first position, with the rows
         [D'^T | I], one per class; None when no pair glues."""
-        offsets, pairs = self.offsets, self._pairs
-        if not any(pair[-1] for pair in pairs):
+        offsets, forest = self.offsets, self._forest
+        images, numbers = self._images, self._numbers
+        glued = [
+            offsets[i + 1] - offsets[i] == len(numbers[group]) == offsets[j + 1] - offsets[j]
+            for i, j, _, _, _, group in forest
+        ]
+        if True not in glued:
             return None
         # each root is the smallest position of its tree
         linked = list(range(offsets[-1]))
-        for i, j, left, right, _, _, glued in pairs:
-            if glued:
-                at = dict(zip(left, range(offsets[i], offsets[i + 1])))
-                for q, v in zip(range(offsets[j], offsets[j + 1]), right):
+        for (i, j, _, left, right, _), joins in zip(forest, glued):
+            if joins:
+                at = dict(zip(images[left], range(offsets[i], offsets[i + 1])))
+                for q, v in zip(range(offsets[j], offsets[j + 1]), images[right]):
                     a, b = _find(linked, at[v]), _find(linked, q)
                     if a < b:
                         linked[b] = a
@@ -430,14 +434,16 @@ class _Degree0Complex:
                 classes[where[root]].append(p)
         m = self.forest_rows
         rows: list[Row] = [{m + c: 1} for c in range(len(classes))]
-        for i, j, left, right, number, at, glued in pairs:
-            if glued:
-                continue
-            for sign, ci, image in ((-1, i, left), (1, j, right)):
-                for p, v in zip(range(offsets[ci], offsets[ci + 1]), image):
-                    row = rows[where[p]]
-                    k = at + number[v]
-                    row[k] = row.get(k, 0) + sign
+        m = 0
+        for (i, j, _, left, right, group), joins in zip(forest, glued):
+            number = numbers[group]
+            if not joins:
+                for sign, ci, image in ((-1, i, images[left]), (1, j, images[right])):
+                    for p, v in zip(range(offsets[ci], offsets[ci + 1]), image):
+                        row = rows[where[p]]
+                        k = m + number[v]
+                        row[k] = row.get(k, 0) + sign
+            m += len(number)
         return classes, rows
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:

@@ -589,6 +589,139 @@ def test_a_point_query_echelons_the_rows_outside_its_context(corpus_models, monk
         monkeypatch.undo()
 
 
+def one_sided_model():
+    """Contexts (a, b, c) with c = a + b, (a, b, d) with every outcome and
+    (c, d) with c != d, over Z2: on the overlap {a, b} the first context's
+    4 sections restrict one to one and the second's 8 two to one, as
+    beside each 4-section context of ghz-mermin."""
+    scn = Scenario(("a", "b", "c", "d"), (("a", "b", "c"), ("a", "b", "d"), ("c", "d")), (0, 1))
+    parity = [(x, y, (x + y) % 2) for x in (0, 1) for y in (0, 1)]
+    every = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    return EmpiricalModel.from_values(scn, [parity, every, [(0, 1), (1, 0)]])
+
+
+def folded_model():
+    """Over Z4: (a, b, e) with b = a + 1 and e = a mod 2, (b, c) with
+    c = b + 1, (a, c) with a = c, and (e, f) with e in {0, 1}. Around the
+    cycle a goes to a + 2, so a glued class holds the sections a = x and
+    a = x + 2 of (a, b, e), which agree on e, where the pair with (e, f)
+    does not glue: the class's row sums their two entries there."""
+    scn = Scenario(
+        ("a", "b", "c", "e", "f"),
+        (("a", "b", "e"), ("b", "c"), ("a", "c"), ("e", "f")),
+        tuple(range(4)),
+    )
+    return EmpiricalModel.from_values(
+        scn,
+        [
+            [(x, (x + 1) % 4, x % 2) for x in range(4)],
+            [(x, (x + 1) % 4) for x in range(4)],
+            [(x, x) for x in range(4)],
+            [(e, f) for e in (0, 1) for f in range(4)],
+        ],
+    )
+
+
+def bijection_cover(rng):
+    """A connected cover of edges over Z_k: a cycle through 4 to 8 vertices
+    and up to 3 chords. Most edges are supported on a random bijection,
+    whose k sections restrict one to one onto both ends, so two such edges
+    meeting at a vertex glue; the others carry all k*k pairs, which restrict
+    k to one, so a bijection beside one of them is one to one on one side
+    only."""
+    k = rng.choice((2, 3, 4, 6))
+    n = rng.randint(4, 8)
+    names = tuple(f"v{i}" for i in range(n))
+    edges = {tuple(sorted((i, (i + 1) % n))) for i in range(n)}
+    for _ in range(rng.randint(0, 3)):
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    values = []
+    for _ in sorted(edges):
+        if rng.random() < 0.75:
+            image = rng.sample(range(k), k)
+            values.append([(x, image[x]) for x in range(k)])
+        else:
+            values.append([(x, y) for x in range(k) for y in range(k)])
+    contexts = tuple((names[a], names[b]) for a, b in sorted(edges))
+    return EmpiricalModel.from_values(Scenario(names, contexts, tuple(range(k))), values)
+
+
+def test_glued_eliminations_match_the_per_ring_oracle(corpus_models):
+    # gluing the positions that a pair restricting one to one on both sides
+    # joins is exact over every ring: the flags are those of the oracle,
+    # which eliminates the full delta0 over each ring, position by position
+    rng = random.Random(20261021)
+    models = list(corpus_models.values()) + [one_sided_model(), folded_model()]
+    models += [liar_cycle_model(n) for n in (3, 4, 5, 8)]
+    models += [bijection_cover(rng) for _ in range(40)]
+    models += random_contextual_models(20, seed=20261021)
+    glued = mixed = 0
+    non_vanishing = vanishing = 0
+    for model in models:
+        # a forest pair glues when both its supports restrict one to one
+        # onto the overlap
+        kinds = {
+            len(model.support(i)) == len(model.restricted_values(i, overlap)) == len(model.support(j))
+            for i, j, overlap, *_ in model.scenario.overlap_index.forest
+        }
+        glued += cohomology_module._degree0_complex(model)._glued is not None
+        mixed += kinds == {True, False}
+        for ring in (Z2, Z3, Z4, Z6, INTEGERS):
+            report = classify_cohomological(model, ring)
+            assert report.vanishes == oracle_flags(model, ring)
+            non_vanishing += report.vanishes.count(False)
+            vanishing += report.vanishes.count(True)
+    assert glued >= 40 and mixed >= 20 and non_vanishing and vanishing
+
+
+def eliminated_rows(model, monkeypatch):
+    """The rows that the complex of a fresh copy of the model hands to
+    `echelon` for its integer elimination, and the complex."""
+    handed = []
+    original = cohomology_module.echelon
+
+    def recording(ring, rows, head):
+        rows = list(rows)
+        handed.append(rows)
+        return original(ring, rows, head)
+
+    complex_ = cohomology_module._degree0_complex(EmpiricalModel(model.scenario, model.supports))
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology_module, "echelon", recording)
+        complex_._eliminate(INTEGERS)
+    assert len(handed) == 1
+    return handed[0], complex_
+
+
+def test_the_integer_elimination_takes_one_row_per_glued_class(corpus_models, monkeypatch):
+    # every pair of these models glues, and their positions form one class
+    cases = {
+        "liar-20": liar_cycle_model(20),
+        "liar-48": liar_cycle_model(48),
+        "pr-box": corpus_models["pr-box"],
+        "box-25": corpus_models["box-25"],
+    }
+    for name, model in cases.items():
+        rows, complex_ = eliminated_rows(model, monkeypatch)
+        classes, _ = complex_._glued
+        assert len(rows) == 1 and classes == [list(range(complex_.offsets[-1]))], name
+
+
+def test_a_model_that_glues_nothing_eliminates_its_per_position_rows(corpus_models, monkeypatch):
+    # no pair restricts one to one on both sides (in ghz-mermin and the
+    # one-sided model, some restrict one to one on one side): the
+    # elimination reads the rows [D^T | I], one per basis position, from
+    # the last to the first
+    cases = {name: corpus_models[name] for name in ("bell", "ks-18", "ghz-mermin")}
+    cases["groetzsch"] = groetzsch_colouring(3)
+    cases["one-sided"] = one_sided_model()
+    for name, model in cases.items():
+        rows, complex_ = eliminated_rows(model, monkeypatch)
+        assert complex_._glued is None, name
+        assert rows == complex_.rows[::-1], name
+        check_forest_rows(model, complex_)
+
+
 # ---------------------------------------------------------------------------
 # agreement with the connecting homomorphism, functoriality in the ring
 
