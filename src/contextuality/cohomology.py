@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DisconnectedCoverError,
@@ -381,36 +381,44 @@ class _Degree0Complex:
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
         self._forest, self._images, self._numbers = index.forest, images, numbers
 
-    @cached_property
-    def rows(self) -> list[Row]:
-        """The rows [D^T | I], one per basis position: row j holds column j
-        of D below key m = `forest_rows` and a 1 at tail key m + j."""
+    def _class_rows(self, where: Sequence[int], count: int, glued: Iterable[bool]) -> list[Row]:
+        """The rows [D'^T | I], one per class of positions: row c holds, below
+        key m = `forest_rows`, the sum of the columns of D at the positions p
+        with where[p] == c on the forest pairs not glued, and a 1 at tail key
+        m + c."""
         offsets, images, numbers = self.offsets, self._images, self._numbers
         m = self.forest_rows
-        rows = [{m + k: 1} for k in range(offsets[-1])]
+        rows: list[Row] = [{m + c: 1} for c in range(count)]
         m = 0
-        for i, j, _, left, right, group in self._forest:
+        for (i, j, _, left, right, group), joins in zip(self._forest, glued):
             number = numbers[group]
-            for row, v in zip(rows[offsets[i] : offsets[i + 1]], images[left]):
-                row[m + number[v]] = -1
-            for row, v in zip(rows[offsets[j] : offsets[j + 1]], images[right]):
-                row[m + number[v]] = 1
+            if not joins:
+                for sign, ci, image in ((-1, i, images[left]), (1, j, images[right])):
+                    for c, v in zip(where[offsets[ci] : offsets[ci + 1]], image):
+                        row = rows[c]
+                        k = m + number[v]
+                        row[k] = row.get(k, 0) + sign
             m += len(number)
         return rows
 
     @cached_property
-    def _glued(self) -> tuple[list[list[int]], list[Row]] | None:
+    def rows(self) -> list[Row]:
+        """The rows [D^T | I], one per basis position: row j holds column j
+        of D below key m = `forest_rows` and a 1 at tail key m + j."""
+        n = self.offsets[-1]
+        return self._class_rows(range(n), n, repeat(False))
+
+    @cached_property
+    def _glued(self) -> tuple[list[list[int]], list[Row]]:
         """The classes of basis positions that the glued pairs join, each
         in position order and numbered by its first position, with the rows
-        [D'^T | I], one per class; None when no pair glues."""
-        offsets, forest = self.offsets, self._forest
-        images, numbers = self._images, self._numbers
+        [D'^T | I], one per class. With no pair glued each class is one
+        position, and the rows equal `rows`."""
+        offsets, forest, images = self.offsets, self._forest, self._images
         glued = [
-            offsets[i + 1] - offsets[i] == len(numbers[group]) == offsets[j + 1] - offsets[j]
+            offsets[i + 1] - offsets[i] == len(self._numbers[group]) == offsets[j + 1] - offsets[j]
             for i, j, _, _, _, group in forest
         ]
-        if True not in glued:
-            return None
         # each root is the smallest position of its tree
         linked = list(range(offsets[-1]))
         for (i, j, _, left, right, _), joins in zip(forest, glued):
@@ -422,29 +430,19 @@ class _Degree0Complex:
                         linked[b] = a
                     elif b < a:
                         linked[a] = b
+        # every link points to a smaller position, so walking the positions
+        # in order, each position's parent already links to its root
         where: list[int] = []
         classes: list[list[int]] = []
         for p in range(offsets[-1]):
-            root = _find(linked, p)
+            root = linked[p] = linked[linked[p]]
             if root == p:
                 where.append(len(classes))
                 classes.append([p])
             else:
                 where.append(where[root])
                 classes[where[root]].append(p)
-        m = self.forest_rows
-        rows: list[Row] = [{m + c: 1} for c in range(len(classes))]
-        m = 0
-        for (i, j, _, left, right, group), joins in zip(forest, glued):
-            number = numbers[group]
-            if not joins:
-                for sign, ci, image in ((-1, i, images[left]), (1, j, images[right])):
-                    for p, v in zip(range(offsets[ci], offsets[ci + 1]), image):
-                        row = rows[where[p]]
-                        k = m + number[v]
-                        row[k] = row.get(k, 0) + sign
-            m += len(number)
-        return classes, rows
+        return classes, self._class_rows(where, len(classes), glued)
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,
@@ -454,16 +452,9 @@ class _Degree0Complex:
         pivot rows hold 307 nonzeros instead of 1,039 on the Groetzsch
         3-colouring, and 6,716 instead of 119,630 on M6 with 4 colours."""
         m = self.forest_rows
-        glued = self._glued
-        if glued is None:
-            form = echelon(ring, reversed(self.rows), m)
-            kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
-        else:
-            classes, rows = glued
-            form = echelon(ring, reversed(rows), m)
-            kernel = [
-                {p: x for k, x in row.items() for p in classes[k - m]} for row in form.kernel
-            ]
+        classes, rows = self._glued
+        form = echelon(ring, reversed(rows), m)
+        kernel = [{p: x for k, x in row.items() for p in classes[k - m]} for row in form.kernel]
         return kernel, all(h[c] == 1 for c, h in form.rows.items())
 
     @cached_property
