@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import (
     DisconnectedCoverError,
@@ -330,12 +330,14 @@ class _Degree0Complex:
     K_n are the expansions of the kernels of that smaller system D'. The
     liar cycles, the PR box and the Specker triangle glue into one class.
 
-    The rows [D'^T | I], one per class (row c holds class c's column of D'
-    below key m = `forest_rows` and a 1 at tail key m + c), are eliminated
-    once per model over Z: a unimodular U, recorded in the tails, with
-    U*D'^T = [H; 0], whose kernel rows generate ker D', and expanded to
-    the positions, K. With no glued pair, each class is one position and
-    these are the per-position rows [D^T | I] (`rows`) in their order.
+    The rows [D'^T | E], one per class (row c holds class c's column of D'
+    below key m = `forest_rows` and a 1 at tail key m + p for each
+    position p of the class), are eliminated once per model over Z: a
+    unimodular U with U*D'^T = [H; 0], whose kernel rows y generate
+    ker D'. The tails record U*E, and a kernel row's tail is y*E, y
+    expanded to the positions, so the kernel rows' tails generate K. With
+    no glued pair, each class is one position, E = I, and these are the
+    per-position rows [D^T | I] (`rows`) in their order.
     Each generator's part at each context, at its basis positions, is one
     row; parts at different contexts share no column, so their one echelon
     (`form`) is block diagonal and holds every context's form of pi_C(K).
@@ -381,39 +383,35 @@ class _Degree0Complex:
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
         self._forest, self._images, self._numbers = index.forest, images, numbers
 
-    def _class_rows(self, where: Sequence[int], count: int, glued: Iterable[bool]) -> list[Row]:
-        """The rows [D'^T | I], one per class of positions: row c holds, below
-        key m = `forest_rows`, the sum of the columns of D at the positions p
-        with where[p] == c on the forest pairs not glued, and a 1 at tail key
-        m + c."""
+    def _position_rows(self, glued: Iterable[bool]) -> list[Row]:
+        """The rows [D^T | I] on the forest pairs not glued, one per basis
+        position: row j holds column j of D on those pairs below key
+        m = `forest_rows`, and a 1 at tail key m + j."""
         offsets, images, numbers = self.offsets, self._images, self._numbers
         m = self.forest_rows
-        rows: list[Row] = [{m + c: 1} for c in range(count)]
+        rows = [{m + k: 1} for k in range(offsets[-1])]
         m = 0
         for (i, j, _, left, right, group), joins in zip(self._forest, glued):
             number = numbers[group]
             if not joins:
-                for sign, ci, image in ((-1, i, images[left]), (1, j, images[right])):
-                    for c, v in zip(where[offsets[ci] : offsets[ci + 1]], image):
-                        row = rows[c]
-                        k = m + number[v]
-                        row[k] = row.get(k, 0) + sign
+                for row, v in zip(rows[offsets[i] : offsets[i + 1]], images[left]):
+                    row[m + number[v]] = -1
+                for row, v in zip(rows[offsets[j] : offsets[j + 1]], images[right]):
+                    row[m + number[v]] = 1
             m += len(number)
         return rows
 
     @cached_property
     def rows(self) -> list[Row]:
-        """The rows [D^T | I], one per basis position: row j holds column j
-        of D below key m = `forest_rows` and a 1 at tail key m + j."""
-        n = self.offsets[-1]
-        return self._class_rows(range(n), n, repeat(False))
+        """The rows [D^T | I], one per basis position."""
+        return self._position_rows(repeat(False))
 
     @cached_property
-    def _glued(self) -> tuple[list[list[int]], list[Row]]:
-        """The classes of basis positions that the glued pairs join, each
-        in position order and numbered by its first position, with the rows
-        [D'^T | I], one per class. With no pair glued each class is one
-        position, and the rows equal `rows`."""
+    def _glued(self) -> list[Row]:
+        """The rows [D'^T | E], one per class of basis positions that the
+        glued pairs join, in the order of each class's first position: the
+        sum of its positions' rows on the pairs not glued. With no pair
+        glued each class is one position, and the rows equal `rows`."""
         offsets, forest, images = self.offsets, self._forest, self._images
         glued = [
             offsets[i + 1] - offsets[i] == len(self._numbers[group]) == offsets[j + 1] - offsets[j]
@@ -430,31 +428,27 @@ class _Degree0Complex:
                         linked[b] = a
                     elif b < a:
                         linked[a] = b
+        rows = self._position_rows(glued)
         # every link points to a smaller position, so walking the positions
         # in order, each position's parent already links to its root
-        where: list[int] = []
-        classes: list[list[int]] = []
-        for p in range(offsets[-1]):
+        for p, row in enumerate(rows):
             root = linked[p] = linked[linked[p]]
-            if root == p:
-                where.append(len(classes))
-                classes.append([p])
-            else:
-                where.append(where[root])
-                classes[where[root]].append(p)
-        return classes, self._class_rows(where, len(classes), glued)
+            if root != p:
+                total = rows[root]
+                for k, x in row.items():
+                    total[k] = total.get(k, 0) + x
+        return [row for p, row in enumerate(rows) if linked[p] == p]
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,
-        and whether every pivot is 1: one row per glued class, expanded to
-        its positions. The rows are eliminated from the last class to the
-        first, which was measured to cut fill-in: with no pair glued, the
-        pivot rows hold 307 nonzeros instead of 1,039 on the Groetzsch
-        3-colouring, and 6,716 instead of 119,630 on M6 with 4 colours."""
+        and whether every pivot is 1: one row per glued class. The rows are
+        eliminated from the last class to the first, which was measured to
+        cut fill-in: with no pair glued, the pivot rows hold 307 nonzeros
+        instead of 1,039 on the Groetzsch 3-colouring, and 6,716 instead of
+        119,630 on M6 with 4 colours."""
         m = self.forest_rows
-        classes, rows = self._glued
-        form = echelon(ring, reversed(rows), m)
-        kernel = [{p: x for k, x in row.items() for p in classes[k - m]} for row in form.kernel]
+        form = echelon(ring, reversed(self._glued), m)
+        kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
         return kernel, all(h[c] == 1 for c, h in form.rows.items())
 
     @cached_property
