@@ -417,26 +417,25 @@ class _Degree0Complex:
             offsets[i + 1] - offsets[i] == len(self._numbers[group]) == offsets[j + 1] - offsets[j]
             for i, j, _, _, _, group in forest
         ]
-        # each root is the smallest position of its tree
+        # each root is the smallest position of its tree; `merged` lists the
+        # positions that stopped being roots
         linked = list(range(offsets[-1]))
+        merged = []
         for (i, j, _, left, right, _), joins in zip(forest, glued):
             if joins:
                 at = dict(zip(images[left], range(offsets[i], offsets[i + 1])))
                 for q, v in zip(range(offsets[j], offsets[j + 1]), images[right]):
                     a, b = _find(linked, at[v]), _find(linked, q)
+                    if b < a:
+                        a, b = b, a
                     if a < b:
                         linked[b] = a
-                    elif b < a:
-                        linked[a] = b
+                        merged.append(b)
         rows = self._position_rows(glued)
-        # every link points to a smaller position, so walking the positions
-        # in order, each position's parent already links to its root
-        for p, row in enumerate(rows):
-            root = linked[p] = linked[linked[p]]
-            if root != p:
-                total = rows[root]
-                for k, x in row.items():
-                    total[k] = total.get(k, 0) + x
+        for p in merged:
+            total = rows[_find(linked, p)]
+            for k, x in rows[p].items():
+                total[k] = total.get(k, 0) + x
         return [row for p, row in enumerate(rows) if linked[p] == p]
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
