@@ -412,16 +412,14 @@ class _Degree0Complex:
         glued pairs join, in the order of each class's first position: the
         sum of its positions' rows on the pairs not glued. With no pair
         glued each class is one position, and the rows equal `rows`."""
-        offsets, forest, images = self.offsets, self._forest, self._images
-        glued = [
-            offsets[i + 1] - offsets[i] == len(self._numbers[group]) == offsets[j + 1] - offsets[j]
-            for i, j, _, _, _, group in forest
-        ]
+        offsets, images, numbers = self.offsets, self._images, self._numbers
         # each root is the smallest position of its tree; `merged` lists the
         # positions that stopped being roots
         linked = list(range(offsets[-1]))
-        merged = []
-        for (i, j, _, left, right, _), joins in zip(forest, glued):
+        glued, merged = [], []
+        for i, j, _, left, right, group in self._forest:
+            joins = offsets[i + 1] - offsets[i] == len(numbers[group]) == offsets[j + 1] - offsets[j]
+            glued.append(joins)
             if joins:
                 at = dict(zip(images[left], range(offsets[i], offsets[i + 1])))
                 for q, v in zip(range(offsets[j], offsets[j + 1]), images[right]):
@@ -432,11 +430,13 @@ class _Degree0Complex:
                         linked[b] = a
                         merged.append(b)
         rows = self._position_rows(glued)
-        for p in merged:
+        # from the last merged position down, so each pop leaves the rows
+        # before it, its root's among them, where they were
+        for p in sorted(merged, reverse=True):
             total = rows[_find(linked, p)]
-            for k, x in rows[p].items():
+            for k, x in rows.pop(p).items():
                 total[k] = total.get(k, 0) + x
-        return [row for p, row in enumerate(rows) if linked[p] == p]
+        return rows
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,

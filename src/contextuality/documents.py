@@ -323,12 +323,14 @@ def _parse_theory(obj: Any, scenario: Scenario, path: str) -> tuple[Theory, tupl
         coeffs_obj = _expect(eq["coefficients"], dict, "an object", f"{eq_path}.coefficients")
         constant = _expect(eq["constant"], int, "an integer", f"{eq_path}.constant")
         for m, c in coeffs_obj.items():
+            # the member's path is written only for an offence
             if m not in measurements:
                 raise DocumentError(
                     f"{m!r} is not a measurement of the scenario",
                     path=_member(f"{eq_path}.coefficients", m),
                 )
-            _expect(c, int, "an integer", _member(f"{eq_path}.coefficients", m))
+            if type(c) is not int:
+                _expect(c, int, "an integer", _member(f"{eq_path}.coefficients", m))
         equation, landed = _expand_equation(ring, scenario, coeffs_obj, constant, eq_path)
         raw.append(equation)
         expanded.extend(landed)

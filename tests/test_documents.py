@@ -513,6 +513,18 @@ OBJECT_SHAPES = [
     ("$.theory.equations[0] list", with_equation([EQUATION]), "$.theory.equations[0]", NOT_AN_OBJECT),
     ("$.theory.equations[0] zz", with_equation({**EQUATION, "zz": 0}), "$.theory.equations[0].zz", UNKNOWN),
     (
+        "$.theory.equations[0].coefficients.a1 bool",
+        with_equation({**EQUATION, "coefficients": {"a1": True}}),
+        "$.theory.equations[0].coefficients.a1",
+        "expected an integer, got a boolean",
+    ),
+    (
+        "$.theory.equations[0].coefficients.a1 str",
+        with_equation({**EQUATION, "coefficients": {"a1": "1"}}),
+        "$.theory.equations[0].coefficients.a1",
+        "expected an integer, got str",
+    ),
+    (
         "$.theory.equations[0] -coefficients",
         with_equation(without(EQUATION, "coefficients")),
         "$.theory.equations[0]",
