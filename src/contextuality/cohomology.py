@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .errors import (
@@ -35,6 +34,7 @@ from .scenario import (
     Section,
     Simplex,
     _find,
+    _union,
     build_nerve,
     connected_components,
     projection,
@@ -297,7 +297,7 @@ def _require_connected(model: EmpiricalModel) -> None:
 class _Degree0Complex:
     """The ring-independent part of a model's obstruction systems, built
     once per model by `_degree0_complex`: the offsets of each context's
-    positions in the 0-cochain basis, the rows D of delta0 kept below
+    positions in the 0-cochain basis, the rows of delta0 kept below
     (`forest_rows` of them), the context owning each basis position, and
     the number of 1-cochain basis positions of the whole nerve
     (`compatibility_rows`). It builds no section, no basis and no nerve: a
@@ -324,26 +324,27 @@ class _Degree0Complex:
     the one position q at C_j over that value, and every x with x*D^T = 0
     has x_p = x_q, over Z and mod every n alike, as the entries are units.
     A union-find over the glued pairs splits the positions into classes
-    (`_glued`), and x is in K (or K_n) exactly when it is constant on each
-    class and its class values y solve the rows of the pairs not glued,
-    with a class's column the sum of its positions' columns: K and every
-    K_n are the expansions of the kernels of that smaller system D'. The
-    liar cycles, the PR box and the Specker triangle glue into one class.
+    (`classes[p]` is position p's, numbered in order of first position),
+    and x is in K (or K_n) exactly when it is constant on each class and
+    its class values y solve the rows of the pairs not glued, with a
+    class's column the sum of its positions' columns: K and every K_n are
+    the expansions of the kernels of that smaller system D'. The liar
+    cycles, the PR box and the Specker triangle glue into one class.
 
-    The rows [D'^T | E], one per class (row c holds class c's column of D'
-    below key m = `forest_rows` and a 1 at tail key m + p for each
-    position p of the class), are eliminated once per model over Z: a
-    unimodular U with U*D'^T = [H; 0], whose kernel rows y generate
-    ker D'. The tails record U*E, and a kernel row's tail is y*E, y
-    expanded to the positions, so the kernel rows' tails generate K. With
-    no glued pair, each class is one position, E = I, and these are the
-    per-position rows [D^T | I] (`rows`) in their order.
-    Each generator's part at each context, at its basis positions, is one
-    row; parts at different contexts share no column, so their one echelon
-    (`form`) is block diagonal and holds every context's form of pi_C(K).
-    `classify_cohomological` reads every verdict off its pivots;
-    `ObstructionSolver` reads only the per-position rows and eliminates
-    them over its own ring.
+    `rows` holds [D'^T | E], one row per class, built in one pass over the
+    forest: row c holds class c's column of D' below key m = `forest_rows`
+    and a 1 at tail key m + p for each position p of the class. With no
+    glued pair each class is one position, E = I, and these are the rows
+    [D^T | I] in basis order. `_eliminate` brings them to echelon form
+    once per model over Z: a unimodular U with U*D'^T = [H; 0], whose
+    kernel rows y generate ker D'. The tails record U*E, and a kernel
+    row's tail is y*E, y expanded to the positions, so the kernel rows'
+    tails generate K. Each generator's part at each context, at its basis
+    positions, is one row; parts at different contexts share no column, so
+    their one echelon (`form`) is block diagonal and holds every context's
+    form of pi_C(K). `classify_cohomological` reads every verdict off its
+    pivots; `ObstructionSolver` eliminates a subset of the same rows over
+    its own ring, per context asked about.
 
     When every pivot of H is 1, mod n U stays invertible and the rows of H
     stay independent (each has a 1 where the rows after it are zero), so
@@ -381,62 +382,40 @@ class _Degree0Complex:
         # every pair with an overlap has that overlap's image
         self.compatibility_rows = sum(len(n) * c for n, c in zip(numbers, index.group_pairs))
         self.owner = [ci for ci, vs in enumerate(values) for _ in vs]
-        self._forest, self._images, self._numbers = index.forest, images, numbers
-
-    def _position_rows(self, glued: Iterable[bool]) -> list[Row]:
-        """The rows [D^T | I] on the forest pairs not glued, one per basis
-        position: row j holds column j of D on those pairs below key
-        m = `forest_rows`, and a 1 at tail key m + j."""
-        offsets, images, numbers = self.offsets, self._images, self._numbers
-        m = self.forest_rows
-        rows = [{m + k: 1} for k in range(offsets[-1])]
-        m = 0
-        for (i, j, _, left, right, group), joins in zip(self._forest, glued):
-            number = numbers[group]
-            if not joins:
-                for row, v in zip(rows[offsets[i] : offsets[i + 1]], images[left]):
-                    row[m + number[v]] = -1
-                for row, v in zip(rows[offsets[j] : offsets[j + 1]], images[right]):
-                    row[m + number[v]] = 1
-            m += len(number)
-        return rows
-
-    @cached_property
-    def rows(self) -> list[Row]:
-        """The rows [D^T | I], one per basis position."""
-        return self._position_rows(repeat(False))
-
-    @cached_property
-    def _glued(self) -> list[Row]:
-        """The rows [D'^T | E], one per class of basis positions that the
-        glued pairs join, in the order of each class's first position: the
-        sum of its positions' rows on the pairs not glued. With no pair
-        glued each class is one position, and the rows equal `rows`."""
-        offsets, images, numbers = self.offsets, self._images, self._numbers
-        # each root is the smallest position of its tree; `merged` lists the
-        # positions that stopped being roots
+        # one pass over the forest: a glued pair unites its positions, any
+        # other pair writes its entries into its positions' rows
+        rows = [{m + p: 1} for p in range(offsets[-1])]
         linked = list(range(offsets[-1]))
-        glued, merged = [], []
-        for i, j, _, left, right, group in self._forest:
-            joins = offsets[i + 1] - offsets[i] == len(numbers[group]) == offsets[j + 1] - offsets[j]
-            glued.append(joins)
-            if joins:
-                at = dict(zip(images[left], range(offsets[i], offsets[i + 1])))
-                for q, v in zip(range(offsets[j], offsets[j + 1]), images[right]):
-                    a, b = _find(linked, at[v]), _find(linked, q)
-                    if b < a:
-                        a, b = b, a
-                    if a < b:
-                        linked[b] = a
-                        merged.append(b)
-        rows = self._position_rows(glued)
-        # from the last merged position down, so each pop leaves the rows
-        # before it, its root's among them, where they were
-        for p in sorted(merged, reverse=True):
-            total = rows[_find(linked, p)]
-            for k, x in rows.pop(p).items():
-                total[k] = total.get(k, 0) + x
-        return rows
+        m = merged = 0
+        for i, j, _, left, right, group in index.forest:
+            number = numbers[group]
+            here, there = range(offsets[i], offsets[i + 1]), range(offsets[j], offsets[j + 1])
+            if len(here) == len(number) == len(there):
+                at = dict(zip(images[left], here))
+                for q, v in zip(there, images[right]):
+                    merged += _union(linked, at[v], q)
+            else:
+                for p, v in zip(here, images[left]):
+                    rows[p][m + number[v]] = -1
+                for q, v in zip(there, images[right]):
+                    rows[q][m + number[v]] = 1
+            m += len(number)
+        self.rows, self.classes = rows, list(range(len(rows)))
+        if not merged:
+            return
+        # each root is its class's first position, so it comes before the
+        # positions merged into it
+        self.rows, self.classes = [], []
+        for p, row in enumerate(rows):
+            if linked[p] == p:
+                self.classes.append(len(self.rows))
+                self.rows.append(row)
+            else:
+                c = self.classes[_find(linked, p)]
+                self.classes.append(c)
+                total = self.rows[c]
+                for k, x in row.items():
+                    total[k] = total.get(k, 0) + x
 
     def _eliminate(self, ring: RingSpec) -> tuple[list[Row], bool]:
         """Generators of ker delta0 over the ring, indexed by basis position,
@@ -446,7 +425,7 @@ class _Degree0Complex:
         instead of 1,039 on the Groetzsch 3-colouring, and 6,716 instead of
         119,630 on M6 with 4 colours."""
         m = self.forest_rows
-        form = echelon(ring, reversed(self._glued), m)
+        form = echelon(ring, reversed(self.rows), m)
         kernel = [{k - m: x for k, x in row.items()} for row in form.kernel]
         return kernel, all(h[c] == 1 for c, h in form.rows.items())
 
@@ -502,18 +481,24 @@ class ObstructionSolver:
     The class of a section s0 at context C0 vanishes exactly when some
     0-cochain x in K = ker(delta0) over the ring has the unit combination
     at s0 as its component at C0 (weight 1 at s0, 0 elsewhere at C0); x is
-    then the compatible family. Over the rows (D_j | e_j) of the model's
-    `_Degree0Complex`, D_j the column of D at basis position j, that asks
-    whether D_s0 is a combination of the columns D_j with j outside C0.
-    So the solver brings the rows of every position outside C0 to echelon
-    form on D's columns over its own ring, in reversed order as the
-    complex's integer elimination does when no pair glues, once per
-    context asked about.
-    Over Z_n it is a Howell form, so reduction decides membership. The
-    row of s0 reduces to a zero head exactly when the obstruction
-    vanishes, and what it leaves is (0 | x) with x = e_s0 - sum c_j*e_j
-    and D*x = 0: the family itself. D has the kernel of delta0, as the
-    complex's docstring shows.
+    then the compatible family. By the model's `_Degree0Complex`, x is in
+    K exactly when it is constant on the glued classes and its class
+    values y have y*D'^T = 0, so x|C0 = e_s0 fixes y at every class that
+    touches C0: 1 at s0's class, 0 at the others. If s0's class holds
+    another position of C0, x would be 1 there too, so the obstruction
+    does not vanish over any ring. Otherwise the classes touching C0
+    other than s0's add nothing, and the question is whether D'_c of s0's
+    class c is a combination of the columns D'_c' of the classes c' that
+    touch C0 nowhere.
+
+    So the solver brings the complex's rows (D'_c' | E_c') of the classes
+    holding no position of C0 to echelon form on the columns of D' over its
+    own ring, in reversed order as the complex's integer elimination does,
+    once per context asked about. Over Z_n it is a Howell form, so
+    reduction decides membership. The row of s0's class reduces to a zero
+    head exactly when the obstruction vanishes, and what it leaves is
+    (0 | x) with x = E_c - sum a_c'*E_c' and D*x = 0: the family itself,
+    over positions, whose part at C0 is e_s0 as no E_c' meets C0.
 
     One solver asked about many contexts eliminates once per context, so
     its cost grows with the contexts asked about: the first section of
@@ -532,10 +517,12 @@ class ObstructionSolver:
     def _decomposition(self, ci: int) -> Echelon:
         form = self._decompositions.get(ci)
         if form is None:
-            lo, hi = self._complex.offsets[ci : ci + 2]
-            rows = self._complex.rows
-            outside = chain(reversed(rows[hi:]), reversed(rows[:lo]))
-            form = echelon(self.ring, outside, self._complex.forest_rows)
+            complex_ = self._complex
+            lo, hi = complex_.offsets[ci : ci + 2]
+            outside = complex_.rows[:]
+            for c in sorted(set(complex_.classes[lo:hi]), reverse=True):
+                del outside[c]
+            form = echelon(self.ring, reversed(outside), complex_.forest_rows)
             self._decompositions[ci] = form
         return form
 
@@ -550,7 +537,11 @@ class ObstructionSolver:
                 f"{s0} is not supported at context {self.model.scenario.contexts[ci]}"
             )
         complex_ = self._complex
-        tail = self._decomposition(ci).reduce(complex_.rows[complex_.offsets[ci] + position])
+        lo, hi = complex_.offsets[ci : ci + 2]
+        c = complex_.classes[lo + position]
+        if complex_.classes[lo:hi].count(c) > 1:
+            return None
+        tail = self._decomposition(ci).reduce(complex_.rows[c])
         if tail is None:
             return None
         m = complex_.forest_rows

@@ -95,8 +95,12 @@ class RingSpec:
         t = text.strip().lower()
         if t == "z":
             return cls()
-        if t.startswith("z") and t[1:].isdigit():
-            return cls(int(t[1:]))
+        digits = t[1:]
+        if t.startswith("z") and digits.isascii() and digits.isdigit():
+            try:
+                return cls(int(digits))
+            except ValueError:  # more digits than int() converts
+                pass
         raise UnsupportedRingError(f"unrecognised ring {text!r}; expected 'z' or 'zN'")
 
 

@@ -131,14 +131,9 @@ class OverlapIndex:
         """The cover's connected components under the overlap relation,
         each sorted, ordered by smallest member: a union-find over the
         forest pairs, which join whatever all pairs join."""
-        # each root is the smallest context of its tree
         linked = list(range(self.size))
         for pair in self.forest:
-            a, b = _find(linked, pair[0]), _find(linked, pair[1])
-            if a < b:
-                linked[b] = a
-            elif b < a:
-                linked[a] = b
+            _union(linked, pair[0], pair[1])
         components: dict[int, list[int]] = {}
         for i, root in enumerate(linked):
             if root != i:
@@ -152,6 +147,18 @@ def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
     return x
+
+
+def _union(parent: list[int], a: int, b: int) -> bool:
+    """Join the trees of a and b under the smaller root, so that each root
+    is the smallest member of its tree; whether they were two trees."""
+    a, b = _find(parent, a), _find(parent, b)
+    if a == b:
+        return False
+    if b < a:
+        a, b = b, a
+    parent[b] = a
+    return True
 
 
 def _overlap_index(contexts: tuple[tuple[str, ...], ...], at: dict) -> OverlapIndex:
@@ -213,9 +220,7 @@ def _overlap_index(contexts: tuple[tuple[str, ...], ...], at: dict) -> OverlapIn
                     project = shared[there] = projection(there)
                 incidences.append((j, there, project))
                 trees.append(right)
-            a, b = _find(trees, left), _find(trees, right)
-            if a != b:
-                trees[b] = a
+            if _union(trees, left, right):
                 forest.append((i, j, overlap, left, right, group))
     if nested:
         a, b = min(nested)

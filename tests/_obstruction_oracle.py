@@ -37,14 +37,21 @@ def reference_degree0_rows(model: EmpiricalModel):
 
 def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     """The degree-0 complex's rows against the full delta0 of the reference
-    bases. Each row j ends in a 1 at tail key `forest_rows + j`. The rows of
-    delta0 it holds, block by block, are the reference blocks of the pairs
-    on the overlap index's forest, in nerve order. The forest pairs with
-    each overlap U span every component of the pairs with that overlap
-    without a cycle. Every other pair's block is the sum of the forest
-    blocks along the forest path between its two contexts, each taken with
-    the sign of the direction it is walked in. The pairs are those of the
-    reference nerve, not the overlap index's."""
+    bases. The rows of delta0 it holds, block by block, are the reference
+    blocks of the pairs on the overlap index's forest, in nerve order. The
+    forest pairs with each overlap U span every component of the pairs
+    with that overlap without a cycle. Every other pair's block is the sum
+    of the forest blocks along the forest path between its two contexts,
+    each taken with the sign of the direction it is walked in. The pairs
+    are those of the reference nerve, not the overlap index's.
+
+    A forest pair whose block has as many rows as each of its contexts has
+    sections is glued. When no pair is, each row j of the complex ends in
+    a 1 at tail key `forest_rows + j`, and its head is column j of the
+    forest blocks. Otherwise the positions that the glued blocks' rows
+    join are classes, found here by a search over those rows, and the
+    complex's rows are the per-position rows on the blocks not glued,
+    summed over each class, in order of each class's first position."""
     basis = cochain_basis(model, 0)
     upper = cochain_basis(model, 1)
     pairs = nerve_pairs(model.scenario)
@@ -54,12 +61,6 @@ def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     for row, col, sign in coboundary_entries(basis, upper):
         reference[row][col] = sign
     head = complex_.forest_rows
-    mine = [{} for _ in range(head)]
-    for j, row in enumerate(complex_.rows):
-        assert [k for k in row if k >= head] == [head + j] and row[head + j] == 1
-        for k, x in row.items():
-            if k < head:
-                mine[k][j] = x
 
     def block(p):
         return reference[upper.offsets[p] : upper.offsets[p + 1]]
@@ -71,11 +72,57 @@ def check_forest_rows(model: EmpiricalModel, complex_: _Degree0Complex) -> None:
     # each forest record is a nerve pair with its overlap, in nerve order
     assert [pairs[p] for p in forest] == records
     assert sum(len(block(p)) for p in forest) == head
-    at = 0
-    for p in forest:
-        size = len(block(p))
-        assert mine[at : at + size] == block(p)
-        at += size
+    sizes = [len(sections) for sections in basis.sections]
+    glued = {p for p in forest if sizes[pairs[p][0]] == len(block(p)) == sizes[pairs[p][1]]}
+    if not glued:
+        assert complex_.classes == list(range(len(basis)))
+        mine = [{} for _ in range(head)]
+        for j, row in enumerate(complex_.rows):
+            assert [k for k in row if k >= head] == [head + j] and row[head + j] == 1
+            for k, x in row.items():
+                if k < head:
+                    mine[k][j] = x
+        at = 0
+        for p in forest:
+            size = len(block(p))
+            assert mine[at : at + size] == block(p)
+            at += size
+    else:
+        # the per-position rows [D^T | I] on the forest blocks not glued,
+        # and the positions each glued row joins
+        positions = [{head + j: 1} for j in range(len(basis))]
+        joined: dict[int, list[int]] = {}
+        at = 0
+        for p in forest:
+            for k, row in enumerate(block(p), at):
+                if p in glued:
+                    assert sorted(row.values()) == [-1, 1]
+                    a, b = row
+                    joined.setdefault(a, []).append(b)
+                    joined.setdefault(b, []).append(a)
+                else:
+                    for col, x in row.items():
+                        positions[col][k] = x
+            at += len(block(p))
+        classes = [None] * len(basis)
+        expected = []
+        for start in range(len(basis)):
+            if classes[start] is not None:
+                continue
+            total: dict[int, int] = {}
+            todo = [start]
+            classes[start] = len(expected)
+            while todo:
+                a = todo.pop()
+                for k, x in positions[a].items():
+                    total[k] = total.get(k, 0) + x
+                for b in joined.get(a, ()):
+                    if classes[b] is None:
+                        classes[b] = len(expected)
+                        todo.append(b)
+            expected.append({k: x for k, x in total.items() if x})
+        assert complex_.classes == classes
+        assert [{k: x for k, x in row.items() if x} for row in complex_.rows] == expected
 
     # per overlap, the forest as an adjacency map, and the reference blocks
     # of the pairs that are not on it

@@ -508,6 +508,17 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("ring", ["z\u00b2", "z\u2460", "z" + "9" * 5000], ids=["superscript", "circled", "long"])
+def test_a_ring_int_cannot_read_is_an_input_error(ring, pr_path, capsys):
+    for argv in (
+        ["analyze", pr_path, "--ring", ring],
+        ["avn", pr_path, "--ring", ring],
+        ["obstruction", pr_path, "--context", "a1,b1", "--section", "a1=0,b1=0", "--ring", ring],
+    ):
+        assert main(argv) == 1
+        assert one_error_line(capsys).startswith("error: unrecognised ring"), argv
+
+
 def test_bundle_into_a_missing_directory_is_an_output_error(pr_path, tmp_path, capsys):
     target = tmp_path / "missing" / "pr.dot"
     assert main(["bundle", pr_path, "-o", str(target)]) == 1

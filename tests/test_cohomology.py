@@ -295,11 +295,22 @@ def test_disconnected_cover_rejected():
         connecting_hom_check(model, ("a", "b"), model.support(0)[0], Z2)
 
 
-def test_solver_reuses_context_decompositions():
-    solver = ObstructionSolver(pr_box(), Z2)
-    for s in pr_box().support(0):
-        solver.vanishes(("a1", "b1"), s)
+def test_solver_reuses_context_decompositions(corpus_models):
+    # the Bell model glues nothing, so its queries at one context share one
+    # echelon form; the PR box and the liar cycle glue into one class that
+    # holds both sections of every context, so no query vanishes, over any
+    # ring, and none builds a form
+    bell = corpus_models["bell"]
+    solver = ObstructionSolver(bell, Z2)
+    for s in bell.support(0):
+        solver.vanishes(bell.scenario.contexts[0], s)
     assert len(solver._decompositions) == 1
+    for model in (pr_box(), liar_cycle_model(20)):
+        for ring in (Z2, Z4, INTEGERS):
+            solver = ObstructionSolver(model, ring)
+            for ci, ctx in enumerate(model.scenario.contexts):
+                assert not any(solver.vanishes(ctx, s) for s in model.support(ci))
+            assert solver._decompositions == {}
 
 
 def test_analyze_builds_one_degree0_complex_per_model(corpus_documents, monkeypatch):
@@ -646,15 +657,23 @@ def bijection_cover(rng):
     return EmpiricalModel.from_values(Scenario(names, contexts, tuple(range(k))), values)
 
 
-def test_glued_eliminations_match_the_per_ring_oracle(corpus_models):
-    # gluing the positions that a pair restricting one to one on both sides
-    # joins is exact over every ring: the flags are those of the oracle,
-    # which eliminates the full delta0 over each ring, position by position
+def glued_models(corpus_models):
+    """The corpus, the one-sided and folded models, short liar cycles, 40
+    bijection covers and 20 random contextual models: most glue some pairs
+    and not others."""
     rng = random.Random(20261021)
     models = list(corpus_models.values()) + [one_sided_model(), folded_model()]
     models += [liar_cycle_model(n) for n in (3, 4, 5, 8)]
     models += [bijection_cover(rng) for _ in range(40)]
-    models += random_contextual_models(20, seed=20261021)
+    return models + random_contextual_models(20, seed=20261021)
+
+
+def test_glued_eliminations_match_the_per_ring_oracle(corpus_models):
+    # gluing the positions that a pair restricting one to one on both sides
+    # joins is exact over every ring: the class rows are the reference rows
+    # summed over the classes, and the flags are those of the oracle, which
+    # eliminates the full delta0 over each ring, position by position
+    models = glued_models(corpus_models)
     glued = mixed = 0
     non_vanishing = vanishing = 0
     for model in models:
@@ -665,7 +684,8 @@ def test_glued_eliminations_match_the_per_ring_oracle(corpus_models):
             for i, j, overlap, *_ in model.scenario.overlap_index.forest
         }
         complex_ = cohomology_module._degree0_complex(model)
-        glued += len(complex_._glued) < complex_.offsets[-1]
+        check_forest_rows(model, complex_)
+        glued += len(complex_.rows) < complex_.offsets[-1]
         mixed += kinds == {True, False}
         for ring in (Z2, Z3, Z4, Z6, INTEGERS):
             report = classify_cohomological(model, ring)
@@ -673,6 +693,32 @@ def test_glued_eliminations_match_the_per_ring_oracle(corpus_models):
             non_vanishing += report.vanishes.count(False)
             vanishing += report.vanishes.count(True)
     assert glued >= 40 and mixed >= 20 and non_vanishing and vanishing
+
+
+def test_point_queries_on_glued_rows_match_the_per_ring_oracle(corpus_models):
+    # a point query eliminates the class rows outside its context and
+    # answers no for a section whose class holds another section of its
+    # context; its verdicts are the oracle's, and each family it returns
+    # passes the full delta0 with the unit at its section on its context
+    collided = reduced = 0
+    for model in glued_models(corpus_models):
+        basis = cochain_basis(model, 0)
+        entries = list(coboundary_entries(basis, cochain_basis(model, 1)))
+        classes = cohomology_module._degree0_complex(model).classes
+        for ring in (Z2, Z3, Z4, Z6, INTEGERS):
+            solver = ObstructionSolver(model, ring)
+            flags = with_sections(model, oracle_flags(model, ring))
+            for (ci, ctx, s, vanishes), c in zip(flags, classes):
+                family = solver.family(ctx, s)
+                assert (family is not None) == vanishes
+                if family is not None:
+                    check_family_by_coboundary(model, ring, entries, ci, s, family, basis)
+                lo, hi = basis.offsets[ci : ci + 2]
+                if classes[lo:hi].count(c) > 1:
+                    collided += 1
+                else:
+                    reduced += 1
+    assert collided and reduced
 
 
 def eliminated_rows(model, monkeypatch):

@@ -100,6 +100,14 @@ def test_ring_spec_parse_and_str():
         RingSpec.parse("gf4")
 
 
+def test_ring_spec_parse_rejects_digits_int_cannot_read():
+    # str.isdigit accepts a superscript two and a circled one, which int()
+    # refuses, and int() refuses more digits than its limit
+    for text in ("z\u00b2", "z\u2460", "z" + "9" * 5000):
+        with pytest.raises(UnsupportedRingError, match="unrecognised ring"):
+            RingSpec.parse(text)
+
+
 def test_ring_spec_rejects_bad_moduli():
     with pytest.raises(RingError):
         RingSpec(1)
